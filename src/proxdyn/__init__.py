@@ -17,6 +17,7 @@ from .problems import (
     make_problem,
     problem_from_json,
     prox_eval,
+    prox_grad_map,
     prox_grad_residual,
     soft_threshold,
     box_project,
@@ -89,6 +90,7 @@ __all__ = [
     "make_problem",
     "problem_from_json",
     "prox_eval",
+    "prox_grad_map",
     "prox_grad_residual",
     "soft_threshold",
     "box_project",

@@ -39,7 +39,7 @@ from . import discrete as discrete_mod
 from . import dynamics, lyapunov
 from . import params as params_mod
 from . import rates as rates_mod
-from .problems import problem_from_json, prox_grad_residual
+from .problems import problem_from_json
 
 __all__ = ["main"]
 
@@ -106,27 +106,21 @@ def _config_dict(args):
     return _load_json_object(args.config, "config")
 
 
-def _merged(args, cfg, attr, key=None, required=False):
-    """CLI flag wins; the --config file supplies the value when the flag is absent."""
+def _merged(args, cfg, attr, key=None, required=False, default=None):
+    """CLI flag wins, then the --config file, then ``default`` (never in place of a 0)."""
     value = getattr(args, attr)
     if value is None:
         value = cfg.get(key or attr)
     if value is None and required:
         raise ValueError("missing required argument --%s" % (key or attr).replace("_", "-"))
-    return value
+    return default if value is None else value
 
 
 def _resolve_problem(spec, base_dir):
-    if isinstance(spec, dict):
-        return problem_from_json(spec)
-    if isinstance(spec, str):
-        if spec.lstrip().startswith("{"):
-            return problem_from_json(spec)
-        path = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
-        if not os.path.exists(path):
-            raise ValueError("problem file not found: %s" % path)
-        return problem_from_json(path)
-    raise ValueError("problem must be an inline JSON object or a file path")
+    """Load a problem given inline, or as a file name relative to base_dir."""
+    if isinstance(spec, str) and not spec.lstrip().startswith("{"):
+        spec = os.path.join(base_dir, spec)
+    return problem_from_json(spec)
 
 
 def _out_path(args, name):
@@ -216,7 +210,7 @@ def _execute_run(cfg, base_dir, args):
 
     summary = {
         "params": params_mod.params_report(params),
-        "final_residual": float(prox_grad_residual(obj, lam, traj.xs[-1])),
+        "final_residual": float(trace.residual[-1]),
         "final_velocity_norm": float(np.linalg.norm(traj.vs[-1])),
         "energy_monotone": not violations,
         "rate_report": rate_dict,
@@ -228,8 +222,7 @@ def _execute_run(cfg, base_dir, args):
             "%d non-finite values serialized as null" % dropped
         ]
     path = _out_path(args, "summary.json")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(safe_summary, indent=2) + "\n")
+    _dump_json(safe_summary, path)
     written.append(path)
     return safe_summary, written
 
@@ -241,7 +234,7 @@ def cmd_run(args):
     base_dir = os.path.dirname(os.path.abspath(args.config))
     summary, written = _execute_run(cfg, base_dir, args)
     if args.json:
-        print(json.dumps(summary, indent=2))
+        _dump_json(summary)
     else:
         for path in written:
             print("wrote %s" % path)
@@ -296,9 +289,9 @@ def cmd_discrete(args):
     x0 = np.asarray(_merged(args, cfg, "x0", required=True), dtype=float)
     x1_raw = _merged(args, cfg, "x1")
     x1 = x0 if x1_raw is None else np.asarray(x1_raw, dtype=float)
-    max_iter = int(_merged(args, cfg, "max_iter") or 10_000)
-    tol = float(_merged(args, cfg, "tol") or 1e-8)
-    out_name = _merged(args, cfg, "out") or "history.csv"
+    max_iter = int(_merged(args, cfg, "max_iter", default=10_000))
+    tol = float(_merged(args, cfg, "tol", default=1e-8))
+    out_name = _merged(args, cfg, "out", default="history.csv")
 
     history = discrete_mod.run_inertial(obj, lam, gamma, x0, x1, max_iter, tol)
     path = _out_path(args, out_name)
@@ -359,13 +352,13 @@ def cmd_sweep(args):
     cfg = _config_dict(args)
     beta = float(_merged(args, cfg, "beta", required=True))
     gammas = np.linspace(
-        float(_merged(args, cfg, "gamma_min") or 0.1),
-        float(_merged(args, cfg, "gamma_max") or 1.7),
-        int(_merged(args, cfg, "gamma_count") or 25),
+        float(_merged(args, cfg, "gamma_min", default=0.1)),
+        float(_merged(args, cfg, "gamma_max", default=1.7)),
+        int(_merged(args, cfg, "gamma_count", default=25)),
     )
-    lam_lo = float(_merged(args, cfg, "lambda_min") or 1e-3)
-    lam_hi = float(_merged(args, cfg, "lambda_max") or 1.0)
-    lam_count = int(_merged(args, cfg, "lambda_count") or 25)
+    lam_lo = float(_merged(args, cfg, "lambda_min", default=1e-3))
+    lam_hi = float(_merged(args, cfg, "lambda_max", default=1.0))
+    lam_count = int(_merged(args, cfg, "lambda_count", default=25))
     if args.log_lambda:
         lambdas = np.geomspace(lam_lo, lam_hi, lam_count)
     else:
@@ -378,13 +371,11 @@ def cmd_sweep(args):
 
     csv_path = _out_path(args, "sweep.csv")
     float_cols = ["gamma", "lambda", "beta", "L1", "L2", "L", "A", "B", "C", "c", "a", "b", "s", "p", "m", "r0"]
-    flag_cols = ["rho_feasible", "corollary_feasible"]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(float_cols + flag_cols) + "\n")
-        for report in reports:
-            cells = ["%.17g" % (math.nan if report[col] is None else report[col]) for col in float_cols]
-            cells += ["%d" % int(report[col]) for col in flag_cols]
-            fh.write(",".join(cells) + "\n")
+    columns = float_cols + ["rho_feasible", "corollary_feasible"]
+    table = np.empty((len(reports), len(columns)))
+    for row, report in zip(table, reports):
+        row[:] = [report[col] for col in columns]  # an absent constant (None) becomes nan
+    dynamics._write_csv(csv_path, columns, table, int_columns=range(len(float_cols), len(columns)))
 
     feasible = [report for report in reports if report["rho_feasible"]]
     aborted = []

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import prox_grad_residual
+from .dynamics import _write_csv
+from .problems import _map_residual, prox_grad_map
 
 __all__ = [
     "IterateHistory",
@@ -86,18 +87,24 @@ def inertial_step_general(obj, lam, gk, hk, xk, xkm1):
         raise ValueError("lam, gk and hk must be positive")
     xk = np.asarray(xk, dtype=float)
     xkm1 = np.asarray(xkm1, dtype=float)
-    zk = obj.f.prox(lam, xk - lam * obj.g.grad(xk))
+    zk = prox_grad_map(obj, lam, xk)
     denom = 1.0 + gk * hk
     return xk + (xk - xkm1) / denom + (hk * hk / denom) * (zk - xk)
 
 
 def inertial_step_unit(obj, lam, gk, xk, xkm1):
     """One step at hk = 1, in the relaxed proximal-gradient arrangement."""
-    if lam <= 0 or gk <= 0:
-        raise ValueError("lam and gk must be positive")
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     xk = np.asarray(xk, dtype=float)
     xkm1 = np.asarray(xkm1, dtype=float)
-    zk = obj.f.prox(lam, xk - lam * obj.g.grad(xk))
+    return _relaxed_step(gk, xk, xkm1, prox_grad_map(obj, lam, xk))
+
+
+def _relaxed_step(gk, xk, xkm1, zk):
+    """x_{k+1} at hk = 1, given zk = T(xk)."""
+    if gk <= 0:
+        raise ValueError("gk must be positive")
     w = 1.0 / (1.0 + gk)
     return (1.0 - w) * xk + w * zk + w * (xk - xkm1)
 
@@ -108,9 +115,11 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     gamma_schedule may be a callable k -> gamma_k (k starting at 1) or a
     plain positive number for a constant schedule.  The residual is checked
     at x1 first, so identical critical starting points converge at
-    iteration 1.  Aborts with DivergenceError when an iterate norm exceeds
-    1e12.
+    iteration 1.  The residual and x_{k+1} come from one evaluation of T(x_k).
+    Aborts with DivergenceError when an iterate norm exceeds 1e12.
     """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if tol < 0:
@@ -127,7 +136,8 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     converged = False
     k = 1
     while True:
-        r = float(prox_grad_residual(obj, lam, x_cur))
+        z_cur = prox_grad_map(obj, lam, x_cur)
+        r = float(_map_residual(x_cur, z_cur, lam))
         residuals.append(r)
         if r <= tol:
             converged = True
@@ -137,7 +147,7 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
         norm = float(np.linalg.norm(x_cur))
         if norm > _DIVERGENCE_LIMIT:
             raise DivergenceError(index=k, norm=norm)
-        x_next = inertial_step_unit(obj, lam, gamma_schedule(k), x_cur, x_prev)
+        x_next = _relaxed_step(gamma_schedule(k), x_cur, x_prev, z_cur)
         x_prev, x_cur = x_cur, x_next
         xs.append(x_cur)
         values.append(float(obj.value(x_cur)))
@@ -153,13 +163,8 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
 
 def write_history_csv(history, path):
     """Write `k,x_0..x_{n-1},residual,objective`; the k=0 row has no residual."""
-    n = history.xs.shape[1]
-    cols = ["k"] + ["x_%d" % i for i in range(n)] + ["residual", "objective"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(history.xs)):
-            res = history.residuals[k - 1] if k >= 1 else float("nan")
-            row = [*history.xs[k], res, history.objective_values[k]]
-            fh.write(
-                "%d," % k + ",".join(format(val, ".17g") for val in row) + "\n"
-            )
+    n_rows, n = history.xs.shape
+    header = ["k"] + ["x_%d" % i for i in range(n)] + ["residual", "objective"]
+    residuals = np.concatenate(([np.nan], history.residuals))
+    table = np.column_stack((np.arange(n_rows), history.xs, residuals, history.objective_values))
+    _write_csv(path, header, table, int_columns=(0,))

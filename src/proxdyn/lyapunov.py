@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _write_csv
+from .problems import _map_residual, prox_grad_map
+
 __all__ = [
     "EnergyTrace",
     "Violation",
@@ -58,6 +61,16 @@ def _sqnorm(x):
     return np.sum(x * x, axis=-1)
 
 
+def _energy(params, fg, v, acc):
+    """E from (f+g)(acc + gamma*v + x), x' and x''; see the module docstring."""
+    inv2lam = 1.0 / (2.0 * params.lam)
+    return (
+        fg
+        + inv2lam * _sqnorm(acc + (params.c * params.gamma) * v)
+        - (params.C * inv2lam) * _sqnorm(v)
+    )
+
+
 def energy_at(obj, params, x, v, acc):
     """Energy at one state (batched over leading axes).
 
@@ -72,13 +85,7 @@ def energy_at(obj, params, x, v, acc):
     v = np.asarray(v, dtype=float)
     acc = np.asarray(acc, dtype=float)
     z = acc + params.gamma * v + x
-    fg = obj.f.eval(z) + obj.g.eval(z)
-    inv2lam = 1.0 / (2.0 * params.lam)
-    return (
-        fg
-        + inv2lam * _sqnorm(acc + (params.c * params.gamma) * v)
-        - (params.C * inv2lam) * _sqnorm(v)
-    )
+    return _energy(params, obj.f.eval(z) + obj.g.eval(z), v, acc)
 
 
 def energy_at_expanded(obj, params, x, v, acc):
@@ -153,7 +160,7 @@ def subgradient_witness(obj, params, traj, a):
     lam = params.lam
     gamma = params.gamma
     x, v, acc = traj.xs, traj.vs, traj.accs
-    z = obj.f.prox(lam, x - lam * obj.g.grad(x))
+    z = prox_grad_map(obj, lam, x)
     g1 = obj.g.grad(z) - obj.g.grad(x) - (a * gamma / lam) * v
     g2 = -(acc + (1.0 - a) * gamma * v) / lam
     g3 = -(params.C / lam) * v
@@ -168,20 +175,13 @@ def monitor(obj, params, traj):
     acceleration, so (f+g)(z) is always evaluated inside dom f.  H is traced
     at the a = 1-c instantiation through its own code path.
     """
-    lam = params.lam
-    gamma = params.gamma
     x, v, acc = traj.xs, traj.vs, traj.accs
-    z = obj.f.prox(lam, x - lam * obj.g.grad(x))
+    z = prox_grad_map(obj, params.lam, x)
     fg_z = obj.f.eval(z) + obj.g.eval(z)
-    inv2lam = 1.0 / (2.0 * lam)
-    energy = (
-        fg_z
-        + inv2lam * _sqnorm(acc + (params.c * gamma) * v)
-        - (params.C * inv2lam) * _sqnorm(v)
-    )
-    h_vals = h_value(obj, params, z, (1.0 - params.c) * gamma * v + x, v)
+    energy = _energy(params, fg_z, v, acc)
+    h_vals = h_value(obj, params, z, (1.0 - params.c) * params.gamma * v + x, v)
     bounds = w_bound(params, v, acc, 1.0 - params.c)
-    residual = np.linalg.norm(x - z, axis=-1) / lam
+    residual = _map_residual(x, z, params.lam)
     dissipation = params.A * _sqnorm(v) + params.B * _sqnorm(acc)
     return EnergyTrace(
         times=traj.times,
@@ -242,16 +242,7 @@ def check_monotone(trace, tol):
 
 def write_energy_csv(trace, path):
     """Write `t,energy,fg_shifted,h_value,w_bound,residual,dissipation` rows."""
-    with open(path, "w") as fh:
-        fh.write("t,energy,fg_shifted,h_value,w_bound,residual,dissipation\n")
-        for i in range(len(trace.times)):
-            row = [
-                trace.times[i],
-                trace.energy[i],
-                trace.fg_shifted[i],
-                trace.h_value[i],
-                trace.w_bound[i],
-                trace.residual[i],
-                trace.dissipation[i],
-            ]
-            fh.write(",".join(format(val, ".17g") for val in row) + "\n")
+    header = ["t", "energy", "fg_shifted", "h_value", "w_bound", "residual", "dissipation"]
+    table = np.column_stack((trace.times, trace.energy, trace.fg_shifted, trace.h_value,
+                             trace.w_bound, trace.residual, trace.dissipation))
+    _write_csv(path, header, table)

@@ -32,6 +32,7 @@ __all__ = [
     "make_problem",
     "problem_from_json",
     "prox_eval",
+    "prox_grad_map",
     "prox_grad_residual",
     "soft_threshold",
     "box_project",
@@ -259,11 +260,12 @@ def _make_cos_quad(dim, mu=0.0):
     return Objective(f=f, g=g, dim=dim, name="cos_quad")
 
 
+# name -> (builder, required spec keys, optional spec keys)
 _CATALOG = {
-    "zero_quad": _make_zero_quad,
-    "lasso": _make_lasso,
-    "box_quad": _make_box_quad,
-    "cos_quad": _make_cos_quad,
+    "zero_quad": (_make_zero_quad, ("Q",), ("b",)),
+    "lasso": (_make_lasso, ("M", "y", "mu"), ()),
+    "box_quad": (_make_box_quad, ("Q", "b", "lower", "upper"), ()),
+    "cos_quad": (_make_cos_quad, ("dim",), ("mu",)),
 }
 
 
@@ -274,7 +276,7 @@ def make_problem(name, **spec):
     upper), cos_quad(dim, mu=0).
     """
     try:
-        builder = _CATALOG[name]
+        builder = _CATALOG[name][0]
     except KeyError:
         raise ValueError(
             "unknown problem %r; catalog: %s" % (name, ", ".join(sorted(_CATALOG)))
@@ -285,53 +287,35 @@ def make_problem(name, **spec):
 def problem_from_json(source):
     """Build an Objective from a JSON problem spec (dict, path, or JSON text).
 
-    Keys: name (required), dim, Q or M (row-major), b or y, mu, lower, upper.
+    A string whose first non-blank character is ``{`` is parsed as JSON;
+    any other string or a Path names a JSON file.  Keys: name (required),
+    dim, Q or M (row-major), b or y, mu, lower, upper.
     """
-    if isinstance(source, (str, Path)):
+    spec = source
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        spec = json.loads(source)
+    elif isinstance(source, (str, Path)):
         path = Path(source)
-        if path.exists():
-            spec = json.loads(path.read_text())
-        else:
-            spec = json.loads(str(source))
-    else:
-        spec = dict(source)
+        if not path.exists():
+            raise ValueError("problem file not found: %s" % path)
+        spec = json.loads(path.read_text())
+    if not isinstance(spec, dict):
+        raise ValueError("problem must be an inline JSON object or a file path")
     if "name" not in spec:
         raise ValueError("problem spec is missing the 'name' key")
     name = spec["name"]
-    kwargs = {}
-    if name == "zero_quad":
-        kwargs["Q"] = _require(spec, "Q")
-        if "b" in spec:
-            kwargs["b"] = spec["b"]
-    elif name == "lasso":
-        kwargs["M"] = _require(spec, "M")
-        kwargs["y"] = _require(spec, "y")
-        kwargs["mu"] = _require(spec, "mu")
-    elif name == "box_quad":
-        kwargs["Q"] = _require(spec, "Q")
-        kwargs["b"] = _require(spec, "b")
-        kwargs["lower"] = _require(spec, "lower")
-        kwargs["upper"] = _require(spec, "upper")
-    elif name == "cos_quad":
-        kwargs["dim"] = _require(spec, "dim")
-        if "mu" in spec:
-            kwargs["mu"] = spec["mu"]
-    else:
-        raise ValueError(
-            "unknown problem %r; catalog: %s" % (name, ", ".join(sorted(_CATALOG)))
-        )
+    # an unknown name gets no keys here and is rejected by make_problem
+    _, required, optional = _CATALOG.get(name, (None, (), ()))
+    for key in required:
+        if key not in spec:
+            raise ValueError("problem spec %r is missing the %r key" % (name, key))
+    kwargs = {key: spec[key] for key in required + optional if key in spec}
     obj = make_problem(name, **kwargs)
     if "dim" in spec and int(spec["dim"]) != obj.dim:
         raise ValueError(
             "spec says dim=%d but problem data has dim=%d" % (int(spec["dim"]), obj.dim)
         )
     return obj
-
-
-def _require(spec, key):
-    if key not in spec:
-        raise ValueError("problem spec %r is missing the %r key" % (spec.get("name"), key))
-    return spec[key]
 
 
 def prox_eval(f, lam, x):
@@ -341,8 +325,17 @@ def prox_eval(f, lam, x):
     return f.prox(lam, np.asarray(x, dtype=float))
 
 
+def prox_grad_map(obj, lam, x):
+    """The prox-gradient map T(x) = prox_{lam*f}(x - lam*grad g(x)).
+
+    The flow and the discrete iteration are both driven by T.  Batched over
+    the leading axes of x, which must be a float array.
+    """
+    return obj.f.prox(lam, x - lam * obj.g.grad(x))
+
+
 def prox_grad_residual(obj, lam, x):
-    """Criticality residual ||x - prox(lam, x - lam*grad g(x))|| / lam.
+    """Criticality residual ||x - T(x)|| / lam, with T from :func:`prox_grad_map`.
 
     Vanishes exactly at critical points of f + g.  Batched over the leading
     axes of x.
@@ -350,6 +343,10 @@ def prox_grad_residual(obj, lam, x):
     if lam <= 0:
         raise ValueError("lam must be positive")
     x = np.asarray(x, dtype=float)
-    mapped = obj.f.prox(lam, x - lam * obj.g.grad(x))
+    return _map_residual(x, prox_grad_map(obj, lam, x), lam)
+
+
+def _map_residual(x, mapped, lam):
+    """||x - mapped|| / lam over the last axis, given mapped = T(x)."""
     d = x - mapped
     return np.sqrt(_rowwise_sum(d * d)) / lam

@@ -5,10 +5,12 @@ so each canonical run starts either on the fast decay manifold of its
 linearization, at an exact equilibrium coordinate, or inside a prox-saturated
 region; t_end = 100 at h = 1e-3 then reaches machine-level residuals for
 everything except the cosine problem, whose slow mode gets a long run of its
-own.  Building all runs takes a few seconds, so they are computed once per
-session and treated as read-only.
+own.  Building all runs takes 33-37 s on a shared 2-core machine (numpy
+2.4.6), most of the suite's time, so they are computed once per session and
+treated as read-only.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -119,3 +121,23 @@ def spectral_run():
         obj, params, np.array([2.0]), np.array([0.0]), 80.0, 0.01, sample_every=1
     )
     return SimpleNamespace(obj=obj, params=params, traj=traj, slow_rate=0.2)
+
+
+@pytest.fixture()
+def count_grad():
+    """Wrap an objective so that every call of its gradient is counted.
+
+    ``count_grad(obj)`` returns the wrapped objective and the list that
+    gets one entry per call.
+    """
+
+    def wrap(obj):
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            return obj.g.grad(x)
+
+        return dataclasses.replace(obj, g=dataclasses.replace(obj.g, grad=grad)), calls
+
+    return wrap

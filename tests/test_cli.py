@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +262,29 @@ def test_discrete_missing_problem(capsys):
     assert "missing required argument --problem" in capsys.readouterr().err
 
 
+def test_discrete_zero_max_iter_is_rejected(tmp_path, capsys):
+    rc = cli.main(["discrete", "--problem", json.dumps(LASSO), "--lambda", "0.5",
+                   "--gamma", "2", "--x0", "0", "--max-iter", "0",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "max_iter must be at least 1" in capsys.readouterr().err
+
+
+def test_discrete_zero_tol_is_honoured(tmp_path, capsys):
+    base = ["discrete", "--problem", json.dumps(LASSO), "--lambda", "0.5",
+            "--gamma", "2", "--x0", "0", "--max-iter", "300",
+            "--out-dir", str(tmp_path), "--json"]
+    assert cli.main(base) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert cli.main(base + ["--tol", "0"]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    # the default tolerance 1e-8 stops early; tol 0 runs on to an exact
+    # fixed point or to the iteration cap
+    assert 0.0 < default["final_residual"] <= 1e-8
+    assert exact["iterations"] > default["iterations"]
+    assert exact["final_residual"] == 0.0 or exact["iterations"] == 300
+
+
 # -- rates flags --------------------------------------------------------
 
 
@@ -370,6 +396,13 @@ def test_sweep_runs_template_at_each_feasible_point(tmp_path, capsys):
             assert point["params"]["lambda"] == float(lam)
 
 
+def test_sweep_zero_lambda_min_is_rejected(tmp_path, capsys):
+    rc = cli.main(["sweep", "--beta", "1", "--lambda-min", "0",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "lambda must be a positive finite real" in capsys.readouterr().err
+
+
 # -- parser edges -------------------------------------------------------
 
 
@@ -384,3 +417,15 @@ def test_no_arguments_is_an_error(capsys):
 
 def test_unknown_command_is_an_error(capsys):
     assert cli.main(["frobnicate"]) == 1
+
+
+def test_python_m_proxdyn_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "proxdyn", "check-params", "--gamma", "1",
+         "--lambda", "0.02", "--beta", "1", "--json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["rho_feasible"] is True

@@ -15,6 +15,7 @@ from proxdyn import (
     run_inertial,
     write_history_csv,
 )
+from proxdyn.discrete import IterateHistory
 
 COS_ROOT = 1.8954942670339809  # positive solution of x = 2 sin x
 
@@ -188,3 +189,27 @@ def test_history_csv_round_trip(tmp_path):
     assert math.isnan(data[0, 2])
     assert np.array_equal(data[1:, 2], hist.residuals)
     assert np.array_equal(data[:, 3], hist.objective_values)
+
+
+def test_run_inertial_evaluates_the_map_once_per_iteration(count_grad):
+    obj = make_problem("lasso", M=[[1.0, 0.3], [0.0, 1.0]], y=[1.0, -0.5], mu=0.4)
+    counted, calls = count_grad(obj)
+    hist = run_inertial(counted, 0.5, 2.0, np.zeros(2), np.array([0.3, -0.2]),
+                        max_iter=500, tol=1e-12)
+    assert hist.converged
+    assert hist.iterations > 10
+    assert len(calls) == hist.iterations
+
+
+def test_history_csv_formats_special_values(tmp_path):
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 / 3.0]
+    xs = np.array([[v, -v] for v in values])
+    hist = IterateHistory(xs=xs, residuals=np.array(values[1:]),
+                          objective_values=np.array(values[::-1]),
+                          converged=False, iterations=len(values) - 1)
+    path = tmp_path / "history.csv"
+    write_history_csv(hist, path)
+    rows = [[v, -v, res, obj] for v, res, obj in zip(values, [math.nan] + values[1:], values[::-1])]
+    assert path.read_text().split("\n") == ["k,x_0,x_1,residual,objective"] + [
+        "%d," % k + ",".join(format(v, ".17g") for v in row) for k, row in enumerate(rows)
+    ] + [""]

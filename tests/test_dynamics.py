@@ -84,6 +84,19 @@ def test_recorded_acceleration_is_algebraic():
         assert np.array_equal(traj.accs[i], dv)
 
 
+@pytest.mark.parametrize("sample_every", [1, 3])
+def test_integrate_evaluates_the_field_four_times_per_step(sample_every, count_grad):
+    # RK4 needs four stages; the first is the acceleration at the step's
+    # start, which the previous step already computed
+    obj, params = _critically_damped()
+    counted, calls = count_grad(obj)
+    traj = integrate(counted, params, [1.0], [0.0], t_end=1.0, h=0.1,
+                     sample_every=sample_every)
+    n_steps = int(round(traj.times[-1] / traj.step))
+    assert n_steps == (10 if sample_every == 1 else 12)
+    assert len(calls) == 4 * n_steps + 1
+
+
 def test_sampling_grid_rounds_up_to_stride():
     obj, params = _critically_damped()
     traj = integrate(obj, params, [1.0], [0.0], t_end=1.0, h=0.1, sample_every=3)

@@ -5,6 +5,8 @@ f = 0, gamma = 1, lam = 1/4 and the state x = 2, v = 0, the system
 acceleration is -1/2 and the energy is 1.5^2/2 + 2 * 0.25 = 1.625.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,16 @@ def test_energy_csv_round_trip(tmp_path):
     assert np.array_equal(data[:, 1], trace.energy)
     assert np.array_equal(data[:, 4], trace.w_bound)
     assert np.array_equal(data[:, 6], trace.dissipation)
+
+
+def test_energy_csv_formats_special_values(tmp_path):
+    values = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 / 3.0])
+    columns = [np.roll(values, shift) for shift in range(7)]
+    trace = EnergyTrace(*columns)
+    path = tmp_path / "energy.csv"
+    write_energy_csv(trace, path)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "t,energy,fg_shifted,h_value,w_bound,residual,dissipation"
+    assert lines[1:] == [
+        ",".join(format(float(col[i]), ".17g") for col in columns) for i in range(len(values))
+    ] + [""]

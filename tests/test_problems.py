@@ -285,6 +285,25 @@ def test_problem_from_json_dict_text_and_file(tmp_path):
         assert np.array_equal(obj.g.grad(x), from_dict.g.grad(x))
 
 
+def test_problem_from_json_long_inline_text():
+    # inline text longer than the OS file-name limit must parse, not be
+    # tried as a path first
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((20, 20))
+    spec = {"name": "lasso", "M": m.tolist(), "y": [1.0] * 20, "mu": 0.1}
+    text = json.dumps(spec)
+    assert len(text) > 5000
+    obj = problem_from_json(text)
+    assert obj.dim == 20
+    x = rng.standard_normal(20)
+    assert np.array_equal(obj.g.grad(x), problem_from_json(spec).g.grad(x))
+
+
+def test_problem_from_json_missing_file(tmp_path):
+    with pytest.raises(ValueError, match="problem file not found"):
+        problem_from_json(str(tmp_path / "absent.json"))
+
+
 def test_problem_from_json_validation():
     with pytest.raises(ValueError, match="name"):
         problem_from_json({"Q": [[1.0]]})
@@ -294,6 +313,8 @@ def test_problem_from_json_validation():
         problem_from_json({"name": "lasso", "M": [[1.0]]})
     with pytest.raises(ValueError, match="dim"):
         problem_from_json({"name": "zero_quad", "dim": 3, "Q": [[1.0]]})
+    with pytest.raises(ValueError, match="JSON object"):
+        problem_from_json([1, 2])
 
 
 def test_make_problem_validation():
