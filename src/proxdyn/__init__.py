@@ -41,6 +41,7 @@ from .dynamics import (
     ThirdDerivativeReport,
     vector_field,
     integrate,
+    integrate_ensemble,
     third_derivative_check,
     write_trajectory_csv,
     read_trajectory_csv,
@@ -110,6 +111,7 @@ __all__ = [
     "ThirdDerivativeReport",
     "vector_field",
     "integrate",
+    "integrate_ensemble",
     "third_derivative_check",
     "write_trajectory_csv",
     "read_trajectory_csv",

@@ -39,11 +39,16 @@ from . import discrete as discrete_mod
 from . import dynamics, lyapunov
 from . import params as params_mod
 from . import rates as rates_mod
-from .problems import problem_from_json
+from .problems import _check_keys, problem_from_json
 
 __all__ = ["main"]
 
 _OUTPUT_KINDS = ("trajectory", "energy", "rates", "summary")
+# the keys a run config (or a sweep's run template) may hold
+_RUN_KEYS = (
+    "problem", "gamma", "lambda", "seed", "u0", "v0", "sample_every", "outputs",
+    "t_end", "h", "x_limit", "t0", "converged_tol",
+)
 
 
 def _json_safe(value):
@@ -135,20 +140,23 @@ def _out_path(args, name):
 # run
 
 
-def _execute_run(cfg, base_dir, args):
-    obj = _resolve_problem(cfg["problem"], base_dir)
-    gamma = float(cfg["gamma"])
-    lam = float(cfg["lambda"])
-    params = params_mod.derive_params(gamma, lam, obj.g.beta)
-    warning_list = []
-    if not params.rho_feasible:
-        message = (
-            "parameters gamma=%g, lambda=%g with beta=%g fail the feasibility "
-            "conditions; integrating anyway" % (gamma, lam, obj.g.beta)
-        )
-        print("warning: " + message, file=sys.stderr)
-        warning_list.append(message)
+def _feasibility_warnings(params):
+    """Warn on stderr when a run's parameters fail the feasibility conditions."""
+    if params.rho_feasible:
+        return []
+    message = (
+        "parameters gamma=%g, lambda=%g with beta=%g fail the feasibility "
+        "conditions; integrating anyway" % (params.gamma, params.lam, params.beta)
+    )
+    print("warning: " + message, file=sys.stderr)
+    return [message]
 
+
+def _run_setup(cfg, obj):
+    """The parts of a run config that do not depend on gamma and lambda.
+
+    Returns (u0, v0, sample_every, outputs).
+    """
     seed = int(cfg.get("seed", 0))
     if seed < 0:
         raise ValueError("seed must be nonnegative")
@@ -169,10 +177,22 @@ def _execute_run(cfg, base_dir, args):
     unknown = outputs - set(_OUTPUT_KINDS)
     if unknown:
         raise ValueError("unknown outputs %s; choose from %s" % (sorted(unknown), list(_OUTPUT_KINDS)))
+    return u0, v0, sample_every, outputs
 
+
+def _execute_run(cfg, base_dir, args):
+    obj = _resolve_problem(cfg["problem"], base_dir)
+    params = params_mod.derive_params(float(cfg["gamma"]), float(cfg["lambda"]), obj.g.beta)
+    warning_list = _feasibility_warnings(params)
+    u0, v0, sample_every, outputs = _run_setup(cfg, obj)
     traj = dynamics.integrate(
         obj, params, u0, v0, float(cfg["t_end"]), float(cfg["h"]), sample_every=sample_every
     )
+    return _finish_run(cfg, obj, params, traj, outputs, warning_list, args)
+
+
+def _finish_run(cfg, obj, params, traj, outputs, warning_list, args):
+    """Monitor and classify an integrated run, then write its outputs."""
     trace = lyapunov.monitor(obj, params, traj)
     energy_tol = 1e-6 * (1.0 + abs(float(trace.energy[0])))
     violations = lyapunov.check_monotone(trace, energy_tol)
@@ -231,6 +251,7 @@ def cmd_run(args):
     if args.config is None:
         raise ValueError("run requires --config FILE with the experiment description")
     cfg = _load_json_object(args.config, "config")
+    _check_keys(cfg, _RUN_KEYS, "run config")
     base_dir = os.path.dirname(os.path.abspath(args.config))
     summary, written = _execute_run(cfg, base_dir, args)
     if args.json:
@@ -382,25 +403,9 @@ def cmd_sweep(args):
     run_config = _merged(args, cfg, "run_config")
     if run_config is not None:
         template = _load_json_object(run_config, "run config template")
+        _check_keys(template, _RUN_KEYS, "run config template")
         base_dir = os.path.dirname(os.path.abspath(run_config))
-        parent_out = args.out_dir or "."
-        for report in feasible:
-            point_cfg = dict(template)
-            point_cfg["gamma"] = report["gamma"]
-            point_cfg["lambda"] = report["lambda"]
-            sub_args = argparse.Namespace(
-                out_dir=os.path.join(parent_out, "run_g%.6g_l%.6g" % (report["gamma"], report["lambda"])),
-                json=False,
-            )
-            try:
-                _execute_run(point_cfg, base_dir, sub_args)
-            except (dynamics.IntegrationAborted, discrete_mod.DivergenceError) as exc:
-                aborted.append({"gamma": report["gamma"], "lambda": report["lambda"], "error": str(exc)})
-                print(
-                    "warning: run at gamma=%.6g, lambda=%.6g aborted: %s"
-                    % (report["gamma"], report["lambda"], exc),
-                    file=sys.stderr,
-                )
+        aborted = _sweep_runs(template, base_dir, feasible, args.out_dir or ".")
 
     if args.json:
         _dump_json(
@@ -418,6 +423,38 @@ def cmd_sweep(args):
         if run_config is not None:
             print("ran %d feasible points, %d aborted" % (len(feasible), len(aborted)))
     return 2 if aborted else 0
+
+
+def _sweep_runs(template, base_dir, points, parent_out):
+    """Run the template at every point as one ensemble; return the aborted runs.
+
+    Each point's run directory gets what ``run`` writes for the template at
+    that point's gamma and lambda, in grid order.
+    """
+    obj = _resolve_problem(template["problem"], base_dir)
+    u0, v0, sample_every, outputs = _run_setup(template, obj)
+    params_seq = [params_mod.derive_params(report["gamma"], report["lambda"], obj.g.beta) for report in points]
+    outcomes = dynamics.integrate_ensemble(
+        obj, params_seq, u0, v0, float(template["t_end"]), float(template["h"]),
+        sample_every=sample_every,
+    )
+    aborted = []
+    for report, params, outcome in zip(points, params_seq, outcomes):
+        warning_list = _feasibility_warnings(params)
+        if isinstance(outcome, dynamics.IntegrationAborted):
+            aborted.append({"gamma": report["gamma"], "lambda": report["lambda"], "error": str(outcome)})
+            print(
+                "warning: run at gamma=%.6g, lambda=%.6g aborted: %s"
+                % (report["gamma"], report["lambda"], outcome),
+                file=sys.stderr,
+            )
+            continue
+        sub_args = argparse.Namespace(
+            out_dir=os.path.join(parent_out, "run_g%.6g_l%.6g" % (report["gamma"], report["lambda"])),
+            json=False,
+        )
+        _finish_run(template, obj, params, outcome, outputs, warning_list, sub_args)
+    return aborted
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,21 @@ acc = T(x) - gamma*v - x, with T the prox-gradient map, never by
 differencing.  A step evaluates the field four times: its first stage is
 the acceleration at the step's start, which the previous step computed
 (and recorded, at a sample), so n steps cost 4n + 1 field evaluations.
+
+One loop, ``_rk4``, steps a state with leading axes: u and v of shape
+(dim,) for one trajectory (:func:`integrate`), or (B, dim) for B
+trajectories with gamma and lam as (B, 1) columns
+(:func:`integrate_ensemble`).  A lone point keeps the oracles'
+single-point route; a stack evaluates every row as that route would, so
+each ensemble row is bitwise the trajectory :func:`integrate` gives it.
+Finiteness is checked per row at each sample: a row that fails is
+recorded as aborted and dropped from the stack, and the others go on.
+
+Samples are stored as (B, n_samples, dim) arrays, so each row's x, x' and
+x'' are C-contiguous blocks.  An ensemble runs its rows in blocks whose
+three sample arrays fit in ``_BLOCK_BYTES`` (32 MB), integrating the next
+block only once the previous block's entries have been taken; a sweep of
+many long runs thus holds one or two blocks of samples, not all of them.
 """
 
 from __future__ import annotations
@@ -37,11 +52,16 @@ __all__ = [
     "IntegrationAborted",
     "vector_field",
     "integrate",
+    "integrate_ensemble",
     "third_derivative_check",
     "ThirdDerivativeReport",
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
+
+# Rows of an ensemble run in blocks whose sample arrays (x, x' and x'' of
+# every row) fit in this many bytes.
+_BLOCK_BYTES = 32 * 2**20
 
 
 class IntegrationAborted(RuntimeError):
@@ -83,9 +103,9 @@ class Trajectory:
     method: str = "rk4"
 
 
-def _acceleration(obj, params, u, v):
+def _acceleration(obj, gamma, lam, u, v):
     """The second component of F: T(u) - gamma*v - u."""
-    return prox_grad_map(obj, params.lam, u) - params.gamma * v - u
+    return prox_grad_map(obj, lam, u) - gamma * v - u
 
 
 def vector_field(obj, params, state):
@@ -94,7 +114,111 @@ def vector_field(obj, params, state):
     v = np.asarray(state.v, dtype=float)
     if u.shape != v.shape:
         raise ValueError("u and v must have the same shape")
-    return v, _acceleration(obj, params, u, v)
+    return v, _acceleration(obj, params.gamma, params.lam, u, v)
+
+
+def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
+    """Validate a run shared by every parameter set; return its state and grid.
+
+    Returns (u, v, n_steps, sample_every, n_samples).  The step guard is
+    checked for every parameter set, and the first that fails raises.
+    """
+    u = np.array(u0, dtype=float)
+    v = np.array(v0, dtype=float)
+    if u.shape != (obj.dim,) or v.shape != (obj.dim,):
+        raise ValueError(
+            "u0 and v0 must have shape (%d,), got %s and %s" % (obj.dim, u.shape, v.shape)
+        )
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValueError("initial state must be finite")
+    if h <= 0:
+        raise ValueError("h must be positive")
+    for params in params_seq:
+        guard = 1.0 / params.L1
+        if h > guard:
+            raise ValueError(
+                "step h=%g exceeds the stability guard 1/L1=%g" % (h, guard)
+            )
+    if t_end < h:
+        raise ValueError("t_end must be at least one step h")
+
+    n_steps = max(1, int(round(t_end / h)))
+    if sample_every is None:
+        sample_every = max(1, math.ceil((n_steps + 1) / 100_000))
+    sample_every = int(sample_every)
+    if sample_every < 1:
+        raise ValueError("sample_every must be a positive integer")
+    if n_steps % sample_every:
+        n_steps += sample_every - (n_steps % sample_every)
+    return u, v, n_steps, sample_every, n_steps // sample_every + 1
+
+
+def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
+    """The RK4 loop, on one state or on a stack of states.
+
+    ``u`` and ``v`` have shape (dim,) for one trajectory, with scalar
+    ``gamma`` and ``lam``, or (B, dim) for B trajectories, with ``gamma``
+    and ``lam`` (B, 1) columns.  Samples go to ``xs``, ``vs`` and ``accs``
+    of shape (B, n_samples, dim), with B = 1 for one trajectory.
+
+    One trajectory raises IntegrationAborted at the first sample whose state
+    is not finite.  In a stack such a row is dropped, the others go on, and
+    the loop ends once no row is left.  Returns {row: IntegrationAborted}
+    for the dropped rows.
+    """
+    aborted = {}
+    live = np.arange(len(xs))  # the rows still integrating, in stack order
+    rows = 0 if u.ndim == 1 else slice(None)  # where the live rows' samples go
+    acc = _acceleration(obj, gamma, lam, u, v)
+    xs[rows, 0] = u
+    vs[rows, 0] = v
+    accs[rows, 0] = acc
+
+    half = 0.5 * h
+    sixth = h / 6.0
+    idx = 1
+    for step_i in range(1, n_steps + 1):
+        # acc, the field at the step's start, is the first RK4 stage
+        u2 = u + half * v
+        v2 = v + half * acc
+        k2v = _acceleration(obj, gamma, lam, u2, v2)
+        u3 = u + half * v2
+        v3 = v + half * k2v
+        k3v = _acceleration(obj, gamma, lam, u3, v3)
+        u4 = u + h * v3
+        v4 = v + h * k3v
+        k4v = _acceleration(obj, gamma, lam, u4, v4)
+        u = u + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + sixth * (acc + 2.0 * k2v + 2.0 * k3v + k4v)
+        acc = _acceleration(obj, gamma, lam, u, v)
+        if step_i % sample_every == 0:
+            if not (np.isfinite(u).all() and np.isfinite(v).all()):
+                if u.ndim == 1:
+                    raise IntegrationAborted(t=step_i * h, step_index=step_i)
+                ok = np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
+                for row in live[~ok]:
+                    aborted[int(row)] = IntegrationAborted(t=step_i * h, step_index=step_i)
+                if not ok.any():
+                    break
+                live = rows = live[ok]
+                u, v, acc, gamma, lam = u[ok], v[ok], acc[ok], gamma[ok], lam[ok]
+            xs[rows, idx] = u
+            vs[rows, idx] = v
+            accs[rows, idx] = acc
+            idx += 1
+    return aborted
+
+
+def _trajectory(params, h, sample_every, xs, vs, accs):
+    return Trajectory(
+        times=np.arange(len(xs)) * (sample_every * h),
+        xs=xs,
+        vs=vs,
+        accs=accs,
+        params=params,
+        step=h,
+        method="rk4",
+    )
 
 
 def integrate(obj, params, u0, v0, t_end, h, sample_every=None):
@@ -121,78 +245,53 @@ def integrate(obj, params, u0, v0, t_end, h, sample_every=None):
     -------
     Trajectory
     """
-    u = np.array(u0, dtype=float)
-    v = np.array(v0, dtype=float)
-    if u.shape != (obj.dim,) or v.shape != (obj.dim,):
-        raise ValueError(
-            "u0 and v0 must have shape (%d,), got %s and %s" % (obj.dim, u.shape, v.shape)
-        )
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ValueError("initial state must be finite")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    guard = 1.0 / params.L1
-    if h > guard:
-        raise ValueError(
-            "step h=%g exceeds the stability guard 1/L1=%g" % (h, guard)
-        )
-    if t_end < h:
-        raise ValueError("t_end must be at least one step h")
-
-    n_steps = max(1, int(round(t_end / h)))
-    if sample_every is None:
-        sample_every = max(1, math.ceil((n_steps + 1) / 100_000))
-    sample_every = int(sample_every)
-    if sample_every < 1:
-        raise ValueError("sample_every must be a positive integer")
-    if n_steps % sample_every:
-        n_steps += sample_every - (n_steps % sample_every)
-    n_samples = n_steps // sample_every + 1
-
-    times = np.arange(n_samples) * (sample_every * h)
-    xs = np.empty((n_samples, obj.dim))
-    vs = np.empty((n_samples, obj.dim))
-    accs = np.empty((n_samples, obj.dim))
-
-    acc = _acceleration(obj, params, u, v)
-    xs[0] = u
-    vs[0] = v
-    accs[0] = acc
-
-    half = 0.5 * h
-    sixth = h / 6.0
-    idx = 1
-    for step_i in range(1, n_steps + 1):
-        # acc, the field at the step's start, is the first RK4 stage
-        u2 = u + half * v
-        v2 = v + half * acc
-        k2v = _acceleration(obj, params, u2, v2)
-        u3 = u + half * v2
-        v3 = v + half * k2v
-        k3v = _acceleration(obj, params, u3, v3)
-        u4 = u + h * v3
-        v4 = v + h * k3v
-        k4v = _acceleration(obj, params, u4, v4)
-        u = u + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + sixth * (acc + 2.0 * k2v + 2.0 * k3v + k4v)
-        acc = _acceleration(obj, params, u, v)
-        if step_i % sample_every == 0:
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-                raise IntegrationAborted(t=step_i * h, step_index=step_i)
-            xs[idx] = u
-            vs[idx] = v
-            accs[idx] = acc
-            idx += 1
-
-    return Trajectory(
-        times=times,
-        xs=xs,
-        vs=vs,
-        accs=accs,
-        params=params,
-        step=h,
-        method="rk4",
+    u, v, n_steps, sample_every, n_samples = _check_run(
+        obj, [params], u0, v0, t_end, h, sample_every
     )
+    xs, vs, accs = (np.empty((1, n_samples, obj.dim)) for _ in range(3))
+    _rk4(obj, params.gamma, params.lam, u, v, h, n_steps, sample_every, xs, vs, accs)
+    return _trajectory(params, h, sample_every, xs[0], vs[0], accs[0])
+
+
+def integrate_ensemble(obj, params_seq, u0, v0, t_end, h, sample_every=None):
+    """Integrate the flow once per parameter set, all sets stepping together.
+
+    Every set starts from the same (u0, v0) and shares ``t_end``, ``h`` and
+    ``sample_every``; each brings its own gamma and lam.  The arguments are
+    those of :func:`integrate` and are checked when this is called, before
+    any step: the first set whose stability guard rejects ``h`` raises
+    :func:`integrate`'s ValueError.
+
+    Returns an iterator with one entry per parameter set, in order: the
+    Trajectory :func:`integrate` returns for that set, bitwise, or the
+    IntegrationAborted it raises, with the same ``t`` and ``step_index``.
+    Sets are integrated a block at a time as the iterator is consumed; see
+    the module docstring.
+    """
+    params_seq = list(params_seq)
+    u, v, n_steps, sample_every, n_samples = _check_run(
+        obj, params_seq, u0, v0, t_end, h, sample_every
+    )
+    block = max(1, _BLOCK_BYTES // (3 * 8 * n_samples * obj.dim))
+
+    def entries():
+        for start in range(0, len(params_seq), block):
+            chunk = params_seq[start : start + block]
+            b = len(chunk)
+            gamma = np.array([[params.gamma] for params in chunk])
+            lam = np.array([[params.lam] for params in chunk])
+            xs, vs, accs = (np.empty((b, n_samples, obj.dim)) for _ in range(3))
+            aborted = _rk4(
+                obj, gamma, lam, np.tile(u, (b, 1)), np.tile(v, (b, 1)),
+                h, n_steps, sample_every, xs, vs, accs,
+            )
+            for row, params in enumerate(chunk):
+                if row in aborted:
+                    yield aborted[row]
+                else:
+                    yield _trajectory(params, h, sample_every, xs[row], vs[row], accs[row])
+
+    return entries()
 
 
 @dataclass

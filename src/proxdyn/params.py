@@ -69,11 +69,11 @@ class SystemParams:
 
 def _check_inputs(gamma, lam, beta):
     if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError("gamma must be a positive finite real, got %r" % (gamma,))
+        raise ValueError("gamma must be a positive finite real, got %r" % (float(gamma),))
     if not (math.isfinite(lam) and lam > 0):
-        raise ValueError("lambda must be a positive finite real, got %r" % (lam,))
+        raise ValueError("lambda must be a positive finite real, got %r" % (float(lam),))
     if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError("beta must be a nonnegative finite real, got %r" % (beta,))
+        raise ValueError("beta must be a nonnegative finite real, got %r" % (float(beta),))
 
 
 def lipschitz_l1(gamma, lambda_beta):

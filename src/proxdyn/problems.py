@@ -289,7 +289,8 @@ def problem_from_json(source):
 
     A string whose first non-blank character is ``{`` is parsed as JSON;
     any other string or a Path names a JSON file.  Keys: name (required),
-    dim, Q or M (row-major), b or y, mu, lower, upper.
+    dim, Q or M (row-major), b or y, mu, lower, upper; a key that the named
+    entry does not take is rejected.
     """
     spec = source
     if isinstance(source, str) and source.lstrip().startswith("{"):
@@ -306,6 +307,8 @@ def problem_from_json(source):
     name = spec["name"]
     # an unknown name gets no keys here and is rejected by make_problem
     _, required, optional = _CATALOG.get(name, (None, (), ()))
+    if name in _CATALOG:
+        _check_keys(spec, ("name", "dim") + required + optional, "problem spec %r" % (name,))
     for key in required:
         if key not in spec:
             raise ValueError("problem spec %r is missing the %r key" % (name, key))
@@ -316,6 +319,17 @@ def problem_from_json(source):
             "spec says dim=%d but problem data has dim=%d" % (int(spec["dim"]), obj.dim)
         )
     return obj
+
+
+def _check_keys(spec, valid, what):
+    """Reject a dict holding any key outside ``valid``, naming the valid ones."""
+    unknown = sorted(set(spec) - set(valid))
+    if unknown:
+        raise ValueError(
+            "unknown key%s %s in %s; valid keys: %s"
+            % ("s" if len(unknown) > 1 else "", ", ".join(map(repr, unknown)), what,
+               ", ".join(sorted(set(valid))))
+        )
 
 
 def prox_eval(f, lam, x):

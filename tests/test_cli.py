@@ -396,11 +396,94 @@ def test_sweep_runs_template_at_each_feasible_point(tmp_path, capsys):
             assert point["params"]["lambda"] == float(lam)
 
 
+def test_sweep_runs_all_points_as_one_ensemble(tmp_path, capsys, monkeypatch):
+    calls = {"integrate": 0, "integrate_ensemble": 0}
+
+    def counted(name):
+        original = getattr(cli.dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.dynamics, name, wrapper)
+
+    counted("integrate")
+    counted("integrate_ensemble")
+    template_cfg = {"problem": ZERO_QUAD, "u0": [1.0], "v0": [0.0], "t_end": 1.0, "h": 0.01}
+    template = _write_json(tmp_path / "template.json", template_cfg)
+    rc = cli.main(["sweep", "--beta", "0", "--gamma-min", "0.5",
+                   "--gamma-max", "1.0", "--gamma-count", "2",
+                   "--lambda-min", "0.01", "--lambda-max", "0.02",
+                   "--lambda-count", "2", "--run-config", template,
+                   "--out-dir", str(tmp_path / "sweep")])
+    assert rc == 0
+    assert calls == {"integrate": 0, "integrate_ensemble": 1}
+    # each point's files are those of a separate run at that point
+    monkeypatch.undo()
+    for gamma in (0.5, 1.0):
+        for lam in (0.01, 0.02):
+            sub = "run_g%.6g_l%.6g" % (gamma, lam)
+            cfg = _write_json(tmp_path / "point.json", dict(template_cfg, gamma=gamma, **{"lambda": lam}))
+            assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "alone" / sub)]) == 0
+            names = sorted(os.listdir(tmp_path / "alone" / sub))
+            assert sorted(os.listdir(tmp_path / "sweep" / sub)) == names
+            assert names == ["energy.csv", "rates.json", "summary.json", "trajectory.csv"]
+            for name in names:
+                assert ((tmp_path / "sweep" / sub / name).read_bytes()
+                        == (tmp_path / "alone" / sub / name).read_bytes()), (sub, name)
+
+
+def test_sweep_guard_failure_writes_no_run(tmp_path, capsys):
+    # 1/L1 is about 0.45 at gamma 0.5 and 0.37 at gamma 1.6, so the guard
+    # passes the first points and rejects the last ones
+    template = _write_json(tmp_path / "template.json", {
+        "problem": LASSO, "u0": [1.5], "v0": [0.0], "t_end": 1.0, "h": 0.4,
+    })
+    rc = cli.main(["sweep", "--beta", "0", "--gamma-min", "0.5", "--gamma-max", "1.6",
+                   "--gamma-count", "4", "--lambda-min", "0.001", "--lambda-max", "0.002",
+                   "--lambda-count", "2", "--run-config", template,
+                   "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert "exceeds the stability guard" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "o") == ["sweep.csv"]
+
+
+def test_run_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = _run_config(tmp_path, sample_evry=10)
+    rc = cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "unknown key 'sample_evry' in run config" in err
+    assert "valid keys: converged_tol, gamma, h, lambda, outputs, problem, sample_every" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_rejects_unknown_template_key(tmp_path, capsys):
+    template = _write_json(tmp_path / "template.json", {
+        "problem": ZERO_QUAD, "u0": [1.0], "v0": [0.0], "t_end": 1.0, "h": 0.01, "gama": 2.0,
+    })
+    rc = cli.main(["sweep", "--beta", "0", "--gamma-count", "2", "--lambda-count", "2",
+                   "--run-config", template, "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert "unknown key 'gama' in run config template; valid keys:" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "o") == ["sweep.csv"]
+
+
+def test_problem_spec_with_unknown_key_exits_one(tmp_path, capsys):
+    spec = json.dumps({"name": "cos_quad", "dim": 2, "muu": 0.5})
+    rc = cli.main(["discrete", "--problem", spec, "--lambda", "0.5", "--gamma", "2",
+                   "--x0", "0", "0", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "unknown key 'muu' in problem spec 'cos_quad'; valid keys: dim, mu, name" in (
+        capsys.readouterr().err)
+
+
 def test_sweep_zero_lambda_min_is_rejected(tmp_path, capsys):
     rc = cli.main(["sweep", "--beta", "1", "--lambda-min", "0",
                    "--out-dir", str(tmp_path)])
     assert rc == 1
-    assert "lambda must be a positive finite real" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: lambda must be a positive finite real, got 0.0\n"
 
 
 # -- parser edges -------------------------------------------------------

@@ -17,6 +17,7 @@ from proxdyn import (
     Trajectory,
     derive_params,
     integrate,
+    integrate_ensemble,
     make_problem,
     read_trajectory_csv,
     third_derivative_check,
@@ -133,6 +134,78 @@ def test_integrate_aborts_on_blowup():
             integrate(obj, params, [1.0], [0.0], t_end=40.0, h=0.4, sample_every=1)
     assert exc.value.step_index >= 1
     assert exc.value.t == pytest.approx(exc.value.step_index * 0.4)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_ensemble_aborts_one_row_and_keeps_the_others():
+    # as in test_integrate_aborts_on_blowup, beta = 0 lets h = 0.4 past the
+    # guard; only the middle row's lambda makes the stiff quadratic blow up
+    obj = make_problem("zero_quad", Q=[[2e6]], b=[0.0])
+    params_seq = [
+        derive_params(1.0, 1e-9, 0.0),
+        derive_params(1.0, 0.01, 0.0),
+        derive_params(0.5, 1e-8, 0.0),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = list(integrate_ensemble(obj, params_seq, [1.0], [0.0], 40.0, 0.4, sample_every=1))
+        with pytest.raises(IntegrationAborted) as exc:
+            integrate(obj, params_seq[1], [1.0], [0.0], t_end=40.0, h=0.4, sample_every=1)
+    assert len(got) == 3
+    assert isinstance(got[1], IntegrationAborted)
+    assert (got[1].t, got[1].step_index, str(got[1])) == (
+        exc.value.t, exc.value.step_index, str(exc.value))
+    for row in (0, 2):
+        want = integrate(obj, params_seq[row], [1.0], [0.0], t_end=40.0, h=0.4, sample_every=1)
+        assert isinstance(got[row], Trajectory)
+        for field in ("times", "xs", "vs", "accs"):
+            assert _same_bits(getattr(got[row], field), getattr(want, field)), (row, field)
+
+
+def test_ensemble_stops_once_every_row_aborted(count_grad):
+    # the rows blow up at steps 54, 84 and 195, each at its own serial step
+    obj, calls = count_grad(make_problem("zero_quad", Q=[[2e6]], b=[0.0]))
+    params_seq = [derive_params(1.0, lam, 0.0) for lam in (0.01, 1e-3, 1e-4)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = list(integrate_ensemble(obj, params_seq, [1.0], [0.0], 4000.0, 0.4, sample_every=1))
+        for params, entry in zip(params_seq, got):
+            with pytest.raises(IntegrationAborted) as serial:
+                integrate(obj, params, [1.0], [0.0], t_end=4000.0, h=0.4, sample_every=1)
+            assert isinstance(entry, IntegrationAborted)
+            assert (entry.t, entry.step_index) == (serial.value.t, serial.value.step_index)
+    # 4 evaluations per step up to the last abort, not 4 * 10^4
+    calls.clear()
+    with np.errstate(over="ignore", invalid="ignore"):
+        list(integrate_ensemble(obj, params_seq, [1.0], [0.0], 4000.0, 0.4, sample_every=1))
+    assert len(calls) == 1 + 4 * max(entry.step_index for entry in got)
+
+
+def test_ensemble_guard_reports_the_first_failing_row():
+    obj = make_problem("zero_quad", Q=[[1.0]], b=[0.0])
+    params_seq = [derive_params(1.0, 0.01, 1.0), derive_params(1.0, 0.5, 4.0),
+                  derive_params(1.0, 0.5, 9.0)]
+    h = 0.3
+    with pytest.raises(ValueError) as serial:
+        integrate(obj, params_seq[1], [1.0], [0.0], t_end=1.0, h=h)
+    assert h > 1.0 / params_seq[2].L1  # the last row fails too, with another guard
+    with pytest.raises(ValueError) as ensemble:
+        integrate_ensemble(obj, params_seq, [1.0], [0.0], 1.0, h)
+    assert str(ensemble.value) == str(serial.value)
+
+
+def test_ensemble_splits_rows_into_blocks(monkeypatch):
+    obj, params = _critically_damped()
+    params_seq = [params, derive_params(1.2, 0.2, obj.g.beta), derive_params(0.8, 0.1, obj.g.beta)]
+    want = list(integrate_ensemble(obj, params_seq, [1.0], [0.0], 1.0, 0.01))
+    # 101 samples of x, x', x'' at dim 1: a budget of two rows per block
+    monkeypatch.setattr(pd.dynamics, "_BLOCK_BYTES", 2 * 3 * 8 * 101)
+    got = list(integrate_ensemble(obj, params_seq, [1.0], [0.0], 1.0, 0.01))
+    assert got[0].xs.base is got[1].xs.base
+    assert got[2].xs.base is not got[0].xs.base
+    for a, b in zip(got, want):
+        assert _same_bits(a.xs, b.xs) and _same_bits(a.accs, b.accs)
 
 
 def test_trajectory_csv_round_trip(tmp_path):

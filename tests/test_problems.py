@@ -317,6 +317,20 @@ def test_problem_from_json_validation():
         problem_from_json([1, 2])
 
 
+def test_problem_from_json_rejects_unknown_keys():
+    # "muu" used to be dropped, leaving f = 0 where mu = 0.5 was meant
+    with pytest.raises(ValueError) as exc:
+        problem_from_json({"name": "cos_quad", "dim": 2, "muu": 0.5})
+    assert str(exc.value) == (
+        "unknown key 'muu' in problem spec 'cos_quad'; valid keys: dim, mu, name")
+    with pytest.raises(ValueError, match="unknown keys 'Q', 'extra' in problem spec 'lasso'"):
+        problem_from_json({"name": "lasso", "M": [[1.0]], "y": [1.0], "mu": 0.5,
+                           "Q": [[1.0]], "extra": 1})
+    # every key the entry takes, and dim, still loads
+    obj = problem_from_json({"name": "zero_quad", "dim": 1, "Q": [[1.0]], "b": [0.5]})
+    assert obj.dim == 1
+
+
 def test_make_problem_validation():
     with pytest.raises(ValueError, match="unknown problem"):
         make_problem("nope")
