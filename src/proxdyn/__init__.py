@@ -8,141 +8,26 @@ for composite objectives f + g, derives the Lipschitz and Lyapunov
 constants that certify convergence of the flow, monitors the energy decay
 along trajectories, estimates empirical decay rates, and runs the matching
 discrete inertial proximal-gradient iteration.
+
+Each module's public names are re-exported here through its ``__all__``.
 """
 
-from .problems import (
-    Objective,
-    ProxFn,
-    SmoothFn,
-    make_problem,
-    problem_from_json,
-    prox_eval,
-    prox_grad_map,
-    prox_grad_residual,
-    soft_threshold,
-    box_project,
-    symmetric_top_eigenvalue,
-)
-from .params import (
-    SystemParams,
-    lipschitz_l1,
-    lipschitz_l2,
-    derive_params,
-    corollary_check,
-    feasible_region,
-    envelope_constants,
-    rate_envelope_constants,
-    params_report,
-)
-from .dynamics import (
-    State,
-    Trajectory,
-    IntegrationAborted,
-    ThirdDerivativeReport,
-    vector_field,
-    integrate,
-    integrate_ensemble,
-    third_derivative_check,
-    write_trajectory_csv,
-    read_trajectory_csv,
-)
-from .lyapunov import (
-    EnergyTrace,
-    Violation,
-    energy_at,
-    energy_at_expanded,
-    h_value,
-    w_bound,
-    subgradient_witness,
-    monitor,
-    check_monotone,
-    write_energy_csv,
-)
-from .discrete import (
-    DivergenceError,
-    IterateHistory,
-    constant_gamma,
-    inverse_k_gamma,
-    inertial_step_general,
-    inertial_step_unit,
-    run_inertial,
-    write_history_csv,
-)
-from .rates import (
-    SigmaTrace,
-    RateReport,
-    NotConvergedError,
-    SigmaOdeReport,
-    SigmaDominanceReport,
-    sigma_estimate,
-    fit_exponential,
-    fit_polynomial,
-    classify_rate,
-    sigma_ode_check,
-    check_sigma_dominance,
-)
+from . import discrete, dynamics, lyapunov, params, problems, rates
+from .discrete import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .lyapunov import *  # noqa: F401,F403
+from .params import *  # noqa: F401,F403
+from .problems import *  # noqa: F401,F403
+from .rates import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Objective",
-    "ProxFn",
-    "SmoothFn",
-    "make_problem",
-    "problem_from_json",
-    "prox_eval",
-    "prox_grad_map",
-    "prox_grad_residual",
-    "soft_threshold",
-    "box_project",
-    "symmetric_top_eigenvalue",
-    "SystemParams",
-    "lipschitz_l1",
-    "lipschitz_l2",
-    "derive_params",
-    "corollary_check",
-    "feasible_region",
-    "envelope_constants",
-    "rate_envelope_constants",
-    "params_report",
-    "State",
-    "Trajectory",
-    "IntegrationAborted",
-    "ThirdDerivativeReport",
-    "vector_field",
-    "integrate",
-    "integrate_ensemble",
-    "third_derivative_check",
-    "write_trajectory_csv",
-    "read_trajectory_csv",
-    "EnergyTrace",
-    "Violation",
-    "energy_at",
-    "energy_at_expanded",
-    "h_value",
-    "w_bound",
-    "subgradient_witness",
-    "monitor",
-    "check_monotone",
-    "write_energy_csv",
-    "DivergenceError",
-    "IterateHistory",
-    "constant_gamma",
-    "inverse_k_gamma",
-    "inertial_step_general",
-    "inertial_step_unit",
-    "run_inertial",
-    "write_history_csv",
-    "SigmaTrace",
-    "RateReport",
-    "NotConvergedError",
-    "SigmaOdeReport",
-    "SigmaDominanceReport",
-    "sigma_estimate",
-    "fit_exponential",
-    "fit_polynomial",
-    "classify_rate",
-    "sigma_ode_check",
-    "check_sigma_dominance",
+    *problems.__all__,
+    *params.__all__,
+    *dynamics.__all__,
+    *lyapunov.__all__,
+    *discrete.__all__,
+    *rates.__all__,
     "__version__",
 ]

@@ -20,9 +20,10 @@ sweep
     config template.
 
 Global flags: ``--config FILE`` (JSON, supplies defaults for any missing
-argument of the subcommand; for ``run`` it is the experiment config itself),
-``--out-dir DIR``, ``--json``.  Exit codes: 0 success (infeasible
-parameters only warn), 1 invalid input, 2 numerical abort.
+argument of the subcommand and may hold no other key; for ``run`` it is the
+experiment config itself), ``--out-dir DIR``, ``--json``.  Exit codes: 0
+success (infeasible parameters only warn), 1 invalid input, 2 numerical
+abort.
 """
 
 from __future__ import annotations
@@ -105,10 +106,13 @@ def _load_json_object(path, what):
     return payload
 
 
-def _config_dict(args):
-    if getattr(args, "config", None) is None:
+def _config_dict(args, keys):
+    """The --config file of a subcommand whose arguments are ``keys``, or {}."""
+    if args.config is None:
         return {}
-    return _load_json_object(args.config, "config")
+    cfg = _load_json_object(args.config, "config")
+    _check_keys(cfg, keys, "%s config" % args.command)
+    return cfg
 
 
 def _merged(args, cfg, attr, key=None, required=False, default=None):
@@ -191,6 +195,7 @@ def _execute_run(cfg, base_dir, args):
     return _finish_run(cfg, obj, params, traj, outputs, warning_list, args)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing run warns once, not per numpy call
 def _finish_run(cfg, obj, params, traj, outputs, warning_list, args):
     """Monitor and classify an integrated run, then write its outputs."""
     trace = lyapunov.monitor(obj, params, traj)
@@ -260,10 +265,10 @@ def cmd_run(args):
         for path in written:
             print("wrote %s" % path)
         print(
-            "final residual %.6g; final velocity %.6g; energy monotone: %s; regime: %s"
+            "final residual %s; final velocity %s; energy monotone: %s; regime: %s"
             % (
-                summary["final_residual"],
-                summary["final_velocity_norm"],
+                _text_number(summary["final_residual"]),
+                _text_number(summary["final_velocity_norm"]),
                 summary["energy_monotone"],
                 summary["rate_report"]["regime"],
             )
@@ -271,12 +276,17 @@ def cmd_run(args):
     return 0
 
 
+def _text_number(value):
+    """A summary number as %.6g; the summary holds None where it was not finite."""
+    return "non-finite" if value is None else "%.6g" % value
+
+
 # ---------------------------------------------------------------------------
 # check-params
 
 
 def cmd_check_params(args):
-    cfg = _config_dict(args)
+    cfg = _config_dict(args, ("gamma", "lambda", "beta"))
     gamma = float(_merged(args, cfg, "gamma", required=True))
     lam = float(_merged(args, cfg, "lam", key="lambda", required=True))
     beta = float(_merged(args, cfg, "beta", required=True))
@@ -301,7 +311,7 @@ def cmd_check_params(args):
 
 
 def cmd_discrete(args):
-    cfg = _config_dict(args)
+    cfg = _config_dict(args, ("problem", "lambda", "gamma", "x0", "x1", "max_iter", "tol", "out"))
     spec = _merged(args, cfg, "problem", required=True)
     base_dir = os.path.dirname(os.path.abspath(args.config)) if args.config else os.getcwd()
     obj = _resolve_problem(spec, base_dir)
@@ -348,7 +358,7 @@ def _parse_x_limit(tokens):
 
 
 def cmd_rates(args):
-    cfg = _config_dict(args)
+    cfg = _config_dict(args, ("traj", "x_limit", "t0", "converged_tol"))
     traj_path = _merged(args, cfg, "traj", required=True)
     traj = dynamics.read_trajectory_csv(traj_path)
     x_limit = _parse_x_limit(_merged(args, cfg, "x_limit"))
@@ -370,7 +380,8 @@ def cmd_rates(args):
 
 
 def cmd_sweep(args):
-    cfg = _config_dict(args)
+    cfg = _config_dict(args, ("beta", "gamma_min", "gamma_max", "gamma_count", "lambda_min",
+                              "lambda_max", "lambda_count", "run_config"))
     beta = float(_merged(args, cfg, "beta", required=True))
     gammas = np.linspace(
         float(_merged(args, cfg, "gamma_min", default=0.1)),

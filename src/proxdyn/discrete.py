@@ -6,7 +6,7 @@ One step solves
     (x_{k+1} - 2 x_k + x_{k-1}) / h_k^2 + gamma_k (x_{k+1} - x_k) / h_k + x_k
         = prox_{lam*f}(x_k - lam*grad g(x_k))
 
-for x_{k+1}.  At h_k = 1 this is the relaxed form
+for x_{k+1}.  At h_k = 1, the step implemented here, this is the relaxed form
 
     x_{k+1} = (1 - w) x_k + w * prox_{lam*f}(x_k - lam*grad g(x_k))
               + w (x_k - x_{k-1}),        w = 1/(1 + gamma_k).
@@ -28,7 +28,6 @@ from .problems import _map_residual, prox_grad_map
 __all__ = [
     "IterateHistory",
     "DivergenceError",
-    "inertial_step_general",
     "inertial_step_unit",
     "run_inertial",
     "constant_gamma",
@@ -79,17 +78,6 @@ def inverse_k_gamma(base, floor=1e-3):
         return max(base / k, floor)
 
     return schedule
-
-
-def inertial_step_general(obj, lam, gk, hk, xk, xkm1):
-    """One step of the discretized flow with step hk and damping gk."""
-    if lam <= 0 or gk <= 0 or hk <= 0:
-        raise ValueError("lam, gk and hk must be positive")
-    xk = np.asarray(xk, dtype=float)
-    xkm1 = np.asarray(xkm1, dtype=float)
-    zk = prox_grad_map(obj, lam, xk)
-    denom = 1.0 + gk * hk
-    return xk + (xk - xkm1) / denom + (hk * hk / denom) * (zk - xk)
 
 
 def inertial_step_unit(obj, lam, gk, xk, xkm1):

@@ -47,10 +47,8 @@ from .params import SystemParams
 from .problems import prox_grad_map
 
 __all__ = [
-    "State",
     "Trajectory",
     "IntegrationAborted",
-    "vector_field",
     "integrate",
     "integrate_ensemble",
     "third_derivative_check",
@@ -67,22 +65,12 @@ _BLOCK_BYTES = 32 * 2**20
 class IntegrationAborted(RuntimeError):
     """Raised when the integrator state stops being finite."""
 
-    def __init__(self, t, step_index, message=None):
+    def __init__(self, t, step_index):
         self.t = t
         self.step_index = step_index
         super().__init__(
-            message
-            or "non-finite state at t=%g (step %d); the flow diverged numerically"
-            % (t, step_index)
+            "non-finite state at t=%g (step %d); the flow diverged numerically" % (t, step_index)
         )
-
-
-@dataclass(frozen=True)
-class State:
-    """Position and velocity of the first-order reformulation."""
-
-    u: np.ndarray
-    v: np.ndarray
 
 
 @dataclass
@@ -106,15 +94,6 @@ class Trajectory:
 def _acceleration(obj, gamma, lam, u, v):
     """The second component of F: T(u) - gamma*v - u."""
     return prox_grad_map(obj, lam, u) - gamma * v - u
-
-
-def vector_field(obj, params, state):
-    """Evaluate F at one state: (du, dv) = (v, T(u) - gamma*v - u)."""
-    u = np.asarray(state.u, dtype=float)
-    v = np.asarray(state.v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError("u and v must have the same shape")
-    return v, _acceleration(obj, params.gamma, params.lam, u, v)
 
 
 def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
@@ -153,6 +132,7 @@ def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
     return u, v, n_steps, sample_every, n_steps // sample_every + 1
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging state is reported once, as an abort
 def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
     """The RK4 loop, on one state or on a stack of states.
 

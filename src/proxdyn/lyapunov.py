@@ -27,7 +27,6 @@ __all__ = [
     "EnergyTrace",
     "Violation",
     "energy_at",
-    "energy_at_expanded",
     "h_value",
     "w_bound",
     "subgradient_witness",
@@ -86,27 +85,6 @@ def energy_at(obj, params, x, v, acc):
     acc = np.asarray(acc, dtype=float)
     z = acc + params.gamma * v + x
     return _energy(params, obj.f.eval(z) + obj.g.eval(z), v, acc)
-
-
-def energy_at_expanded(obj, params, x, v, acc):
-    """Algebraically expanded form of :func:`energy_at`, for cross-checks.
-
-    E = (1/(2 lam)) ||acc||^2 + ((c^2 gamma^2 - C)/(2 lam)) ||v||^2
-        + (c gamma / lam) <acc, v> + (f+g)(acc + gamma*v + x)
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    acc = np.asarray(acc, dtype=float)
-    z = acc + params.gamma * v + x
-    fg = obj.f.eval(z) + obj.g.eval(z)
-    cg = params.c * params.gamma
-    inv2lam = 1.0 / (2.0 * params.lam)
-    return (
-        inv2lam * _sqnorm(acc)
-        + (cg * cg - params.C) * inv2lam * _sqnorm(v)
-        + (cg / params.lam) * np.sum(acc * v, axis=-1)
-        + fg
-    )
 
 
 def h_value(obj, params, u, v, w):

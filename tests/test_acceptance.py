@@ -19,7 +19,6 @@ from proxdyn import (
     check_monotone,
     derive_params,
     fit_exponential,
-    inertial_step_general,
     inertial_step_unit,
     integrate,
     lipschitz_l1,
@@ -33,6 +32,7 @@ from proxdyn import (
     third_derivative_check,
     w_bound,
 )
+from oracles import inertial_step_general
 
 COS_ROOT = 1.8954942670339809
 

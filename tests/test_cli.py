@@ -479,6 +479,20 @@ def test_problem_spec_with_unknown_key_exits_one(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("check-params", {"gamma": 1, "lambda": 0.02, "beta": 1}),
+    ("discrete", {"problem": LASSO, "lambda": 0.5, "gamma": 2, "x0": [0.0]}),
+    ("rates", {"traj": "trajectory.csv", "x_limit": [0.5]}),
+    ("sweep", {"beta": 1, "lambda_count": 2}),
+])
+def test_config_file_with_unknown_key_exits_one(tmp_path, capsys, command, cfg):
+    cfg = _write_json(tmp_path / "config.json", dict(cfg, gamma_cout=3))
+    rc = cli.main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert "unknown key 'gamma_cout' in %s config; valid keys:" % command in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_zero_lambda_min_is_rejected(tmp_path, capsys):
     rc = cli.main(["sweep", "--beta", "1", "--lambda-min", "0",
                    "--out-dir", str(tmp_path)])
@@ -502,13 +516,55 @@ def test_unknown_command_is_an_error(capsys):
     assert cli.main(["frobnicate"]) == 1
 
 
-def test_python_m_proxdyn_runs_the_cli():
+def _python_m_proxdyn(*argv):
+    """Run ``python -m proxdyn`` in a new interpreter, so stderr is what a user sees."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "proxdyn", "check-params", "--gamma", "1",
-         "--lambda", "0.02", "--beta", "1", "--json"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-m", "proxdyn", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_proxdyn_runs_the_cli():
+    done = _python_m_proxdyn("check-params", "--gamma", "1", "--lambda", "0.02", "--beta", "1",
+                             "--json")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["rho_feasible"] is True
+
+
+# -- overflow -----------------------------------------------------------
+
+# x' starts near the largest float: at gamma 1.2 the first step overflows,
+# at gamma 0.8 and 1.0 the state stays finite but the energy does not
+OVERFLOW_RUN = {"problem": ZERO_QUAD, "u0": [0.0], "v0": [2.9962e307], "t_end": 1.0, "h": 0.01,
+                "lambda": 0.01}
+
+
+def test_overflowing_sweep_warns_once_per_abort(tmp_path):
+    template = _write_json(tmp_path / "template.json", OVERFLOW_RUN)
+    done = _python_m_proxdyn("sweep", "--beta", "1", "--gamma-min", "0.8", "--gamma-max", "1.2",
+                             "--gamma-count", "3", "--lambda-min", "0.01", "--lambda-max", "0.01",
+                             "--lambda-count", "1", "--run-config", template,
+                             "--out-dir", str(tmp_path / "o"))
+    assert done.returncode == 2
+    assert done.stderr == (
+        "warning: run at gamma=1.2, lambda=0.01 aborted: non-finite state at t=0.01 (step 1); "
+        "the flow diverged numerically\n")
+
+
+def test_overflowing_run_reports_only_the_abort(tmp_path):
+    cfg = _write_json(tmp_path / "config.json", dict(OVERFLOW_RUN, gamma=1.2))
+    done = _python_m_proxdyn("run", "--config", cfg, "--out-dir", str(tmp_path / "o"))
+    assert done.returncode == 2
+    assert done.stderr == (
+        "numerical abort: non-finite state at t=0.01 (step 1); the flow diverged numerically\n")
+
+
+def test_run_with_non_finite_summary_values_succeeds(tmp_path):
+    cfg = _write_json(tmp_path / "config.json", dict(OVERFLOW_RUN, gamma=1.0))
+    done = _python_m_proxdyn("run", "--config", cfg, "--out-dir", str(tmp_path / "o"))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "final residual non-finite; final velocity non-finite;" in done.stdout
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["final_residual"] is None
+    assert summary["warnings"] == ["2 non-finite values serialized as null"]

@@ -13,15 +13,14 @@ import pytest
 import proxdyn as pd
 from proxdyn import (
     IntegrationAborted,
-    State,
     Trajectory,
     derive_params,
     integrate,
     integrate_ensemble,
     make_problem,
+    prox_grad_map,
     read_trajectory_csv,
     third_derivative_check,
-    vector_field,
     write_trajectory_csv,
 )
 
@@ -40,20 +39,28 @@ def _exact_v(t):
     return -0.25 * t * np.exp(-0.5 * t)
 
 
+def _field_acceleration(obj, params, x, v):
+    """The second component of the vector field: T(x) - gamma*v - x."""
+    return prox_grad_map(obj, params.lam, x) - params.gamma * v - x
+
+
 def test_vector_field_hand_value():
     obj = make_problem("zero_quad", Q=[[2.0]], b=[0.0])
     params = derive_params(1.0, 0.1, obj.g.beta)
-    du, dv = vector_field(obj, params, State(np.array([1.0]), np.array([3.0])))
-    assert du[0] == 3.0
+    dv = _field_acceleration(obj, params, np.array([1.0]), np.array([3.0]))
     # z = 1 - 0.1*2 = 0.8, dv = 0.8 - 3 - 1
     assert abs(dv[0] - (-3.2)) <= 1e-15
+    # the first recorded acceleration is the field at the initial state
+    traj = integrate(obj, params, [1.0], [3.0], t_end=0.01, h=0.01, sample_every=1)
+    assert np.array_equal(traj.accs[0], dv)
 
 
 def test_vector_field_shape_mismatch():
+    # the integrator is the one place the field is evaluated, and it checks the state
     obj = make_problem("zero_quad", Q=[[1.0]], b=[0.0])
     params = derive_params(1.0, 0.1, obj.g.beta)
-    with pytest.raises(ValueError):
-        vector_field(obj, params, State(np.zeros(2), np.zeros(3)))
+    with pytest.raises(ValueError, match="shape"):
+        integrate(obj, params, np.zeros(1), np.zeros(3), t_end=1.0, h=0.1)
 
 
 def test_integrate_matches_closed_form():
@@ -81,7 +88,7 @@ def test_recorded_acceleration_is_algebraic():
     params = derive_params(1.0, 0.02, obj.g.beta)
     traj = integrate(obj, params, [1.5], [0.0], t_end=2.0, h=0.01, sample_every=10)
     for i in range(len(traj.times)):
-        _, dv = vector_field(obj, params, State(traj.xs[i], traj.vs[i]))
+        dv = _field_acceleration(obj, params, traj.xs[i], traj.vs[i])
         assert np.array_equal(traj.accs[i], dv)
 
 

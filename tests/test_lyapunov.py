@@ -15,7 +15,6 @@ from proxdyn import (
     check_monotone,
     derive_params,
     energy_at,
-    energy_at_expanded,
     h_value,
     integrate,
     make_problem,
@@ -24,6 +23,7 @@ from proxdyn import (
     w_bound,
     write_energy_csv,
 )
+from oracles import energy_at_expanded
 
 
 def test_energy_hand_value_exact():

@@ -11,14 +11,13 @@ import json
 import numpy as np
 import pytest
 
+import proxdyn
 from proxdyn import (
     box_project,
     make_problem,
     problem_from_json,
-    prox_eval,
     prox_grad_residual,
     soft_threshold,
-    symmetric_top_eigenvalue,
 )
 
 
@@ -50,18 +49,9 @@ def test_box_project_componentwise():
     assert np.array_equal(box_project(inside, lower, upper), inside)
 
 
-def test_power_iteration_matches_dense_eigensolver():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a = rng.standard_normal((9, 5))
-        gram = a.T @ a
-        top = symmetric_top_eigenvalue(gram)
-        dense = float(np.linalg.eigvalsh(gram).max())
-        assert abs(top - dense) <= 1e-8 * max(1.0, dense)
-
-
-def test_power_iteration_zero_matrix():
-    assert symmetric_top_eigenvalue(np.zeros((4, 4))) == 0.0
+def test_zero_matrix_has_beta_zero():
+    assert make_problem("zero_quad", Q=np.zeros((4, 4))).g.beta == 0.0
+    assert make_problem("lasso", M=np.zeros((3, 4)), y=np.zeros(3), mu=0.1).g.beta == 0.0
 
 
 def test_quadratic_gradient_finite_difference():
@@ -167,7 +157,7 @@ def test_box_prox_ignores_step():
     obj = make_problem("box_quad", Q=[[1.0]], b=[0.0], lower=[-0.5], upper=[0.5])
     x = np.array([3.0])
     for lam in (0.1, 1.0, 7.0):
-        assert np.array_equal(prox_eval(obj.f, lam, x), np.array([0.5]))
+        assert np.array_equal(obj.f.prox(lam, x), np.array([0.5]))
 
 
 def test_prox_grad_residual_vanishes_at_minimizers():
@@ -348,9 +338,18 @@ def test_make_problem_validation():
         make_problem("cos_quad", dim=0)
 
 
-def test_prox_eval_rejects_bad_step():
+def test_prox_grad_residual_rejects_bad_step():
     obj = make_problem("cos_quad", dim=1)
-    with pytest.raises(ValueError):
-        prox_eval(obj.f, 0.0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        prox_grad_residual(obj, -1.0, np.array([1.0]))
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            prox_grad_residual(obj, lam, np.array([1.0]))
+
+
+def test_package_exports_each_module_all_once():
+    modules = (proxdyn.problems, proxdyn.params, proxdyn.dynamics, proxdyn.lyapunov,
+               proxdyn.discrete, proxdyn.rates)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert proxdyn.__all__ == names + ["__version__"]
+    for name in proxdyn.__all__:
+        assert hasattr(proxdyn, name), name

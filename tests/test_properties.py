@@ -1,18 +1,40 @@
-"""Property tests: stacked evaluation gives each row what a lone call gives.
+"""Property tests on random inputs.
 
-The ensemble integrator steps many trajectories as one stack, with gamma
-and lambda as per-row columns, and promises each row the bits of a separate
-run.  That rests on every catalog oracle rounding a row of a stack exactly
-like the same point alone, which the second property checks on random
-stacks and steps.
+- Stacked evaluation gives each row what a lone call gives.  The ensemble
+  integrator steps many trajectories as one stack, with gamma and lambda as
+  per-row columns, and promises each row the bits of a separate run.  That
+  rests on every catalog oracle rounding a row of a stack exactly like the
+  same point alone, which the second property checks on random stacks and
+  steps.
+- ``beta`` of a quadratic bounds every Rayleigh quotient of its Hessian,
+  computed exactly in integers, and exceeds the computed top eigenvalue by
+  a rounding allowance only.
+- The feasibility verdicts imply each other as the paper states.
+- Every CSV writer's output reads back bit for bit.
 """
 
+import math
+
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from proxdyn import derive_params, integrate, integrate_ensemble, make_problem, prox_grad_map
+from proxdyn import (
+    EnergyTrace,
+    IterateHistory,
+    Trajectory,
+    derive_params,
+    integrate,
+    integrate_ensemble,
+    make_problem,
+    prox_grad_map,
+    rate_envelope_constants,
+    read_trajectory_csv,
+    write_energy_csv,
+    write_history_csv,
+    write_trajectory_csv,
+)
 from proxdyn.problems import _CATALOG
 
 _SETTINGS = dict(deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -112,3 +134,147 @@ def test_every_catalog_entry_has_a_builder():
     rng = np.random.default_rng(0)
     for name in _CATALOG:
         assert _build(name, rng, 2).name == name
+
+
+def _exact_integers(a):
+    """Python integers n and a shift k with a == n / 2**k exactly."""
+    ratios = [x.as_integer_ratio() for x in np.asarray(a, dtype=float).ravel().tolist()]
+    k = max(den.bit_length() - 1 for _, den in ratios)
+    ints = [num << (k - den.bit_length() + 1) for num, den in ratios]
+    return np.array(ints, dtype=object).reshape(np.shape(a)), k
+
+
+def _beta_bounds_rayleigh_quotient(beta, hessian_times, v):
+    """beta >= v^T H v / v^T v, both sides exact; hessian_times(n, k) gives (v^T H v as integer, shift)."""
+    n, k = _exact_integers(v)
+    num, shift = hessian_times(n, k)
+    # v^T H v / v^T v = (num / 2**shift) / (v.v / 2**(2k))
+    b_num, b_den = float(beta).as_integer_ratio()
+    return b_num * 2**shift * int(n @ n) >= int(num) * 2 ** (2 * k) * b_den
+
+
+def _gap_matrix(n, gap, seed):
+    """A random PSD matrix whose two top eigenvalues are ``gap`` apart."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = np.sort(rng.uniform(0.0, 1.0, n))
+    if n > 1:
+        eig[-1] = eig[-2] + gap
+    q = (basis * eig) @ basis.T
+    return 0.5 * (q + q.T)
+
+
+@st.composite
+def _psd_matrices(draw):
+    n = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.standard_normal((n, draw(st.integers(1, n + 1))))
+        q = a @ a.T
+    else:
+        q = _gap_matrix(n, draw(st.sampled_from([1e-4, 1e-8, 0.0])), int(rng.integers(2**32)))
+    return q * draw(st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=40, **_SETTINGS)
+@given(q=_psd_matrices(), seed=st.integers(0, 2**32 - 1))
+@example(q=_gap_matrix(50, 1e-4, 0), seed=0)
+def test_beta_bounds_the_top_eigenvalue_of_q(q, seed):
+    assume(np.linalg.eigvalsh(q).min() >= -1e-10)
+    beta = make_problem("zero_quad", Q=q).g.beta
+    top = float(np.linalg.eigvalsh(q).max())
+    assert beta - top <= 1e-12 * max(1.0, top)
+    nq, kq = _exact_integers(q)
+
+    def quadratic_form(n, k):
+        return n @ nq @ n, 2 * k + kq
+
+    eigvec = np.linalg.eigh(q)[1][:, -1]
+    for v in (eigvec, np.random.default_rng(seed).standard_normal(len(q))):
+        assert _beta_bounds_rayleigh_quotient(beta, quadratic_form, v)
+
+
+@settings(max_examples=30, **_SETTINGS)
+@given(rows=st.integers(1, 30), cols=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_beta_bounds_the_top_eigenvalue_of_lasso_gram(rows, cols, seed, scale):
+    rng = np.random.default_rng(seed)
+    m = scale * rng.standard_normal((rows, cols))
+    beta = make_problem("lasso", M=m, y=np.zeros(rows), mu=0.1).g.beta
+    top = float(np.linalg.eigvalsh(m.T @ m).max())
+    assert beta - top <= 1e-12 * max(1.0, top)
+    nm, km = _exact_integers(m)
+
+    def gram_form(n, k):  # v^T M^T M v = ||M v||^2
+        mv = nm @ n
+        return mv @ mv, 2 * (k + km)
+
+    eigvec = np.linalg.eigh(m.T @ m)[1][:, -1]
+    for v in (eigvec, rng.standard_normal(cols)):
+        assert _beta_bounds_rayleigh_quotient(beta, gram_form, v)
+
+
+_LAMBDA = st.floats(1e-4, 10.0)
+_LAMBDA_BETA = st.floats(0.0, 0.2)  # feasibility needs lam*beta small
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(gamma=st.floats(1e-3, math.sqrt(3.0)), lam=_LAMBDA, lam_beta=_LAMBDA_BETA)
+def test_corollary_feasible_implies_rho_feasible(gamma, lam, lam_beta):
+    params = derive_params(gamma, lam, lam_beta / lam)
+    assume(params.corollary_feasible)
+    assert params.rho_feasible
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(gamma=st.floats(1e-3, 3.0), lam=_LAMBDA, lam_beta=_LAMBDA_BETA)
+def test_rho_feasible_implies_negative_envelope(gamma, lam, lam_beta):
+    params = derive_params(gamma, lam, lam_beta / lam)
+    assume(params.rho_feasible)
+    m, r0 = rate_envelope_constants(params)
+    assert m < 0.0 and r0 >= 0.0
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+_VALUES = st.one_of(st.floats(allow_nan=False), st.sampled_from(_SPECIAL))
+
+
+def _columns(count):
+    return st.integers(1, 12).flatmap(
+        lambda rows: hnp.arrays(np.float64, (rows, count), elements=_VALUES))
+
+
+@settings(max_examples=40, **_SETTINGS)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_trajectory_csv_round_trip_is_bitwise(tmp_path_factory, dim, data):
+    table = data.draw(_columns(1 + 3 * dim))
+    times = data.draw(hnp.arrays(np.float64, len(table), elements=st.floats(-1e300, 1e300)))
+    traj = Trajectory(times=times, xs=table[:, 1 : 1 + dim], vs=table[:, 1 + dim : 1 + 2 * dim],
+                      accs=table[:, 1 + 2 * dim :], params=None, step=0.1)
+    path = tmp_path_factory.mktemp("traj") / "trajectory.csv"
+    write_trajectory_csv(traj, path)
+    back = read_trajectory_csv(path)
+    for field in ("times", "xs", "vs", "accs"):
+        assert _same_bits(getattr(back, field), np.ascontiguousarray(getattr(traj, field))), field
+
+
+@settings(max_examples=40, **_SETTINGS)
+@given(table=_columns(7))
+def test_energy_csv_round_trip_is_bitwise(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("energy") / "energy.csv"
+    write_energy_csv(EnergyTrace(*table.T), path)
+    assert _same_bits(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2), table)
+
+
+@settings(max_examples=40, **_SETTINGS)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_history_csv_round_trip_is_bitwise(tmp_path_factory, dim, data):
+    table = data.draw(_columns(dim + 2))
+    table[0, dim] = math.nan  # the k = 0 row has no residual
+    hist = IterateHistory(xs=table[:, :dim], residuals=table[1:, dim], objective_values=table[:, -1],
+                          converged=False, iterations=len(table) - 1)
+    path = tmp_path_factory.mktemp("history") / "history.csv"
+    write_history_csv(hist, path)
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert _same_bits(back[:, 0], np.arange(len(table), dtype=float))
+    assert _same_bits(back[:, 1:], table)
