@@ -201,10 +201,12 @@ def _finish_run(cfg, obj, params, traj, outputs, warning_list, args):
     trace = lyapunov.monitor(obj, params, traj)
     energy_tol = 1e-6 * (1.0 + abs(float(trace.energy[0])))
     violations = lyapunov.check_monotone(trace, energy_tol)
-    if violations:
-        warning_list.append(
-            "energy increased beyond tolerance %g at %d sample pairs" % (energy_tol, len(violations))
-        )
+    non_finite = sum(rec.kind == "non_finite" for rec in violations)
+    rises = sum(rec.kind in ("adjacent", "integrated") for rec in violations)
+    if non_finite:
+        warning_list.append("energy is not finite at %d of %d samples" % (non_finite, len(trace.energy)))
+    if rises:
+        warning_list.append("energy increased beyond tolerance %g at %d sample pairs" % (energy_tol, rises))
 
     rate_kwargs = {}
     if "x_limit" in cfg:
@@ -396,72 +398,71 @@ def cmd_sweep(args):
     else:
         lambdas = np.linspace(lam_lo, lam_hi, lam_count)
 
-    reports = []
-    for gamma in gammas:
-        for lam in lambdas:
-            reports.append(params_mod.params_report(params_mod.derive_params(gamma, lam, beta)))
-
+    grid_gamma, grid_lam = np.meshgrid(gammas, lambdas, indexing="ij")
+    params = params_mod.derive_params(grid_gamma.ravel(), grid_lam.ravel(), beta)
+    report = params_mod.params_report(params)
     csv_path = _out_path(args, "sweep.csv")
-    float_cols = ["gamma", "lambda", "beta", "L1", "L2", "L", "A", "B", "C", "c", "a", "b", "s", "p", "m", "r0"]
-    columns = float_cols + ["rho_feasible", "corollary_feasible"]
-    table = np.empty((len(reports), len(columns)))
-    for row, report in zip(table, reports):
-        row[:] = [report[col] for col in columns]  # an absent constant (None) becomes nan
-    dynamics._write_csv(csv_path, columns, table, int_columns=range(len(float_cols), len(columns)))
+    columns = list(report)
+    table = np.column_stack(list(report.values()))  # the two flags become 1.0 and 0.0
+    dynamics._write_csv(csv_path, columns, table, int_columns=range(len(columns) - 2, len(columns)))
 
-    feasible = [report for report in reports if report["rho_feasible"]]
+    feasible = params.rho_feasible
+    points = feasible.size
+    n_feasible = int(np.count_nonzero(feasible))
     aborted = []
     run_config = _merged(args, cfg, "run_config")
     if run_config is not None:
         template = _load_json_object(run_config, "run config template")
         _check_keys(template, _RUN_KEYS, "run config template")
         base_dir = os.path.dirname(os.path.abspath(run_config))
-        aborted = _sweep_runs(template, base_dir, feasible, args.out_dir or ".")
+        aborted = _sweep_runs(template, base_dir, params.gamma[feasible], params.lam[feasible],
+                              args.out_dir or ".")
 
     if args.json:
         _dump_json(
             {
-                "points": len(reports),
-                "feasible": len(feasible),
+                "points": points,
+                "feasible": n_feasible,
                 "sweep": csv_path,
-                "runs": len(feasible) if run_config is not None else 0,
+                "runs": n_feasible if run_config is not None else 0,
                 "aborted": aborted,
             }
         )
     else:
         print("wrote %s" % csv_path)
-        print("%d of %d grid points feasible" % (len(feasible), len(reports)))
+        print("%d of %d grid points feasible" % (n_feasible, points))
         if run_config is not None:
-            print("ran %d feasible points, %d aborted" % (len(feasible), len(aborted)))
+            print("ran %d feasible points, %d aborted" % (n_feasible, len(aborted)))
     return 2 if aborted else 0
 
 
-def _sweep_runs(template, base_dir, points, parent_out):
-    """Run the template at every point as one ensemble; return the aborted runs.
+def _sweep_runs(template, base_dir, gammas, lambdas, parent_out):
+    """Run the template at every (gamma, lambda) point as one ensemble; return the aborted runs.
 
     Each point's run directory gets what ``run`` writes for the template at
     that point's gamma and lambda, in grid order.
     """
     obj = _resolve_problem(template["problem"], base_dir)
     u0, v0, sample_every, outputs = _run_setup(template, obj)
-    params_seq = [params_mod.derive_params(report["gamma"], report["lambda"], obj.g.beta) for report in points]
+    derived = params_mod.derive_params(gammas, lambdas, obj.g.beta)
+    params_seq = [derived.at(i) for i in range(len(gammas))]
     outcomes = dynamics.integrate_ensemble(
         obj, params_seq, u0, v0, float(template["t_end"]), float(template["h"]),
         sample_every=sample_every,
     )
     aborted = []
-    for report, params, outcome in zip(points, params_seq, outcomes):
+    for params, outcome in zip(params_seq, outcomes):
         warning_list = _feasibility_warnings(params)
         if isinstance(outcome, dynamics.IntegrationAborted):
-            aborted.append({"gamma": report["gamma"], "lambda": report["lambda"], "error": str(outcome)})
+            aborted.append({"gamma": params.gamma, "lambda": params.lam, "error": str(outcome)})
             print(
                 "warning: run at gamma=%.6g, lambda=%.6g aborted: %s"
-                % (report["gamma"], report["lambda"], outcome),
+                % (params.gamma, params.lam, outcome),
                 file=sys.stderr,
             )
             continue
         sub_args = argparse.Namespace(
-            out_dir=os.path.join(parent_out, "run_g%.6g_l%.6g" % (report["gamma"], report["lambda"])),
+            out_dir=os.path.join(parent_out, "run_g%.6g_l%.6g" % (params.gamma, params.lam)),
             json=False,
         )
         _finish_run(template, obj, params, outcome, outputs, warning_list, sub_args)

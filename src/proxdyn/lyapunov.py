@@ -100,24 +100,27 @@ def h_value(obj, params, u, v, w):
     return fg + inv2lam * _sqnorm(u - v) - (params.C * inv2lam) * _sqnorm(w)
 
 
+def _bound(coef_acc, coef_v, v, acc):
+    return coef_acc * np.linalg.norm(acc, axis=-1) + coef_v * np.linalg.norm(v, axis=-1)
+
+
 def w_bound(params, v, acc, a):
     """Norm bound for the subgradient element of H at mixing weight a >= 0.
 
     (beta + 1/lam) ||acc|| + ((beta*lam*gamma + (2a+1)*gamma - C)/lam) ||v||
 
-    At a = 1 - c the coefficients are exactly (s, p) from the parameter set.
+    At a = 1 - c the coefficients are exactly (s, p) from the parameter set,
+    which is how :func:`monitor` takes them.
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
-    v_n = np.linalg.norm(np.asarray(v, dtype=float), axis=-1)
-    acc_n = np.linalg.norm(np.asarray(acc, dtype=float), axis=-1)
     coef_acc = params.beta + 1.0 / params.lam
     coef_v = (
         params.beta * params.lam * params.gamma
         + (2.0 * a + 1.0) * params.gamma
         - params.C
     ) / params.lam
-    return coef_acc * acc_n + coef_v * v_n
+    return _bound(coef_acc, coef_v, np.asarray(v, dtype=float), np.asarray(acc, dtype=float))
 
 
 def subgradient_witness(obj, params, traj, a):
@@ -151,14 +154,15 @@ def monitor(obj, params, traj):
     z is recomputed from the system identity (one prox and gradient sweep
     over the samples) rather than reconstructed from the stored
     acceleration, so (f+g)(z) is always evaluated inside dom f.  H is traced
-    at the a = 1-c instantiation through its own code path.
+    at the a = 1-c instantiation through its own code path; its
+    subgradient bound takes (s, p) from the parameter set.
     """
     x, v, acc = traj.xs, traj.vs, traj.accs
     z = prox_grad_map(obj, params.lam, x)
     fg_z = obj.f.eval(z) + obj.g.eval(z)
     energy = _energy(params, fg_z, v, acc)
     h_vals = h_value(obj, params, z, (1.0 - params.c) * params.gamma * v + x, v)
-    bounds = w_bound(params, v, acc, 1.0 - params.c)
+    bounds = _bound(params.s, params.p, v, acc)
     residual = _map_residual(x, z, params.lam)
     dissipation = params.A * _sqnorm(v) + params.B * _sqnorm(acc)
     return EnergyTrace(
@@ -174,11 +178,14 @@ def monitor(obj, params, traj):
 
 @dataclass(frozen=True)
 class Violation:
-    """One monotonicity failure: energy rose by ``delta`` above tolerance.
+    """One monotonicity failure at sample ``index``.
 
     ``kind`` is "adjacent" for energy[i] > energy[i-1] + tol, or
     "integrated" when the rise between some earlier sample and ``index``
-    exceeds the trapezoid integral of the dissipation bound plus tol.
+    exceeds the trapezoid integral of the dissipation bound plus tol; in
+    both ``delta`` is the rise.  "non_finite" marks an energy sample that is
+    inf or nan, with that value as ``delta``.  "non_finite_tol", at index 0,
+    marks a tolerance that is inf or nan, against which no rise can count.
     """
 
     index: int
@@ -186,12 +193,15 @@ class Violation:
     kind: str
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite energies are reported, not warned about
 def check_monotone(trace, tol):
     """All indices where the energy fails to decrease within tolerance.
 
     Checks adjacent differences and the integrated bound
     E(t_j) - E(t_i) <= integral of (A||x'||^2 + B||x''||^2) + tol for every
-    i < j (via a running minimum, so the scan is linear).
+    i < j (via a running minimum, so the scan is linear).  A non-finite
+    energy sample or tolerance is a violation of its own kind, because a
+    difference involving it is nan and compares as no rise.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -199,6 +209,10 @@ def check_monotone(trace, tol):
     if e.size == 0:
         raise ValueError("empty trace")
     violations = []
+    if not np.isfinite(tol):
+        violations.append(Violation(index=0, delta=float(tol), kind="non_finite_tol"))
+    for i in np.flatnonzero(~np.isfinite(e)):
+        violations.append(Violation(index=int(i), delta=float(e[i]), kind="non_finite"))
     de = np.diff(e)
     for i in np.nonzero(de > tol)[0]:
         violations.append(Violation(index=int(i) + 1, delta=float(de[i]), kind="adjacent"))

@@ -202,6 +202,11 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
         value, else NotConvergedError is raised.  When omitted no
         convergence check is made.
 
+    Raises ValueError when the limit point is not finite, or when a sample,
+    its speed ||x'|| + ||x''|| or its distance to the limit is not finite:
+    an overflowing run has no rate, and its inf distances would otherwise
+    all sit "below" an inf scale and read as finite-time convergence.
+
     Returns
     -------
     RateReport
@@ -216,13 +221,23 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
     if x_limit is None:
         x_limit = traj.xs[-1].copy()
     x_limit = np.asarray(x_limit, dtype=float)
-    speed = _speed(traj)
+    if not np.all(np.isfinite(x_limit)):
+        raise ValueError("the limit point is not finite, so no rate can be classified")
+    with np.errstate(over="ignore", invalid="ignore"):
+        speed = _speed(traj)
+        d = _distance(traj, x_limit)
+    finite = np.isfinite(speed) & np.isfinite(d)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            "trajectory is not finite at t=%.6g: a sample or its distance to the limit "
+            "overflows, so no rate can be classified" % times[i]
+        )
     if converged_tol is not None and speed[-1] > converged_tol:
         raise NotConvergedError(
             "final speed %.3g is above the convergence tolerance %.3g"
             % (speed[-1], converged_tol)
         )
-    d = _distance(traj, x_limit)
     scale = float(d.max(initial=0.0))
     window_end = 0.9 * float(times[-1])
 

@@ -8,16 +8,29 @@ everything except the cosine problem, whose slow mode gets a long run of its
 own.  Building all runs takes 33-37 s on a shared 2-core machine (numpy
 2.4.6), most of the suite's time, so they are computed once per session and
 treated as read-only.
+
+``HYPOTHESIS_PROFILE=ci`` selects a derandomized hypothesis profile, so the
+property tests draw the same examples on every machine and a CI failure
+reproduces locally.
 """
 
 import dataclasses
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import proxdyn
+
+try:
+    from hypothesis import settings
+except ImportError:  # hypothesis is a test extra; the other tests run without it
+    settings = None
+if settings is not None:
+    settings.register_profile("ci", derandomize=True)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # fast characteristic roots of r^2 + r + lam (zero_quad/lasso linearizations)
 _FAST96 = (-1.0 - math.sqrt(0.96)) / 2.0

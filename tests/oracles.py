@@ -5,6 +5,8 @@ formula, so that the tests can compare the two.  The library has no use for
 them.
 """
 
+import math
+
 import numpy as np
 
 from proxdyn import prox_grad_map
@@ -42,3 +44,41 @@ def inertial_step_general(obj, lam, gk, hk, xk, xkm1):
     zk = prox_grad_map(obj, lam, xk)
     denom = 1.0 + gk * hk
     return xk + (xk - xkm1) / denom + (hk * hk / denom) * (zk - xk)
+
+
+def derive_params_scalar(gamma, lam, beta):
+    """The constants of :func:`proxdyn.derive_params` for one point, in Python floats.
+
+    The scalar formulas of the module docstring written out with ``math``,
+    every square as ``x*x``; m and r0 are nan where the point is infeasible.
+    Returns a dict keyed by the ``SystemParams`` field names.
+    """
+    gamma, lam, beta = float(gamma), float(lam), float(beta)
+    lb = lam * beta
+    L1 = math.sqrt(max((gamma + 1.0) * (gamma + 1.0), (gamma + 2.0) * ((1.0 + lb) * (1.0 + lb) + 1.0)))
+    two = 2.0 + lb
+    L2 = math.sqrt(max((gamma + 1.0) * (gamma + 1.0) + gamma * lb, two * two + gamma * two))
+    L = min(L1, L2)
+    Lsq = L * L
+    A = -gamma / (2.0 * lam) + (beta / 2.0) * (Lsq + 2.0 * gamma * gamma + 1.0)
+    B = -gamma / (2.0 * lam * Lsq) + (beta / 2.0) * (Lsq + gamma * gamma + 1.0)
+    C = (-((2.0 * Lsq + 1.0) / ((Lsq + 1.0) * (Lsq + 1.0))) * gamma * gamma
+         + 3.0 * beta * gamma * lam - 1.0)
+    c = Lsq / (Lsq + 1.0)
+    s = beta + 1.0 / lam
+    p = (beta * lam * gamma + (3.0 - 2.0 * c) * gamma - C) / lam
+    rho_feasible = A < 0.0 and B < 0.0 and C < 0.0
+    m = r0 = math.nan
+    if rho_feasible:
+        sa_pb = s * A - p * B
+        disc = sa_pb * sa_pb + (s + p) * (s + p) * A * B
+        r0 = (sa_pb - math.sqrt(disc)) / ((s + p) * B)
+        m = max(B / s, (A + B * r0 * r0) / (p + (s + p) * r0 + s * r0 * r0))
+    D = two * two + gamma * two
+    corollary_feasible = gamma <= math.sqrt(3.0) and -gamma / (lam * D) + beta * (D + gamma * gamma + 1.0) < 0.0
+    return dict(
+        gamma=gamma, lam=lam, beta=beta, L1=L1, L2=L2, L=L, A=A, B=B, C=C, c=c,
+        a_const=gamma / (2.0 * (Lsq + 1.0) * Lsq * lam),
+        b_const=Lsq * gamma / (2.0 * (Lsq + 1.0) * lam),
+        s=s, p=p, m=m, r0=r0, rho_feasible=rho_feasible, corollary_feasible=corollary_feasible,
+    )

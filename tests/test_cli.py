@@ -567,4 +567,36 @@ def test_run_with_non_finite_summary_values_succeeds(tmp_path):
     assert "final residual non-finite; final velocity non-finite;" in done.stdout
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["final_residual"] is None
-    assert summary["warnings"] == ["2 non-finite values serialized as null"]
+    assert summary["warnings"] == [
+        "energy is not finite at 101 of 101 samples",
+        "rate classification failed: " + _OVERFLOW_RATE_ERROR,
+        "2 non-finite values serialized as null",
+    ]
+
+
+# the norms of the gamma 1.0 run overflow from its first sample on
+_OVERFLOW_RATE_ERROR = ("trajectory is not finite at t=0: a sample or its distance to the limit "
+                        "overflows, so no rate can be classified")
+
+
+def test_run_with_non_finite_energy_is_not_monotone(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "config.json", dict(OVERFLOW_RUN, gamma=1.0))
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o"), "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["energy_monotone"] is False
+    assert summary["rate_report"] == {"regime": "undetermined", "error": _OVERFLOW_RATE_ERROR}
+    energy = np.loadtxt(tmp_path / "o" / "energy.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isinf(energy[:, 1]))
+    rates = json.loads((tmp_path / "o" / "rates.json").read_text())
+    assert rates == summary["rate_report"]
+
+
+def test_rates_of_an_overflowing_trajectory_exits_one(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "config.json", dict(OVERFLOW_RUN, gamma=1.0))
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    rc = cli.main(["rates", "--traj", str(tmp_path / "o" / "trajectory.csv"), "--json"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % _OVERFLOW_RATE_ERROR
+    assert captured.out == ""

@@ -101,6 +101,23 @@ def test_w_bound_matches_s_p_at_canonical_weight():
     np.testing.assert_allclose(trace.w_bound, direct, rtol=1e-12, atol=0)
 
 
+def test_monitor_bound_is_w_bound_at_one_minus_c_bitwise():
+    # c >= 1/2, so 1 - c and 2(1 - c) are exact and 2(1 - c) + 1 rounds like
+    # 3 - 2c: at a = 1 - c the general coefficients are (s, p) bit for bit
+    obj, params, traj = _short_run()
+    trace = monitor(obj, params, traj)
+    general = w_bound(params, traj.vs, traj.accs, 1.0 - params.c)
+    assert trace.w_bound.tobytes() == general.tobytes()
+    gammas, lams = np.meshgrid(np.linspace(0.1, 3.0, 40), np.geomspace(1e-4, 10.0, 40))
+    unit_v, zero_acc = np.array([1.0]), np.array([0.0])
+    for beta in (0.0, 1.0, 3.0):
+        grid = derive_params(gammas.ravel(), lams.ravel(), beta)
+        for i in range(gammas.size):
+            point = grid.at(i)
+            assert w_bound(point, unit_v, zero_acc, 1.0 - point.c) == point.p, (beta, i)
+            assert w_bound(point, zero_acc, unit_v, 1.0 - point.c) == point.s, (beta, i)
+
+
 def test_witness_below_bound_short_run():
     obj, params, traj = _short_run()
     a = 1.0 - params.c
@@ -162,6 +179,19 @@ def test_check_monotone_validation():
     empty = _flat_trace([], [], [])
     with pytest.raises(ValueError, match="empty"):
         check_monotone(empty, 0.0)
+
+
+def test_check_monotone_flags_non_finite_energy_and_tolerance():
+    # inf - inf is nan and nan > tol is false, so only a kind of its own sees these
+    trace = _flat_trace([0.0, 1.0, 2.0], [math.inf, math.inf, math.nan], np.zeros(3))
+    found = check_monotone(trace, tol=math.inf)
+    assert [(rec.index, rec.kind) for rec in found] == [
+        (0, "non_finite"), (0, "non_finite_tol"), (1, "non_finite"), (2, "non_finite"),
+    ]
+    assert [rec.delta for rec in found[:2]] == [math.inf, math.inf]
+    assert math.isnan(found[3].delta)
+    clean = _flat_trace([0.0, 1.0], [2.0, 1.0], [-1.0, -1.0])
+    assert [rec.kind for rec in check_monotone(clean, math.nan)] == ["non_finite_tol"]
 
 
 def test_canonical_runs_monotone(canonical_runs):

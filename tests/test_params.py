@@ -222,3 +222,15 @@ def test_derive_params_validation():
         derive_params(float("nan"), 0.1, 1.0)
     with pytest.raises(ValueError):
         derive_params(1.0, float("inf"), 1.0)
+
+
+def test_array_validation_stops_where_a_scalar_loop_would():
+    # points in order; within a point gamma, then lambda, then beta
+    with pytest.raises(ValueError, match=r"^gamma must be a positive finite real, got 0\.0$"):
+        derive_params(0.0, 0.0, -1.0)
+    with pytest.raises(ValueError, match=r"^lambda must be a positive finite real, got 0\.0$"):
+        derive_params([1.0, 0.0], [0.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match=r"^beta must be a nonnegative finite real, got -1\.0$"):
+        derive_params([1.0, 1.0], [0.1, 0.1], [-1.0, math.nan])
+    with pytest.raises(ValueError, match=r"^gamma must be a positive finite real, got nan$"):
+        derive_params(np.array([[1.0, 1.0], [math.nan, 1.0]]), np.array([[1.0], [-1.0]]), 1.0)

@@ -9,13 +9,20 @@
 - ``beta`` of a quadratic bounds every Rayleigh quotient of its Hessian,
   computed exactly in integers, and exceeds the computed top eigenvalue by
   a rounding allowance only.
+- Every prox of the catalog satisfies its optimality condition: the
+  residual (x - prox_{lam f}(x))/lam is a subgradient of f at the prox.
 - The feasibility verdicts imply each other as the paper states.
+- ``derive_params`` on arrays gives, per element, the bits of the scalar
+  formulas in ``tests/oracles.py`` and of a 0-d call, and rejects a bad
+  array with the message a loop of scalar calls would stop at.
 - Every CSV writer's output reads back bit for bit.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -36,6 +43,7 @@ from proxdyn import (
     write_trajectory_csv,
 )
 from proxdyn.problems import _CATALOG
+from oracles import derive_params_scalar
 
 _SETTINGS = dict(deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -128,6 +136,54 @@ def test_batched_oracles_equal_single_calls(name, stack, seed, fortran):
         }
         for oracle, value in single.items():
             assert _same_bits(batched[oracle][i], value), (name, oracle, i)
+
+
+# f of each problem _build makes, plus cos_quad without its l1 term: (kind, mu or box)
+_PROX_F = {
+    "zero_quad": ("zero", None),
+    "lasso": ("l1", 0.2),
+    "box_quad": ("box", (-0.7, 0.7)),
+    "cos_quad": ("l1", 0.1),
+    "cos_quad_mu0": ("zero", None),
+}
+
+
+def _in_subdifferential(kind, data, p, w, x, lam):
+    """Whether w lies in the subdifferential of f at p, up to the rounding of w = (x - p)/lam."""
+    if kind == "zero":
+        return np.all(w == 0.0)
+    if kind == "box":
+        lower, upper = data
+        inside = (p > lower) & (p < upper)
+        return np.all(np.where(inside, w == 0.0, np.where(p == lower, w <= 0.0, (p == upper) & (w >= 0.0))))
+    mu = data  # l1: w = mu*sign(p) where p != 0, |w| <= mu where p = 0
+    tol = 4.0 * np.finfo(float).eps * (mu + np.abs(x) / lam)
+    return np.all(np.where(p != 0.0, np.abs(w - mu * np.sign(p)) <= tol, np.abs(w) <= mu + tol))
+
+
+def test_prox_cases_cover_the_catalog():
+    assert {name for name in _PROX_F if name in _CATALOG} == set(_CATALOG)
+
+
+@settings(max_examples=60, **_SETTINGS)
+@given(
+    name=st.sampled_from(sorted(_PROX_F)),
+    stack=_stacks(),
+    seed=st.integers(0, 2**32 - 1),
+    fortran=st.booleans(),
+)
+def test_prox_residual_is_a_subgradient(name, stack, seed, fortran):
+    pts, lams = stack
+    if name == "cos_quad_mu0":
+        obj = make_problem("cos_quad", dim=pts.shape[1])
+    else:
+        obj = _build(name, np.random.default_rng(seed), pts.shape[1])
+    if fortran:
+        pts = np.asfortranarray(pts)
+    prox = obj.f.prox(lams, pts)
+    kind, data = _PROX_F[name]
+    w = (pts - prox) / lams
+    assert _in_subdifferential(kind, data, prox, w, pts, lams), (name, pts, lams, prox)
 
 
 def test_every_catalog_entry_has_a_builder():
@@ -233,6 +289,69 @@ def test_rho_feasible_implies_negative_envelope(gamma, lam, lam_beta):
     assume(params.rho_feasible)
     m, r0 = rate_envelope_constants(params)
     assert m < 0.0 and r0 >= 0.0
+
+
+def _same_value(a, b):
+    """Equal Python scalars of one type, floats bit for bit (any nan equals any nan)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+@st.composite
+def _points(draw):
+    """(gamma, lam, beta) over several decades each; lam*beta is small half the time."""
+    gamma = draw(st.floats(1e-4, 1e2))
+    lam = draw(st.floats(1e-5, 1e2))
+    if draw(st.booleans()):
+        return gamma, lam, draw(st.floats(0.0, 0.3)) / lam
+    return gamma, lam, draw(st.floats(0.0, 1e2))
+
+
+@settings(max_examples=100, **_SETTINGS)
+@given(points=st.lists(_points(), min_size=1, max_size=20))
+@example(points=[(1.0, 0.005, 3.0), (2.0, 0.1, 3.0), (math.sqrt(3.0), 1.0, 0.0)])
+def test_array_derive_params_equals_scalar_formulas(points):
+    gamma, lam, beta = (np.array(column) for column in zip(*points))
+    derived = derive_params(gamma, lam, beta)
+    assert all(getattr(derived, f.name).shape == (len(points),) for f in fields(derived))
+    for i, point in enumerate(points):
+        got = derived.at(i)
+        oracle = derive_params_scalar(*point)
+        alone = derive_params(*point)
+        for f in fields(got):
+            assert _same_value(getattr(got, f.name), oracle[f.name]), (point, f.name)
+            assert _same_value(getattr(got, f.name), getattr(alone, f.name)), (point, f.name)
+        assert math.isnan(got.m) == math.isnan(got.r0) == (not got.rho_feasible), point
+
+
+_BAD = st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=100, **_SETTINGS)
+@given(points=st.lists(_points(), min_size=1, max_size=8), data=st.data())
+def test_array_input_is_rejected_like_the_first_bad_scalar_call(points, data):
+    points = [list(point) for point in points]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(points) - 1))
+        which = data.draw(st.integers(0, 2))
+        bad = data.draw(_BAD)
+        assume(not (which == 2 and bad == 0.0))  # beta = 0 is allowed
+        points[i][which] = bad
+    expected = None
+    for point in points:
+        try:
+            derive_params(*point)
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    assume(expected is not None)
+    gamma, lam, beta = (np.array(column) for column in zip(*points))
+    with pytest.raises(ValueError) as info:
+        derive_params(gamma, lam, beta)
+    assert str(info.value) == expected
 
 
 _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324]

@@ -221,6 +221,18 @@ def test_classify_convergence_gate():
     assert report.regime in {"exponential", "polynomial", "undetermined"}
 
 
+@pytest.mark.parametrize("xs, vs, x_limit", [
+    ([1.0, math.inf, 0.0], [0.0, 0.0, 0.0], [0.0]),  # a non-finite sample
+    ([1.0, 0.5, 0.0], [math.nan, 0.0, 0.0], [0.0]),
+    ([1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [math.inf]),  # a non-finite anchor
+    ([0.0, 1e308, 1.7e308], [1e308, 1e308, 1e308], None),  # finite samples whose norms overflow
+])
+def test_classify_rejects_non_finite_trajectories(xs, vs, x_limit):
+    traj = _traj([0.0, 1.0, 2.0], xs, vs, [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not finite"):
+        classify_rate(traj, x_limit=x_limit)
+
+
 def test_classify_needs_two_samples():
     traj = _traj([0.0], [1.0], [0.0], [0.0])
     with pytest.raises(ValueError):
