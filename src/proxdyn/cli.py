@@ -173,9 +173,7 @@ def _run_setup(cfg, obj):
     else:
         v0 = np.zeros(obj.dim)
 
-    sample_every = cfg.get("sample_every")
-    if sample_every is not None:
-        sample_every = int(sample_every)
+    sample_every = cfg.get("sample_every")  # checked by the integrator, which rejects 2.5 or true
     outputs = cfg.get("outputs")
     outputs = set(_OUTPUT_KINDS) if outputs is None else set(outputs)
     unknown = outputs - set(_OUTPUT_KINDS)

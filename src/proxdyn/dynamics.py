@@ -28,16 +28,34 @@ each ensemble row is bitwise the trajectory :func:`integrate` gives it.
 Finiteness is checked per row at each sample: a row that fails is
 recorded as aborted and dropped from the stack, and the others go on.
 
+The loop keeps each RK4 stage in a preallocated *stage record* of shape
+(..., 3, dim) holding (x, x', x'').  Its [..., :2, :] block is the stage
+state (u, v) and its [..., 1:, :] block is the state's slope (v, x''), so a
+stage state is one multiply and one add on a (2, dim) block, the
+acceleration is written into its row in place, and the update
+X += h/6 (K1 + 2 K2 + 2 K3 + K4) takes seven numpy calls on the blocks.
+The first record holds the state itself.  Each quantity goes through the
+operations of the textbook formulas in their order, so the bits are those
+of a loop that allocates every stage.  Outside the oracles a step makes
+25 numpy calls instead of 38, and at small dim those calls are most of
+its cost.
+
 Samples are stored as (B, n_samples, dim) arrays, so each row's x, x' and
 x'' are C-contiguous blocks.  An ensemble runs its rows in blocks whose
 three sample arrays fit in ``_BLOCK_BYTES`` (32 MB), integrating the next
 block only once the previous block's entries have been taken; a sweep of
 many long runs thus holds one or two blocks of samples, not all of them.
+
+``_write_csv`` is the one CSV writer of the package (trajectories here,
+energy traces, iterate histories and the sweep map elsewhere).  It formats
+a few thousand values with one ``%`` on a repeated row format, and writes
+the bytes ``np.savetxt`` would write, with less per-row dispatch.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +78,9 @@ __all__ = [
 # Rows of an ensemble run in blocks whose sample arrays (x, x' and x'' of
 # every row) fit in this many bytes.
 _BLOCK_BYTES = 32 * 2**20
+
+# _write_csv formats this many values, about, with one % operation.
+_CSV_CHUNK_VALUES = 4096
 
 
 class IntegrationAborted(RuntimeError):
@@ -91,9 +112,11 @@ class Trajectory:
     method: str = "rk4"
 
 
-def _acceleration(obj, gamma, lam, u, v):
-    """The second component of F: T(u) - gamma*v - u."""
-    return prox_grad_map(obj, lam, u) - gamma * v - u
+def _is_count(value):
+    """True for a positive integer, also one spelled as a float (3.0); False for a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return False
+    return value >= 1 and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
 def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
@@ -110,8 +133,11 @@ def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
         )
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("initial state must be finite")
+    for name, value in (("h", h), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, float(value)))
     if h <= 0:
-        raise ValueError("h must be positive")
+        raise ValueError("h must be positive, got %r" % float(h))
     for params in params_seq:
         guard = 1.0 / params.L1
         if h > guard:
@@ -120,13 +146,15 @@ def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
             )
     if t_end < h:
         raise ValueError("t_end must be at least one step h")
+    if not math.isfinite(t_end / h):
+        raise ValueError("t_end/h overflows: t_end=%r, h=%r" % (float(t_end), float(h)))
 
     n_steps = max(1, int(round(t_end / h)))
     if sample_every is None:
         sample_every = max(1, math.ceil((n_steps + 1) / 100_000))
+    elif not _is_count(sample_every):
+        raise ValueError("sample_every must be a positive integer, got %r" % (sample_every,))
     sample_every = int(sample_every)
-    if sample_every < 1:
-        raise ValueError("sample_every must be a positive integer")
     if n_steps % sample_every:
         n_steps += sample_every - (n_steps % sample_every)
     return u, v, n_steps, sample_every, n_steps // sample_every + 1
@@ -141,6 +169,12 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
     and ``lam`` (B, 1) columns.  Samples go to ``xs``, ``vs`` and ``accs``
     of shape (B, n_samples, dim), with B = 1 for one trajectory.
 
+    The four stages live in stage records, see the module docstring; the
+    first record holds the state.  Each stage quantity is computed by the
+    operations of ``u + half*v``, ``T(u) - gamma*v - u`` and ``u +
+    sixth*(v + 2*v2 + 2*v3 + v4)`` in their order, so it has the bits a loop
+    allocating every stage would give.
+
     One trajectory raises IntegrationAborted at the first sample whose state
     is not finite.  In a stack such a row is dropped, the others go on, and
     the loop ends once no row is left.  Returns {row: IntegrationAborted}
@@ -149,42 +183,66 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
     aborted = {}
     live = np.arange(len(xs))  # the rows still integrating, in stack order
     rows = 0 if u.ndim == 1 else slice(None)  # where the live rows' samples go
-    acc = _acceleration(obj, gamma, lam, u, v)
-    xs[rows, 0] = u
-    vs[rows, 0] = v
-    accs[rows, 0] = acc
+    # records[k] is stage k+1's (x, x', x''); [..., :2, :] its state, [..., 1:, :] its slope
+    records = np.empty((4,) + u.shape[:-1] + (3, u.shape[-1]))
+    records[0, ..., 0, :] = u
+    records[0, ..., 1, :] = v
+
+    def views():
+        """Each record's x, x', x'', state and slope, then two slope-shaped scratch arrays."""
+        stages = [r[..., k, :] for r in records for k in (0, 1, 2, slice(None, 2), slice(1, None))]
+        return (*stages, np.empty_like(stages[4]), np.empty_like(stages[4]))
+
+    def field(x, v, acc):
+        """Write the acceleration T(x) - gamma*v - x into ``acc``."""
+        # out= only on the last call: one whose output is also an input costs
+        # twice an allocating call when the arrays hold a single element
+        np.subtract(prox_grad_map(obj, lam, x) - gamma * v, x, out=acc)
+
+    x1, v1, a1, X, D1, x2, v2, a2, X2, D2, x3, v3, a3, X3, D3, x4, v4, a4, X4, D4, d, e = views()
+    field(x1, v1, a1)
+    xs[rows, 0] = x1
+    vs[rows, 0] = v1
+    accs[rows, 0] = a1
 
     half = 0.5 * h
     sixth = h / 6.0
     idx = 1
     for step_i in range(1, n_steps + 1):
-        # acc, the field at the step's start, is the first RK4 stage
-        u2 = u + half * v
-        v2 = v + half * acc
-        k2v = _acceleration(obj, gamma, lam, u2, v2)
-        u3 = u + half * v2
-        v3 = v + half * k2v
-        k3v = _acceleration(obj, gamma, lam, u3, v3)
-        u4 = u + h * v3
-        v4 = v + h * k3v
-        k4v = _acceleration(obj, gamma, lam, u4, v4)
-        u = u + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + sixth * (acc + 2.0 * k2v + 2.0 * k3v + k4v)
-        acc = _acceleration(obj, gamma, lam, u, v)
+        # a1, the field at the step's start, is the first RK4 stage's slope
+        np.multiply(half, D1, out=d)
+        np.add(X, d, out=X2)
+        field(x2, v2, a2)
+        np.multiply(half, D2, out=d)
+        np.add(X, d, out=X3)
+        field(x3, v3, a3)
+        np.multiply(h, D3, out=d)
+        np.add(X, d, out=X4)
+        field(x4, v4, a4)
+        np.multiply(2.0, D2, out=d)
+        np.add(D1, d, out=d)
+        np.multiply(2.0, D3, out=e)
+        np.add(d, e, out=d)
+        np.add(d, D4, out=d)
+        np.multiply(sixth, d, out=d)
+        np.add(X, d, out=X)
+        field(x1, v1, a1)
         if step_i % sample_every == 0:
-            if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            finite = np.isfinite(X)
+            if not finite.all():
                 if u.ndim == 1:
                     raise IntegrationAborted(t=step_i * h, step_index=step_i)
-                ok = np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
+                ok = finite.all(axis=(1, 2))
                 for row in live[~ok]:
                     aborted[int(row)] = IntegrationAborted(t=step_i * h, step_index=step_i)
                 if not ok.any():
                     break
                 live = rows = live[ok]
-                u, v, acc, gamma, lam = u[ok], v[ok], acc[ok], gamma[ok], lam[ok]
-            xs[rows, idx] = u
-            vs[rows, idx] = v
-            accs[rows, idx] = acc
+                records, gamma, lam = records[:, ok], gamma[ok], lam[ok]
+                x1, v1, a1, X, D1, x2, v2, a2, X2, D2, x3, v3, a3, X3, D3, x4, v4, a4, X4, D4, d, e = views()
+            xs[rows, idx] = x1
+            vs[rows, idx] = v1
+            accs[rows, idx] = a1
             idx += 1
     return aborted
 
@@ -328,11 +386,22 @@ def third_derivative_check(traj, params):
 def _write_csv(path, header, table, int_columns=()):
     """Write a header line and the rows of ``table``, comma-separated.
 
-    Floats get 17 significant digits so that they read back exactly; the
-    columns numbered in ``int_columns`` are written as integers.
+    Floats get 17 significant digits (``%.17g``) so that they read back
+    exactly; the columns numbered in ``int_columns`` are written with
+    ``%d``.  The rows go out in chunks of about ``_CSV_CHUNK_VALUES`` values,
+    each formatted by one ``%`` of the row format repeated over the chunk's
+    rows, on the chunk's values as Python floats.  These are the
+    conversions ``np.savetxt`` makes row by row, so the file is byte for
+    byte the one it writes.
     """
-    fmt = ["%d" if i in int_columns else "%.17g" for i in range(table.shape[1])]
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+    n_columns = table.shape[1]
+    row = ",".join("%d" if i in int_columns else "%.17g" for i in range(n_columns)) + "\n"
+    chunk_rows = max(1, _CSV_CHUNK_VALUES // n_columns)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), chunk_rows):
+            chunk = table[start : start + chunk_rows]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_trajectory_csv(traj, path):

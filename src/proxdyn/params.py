@@ -17,8 +17,9 @@ every constant in that analysis:
   :func:`envelope_constants`.
 
 Every function broadcasts over numpy arrays, so a whole (gamma, lam) grid is
-derived in one call.  A scalar call runs the same code on 0-d arrays and
-returns Python floats and bools.  Each formula is written once, and every
+derived in one call.  A scalar call runs the same code on ``np.float64``
+scalars, which round like 0-d arrays at a fraction of the dispatch cost,
+and returns Python floats and bools.  Each formula is written once, and every
 square is spelled ``x*x``: ``x ** 2`` on a Python float calls C ``pow``,
 which does not always round like the product, so the two spellings could
 disagree in the last bit.  Results are immutable.
@@ -89,8 +90,15 @@ class SystemParams:
 
 
 def _float_arrays(*values):
-    """The values as float arrays of their common broadcast shape (copies)."""
-    return [np.array(v) for v in np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))]
+    """The values as float arrays of their common broadcast shape (copies).
+
+    Scalars come back as ``np.float64`` scalars rather than 0-d arrays: they
+    round every operation the same way, with less dispatch per call.
+    """
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    if all(a.ndim == 0 for a in arrays):
+        return [a[()] for a in arrays]
+    return [np.array(v) for v in np.broadcast_arrays(*arrays)]
 
 
 def _scalar_or_array(x):
@@ -106,11 +114,10 @@ def _raise_first_failure(checks):
     message formatted with that point's values, so an array call names the
     value a loop of scalar calls would have stopped at.
     """
+    if all(bool(ok) if isinstance(ok, np.bool_) else ok.all() for ok, _, _ in checks):
+        return  # a scalar call's checks are numpy bools, whose truth is cheaper than .all()
     failed = [~np.ravel(ok) for ok, _, _ in checks]
-    any_failed = np.logical_or.reduce(failed)
-    if not any_failed.any():
-        return
-    i = int(np.argmax(any_failed))
+    i = int(np.argmax(np.logical_or.reduce(failed)))
     for bad, (_, message, values) in zip(failed, checks):
         if bad[i]:
             raise ValueError(message % tuple(float(np.ravel(v)[i]) for v in values))
@@ -232,12 +239,14 @@ def derive_params(gamma, lam, beta):
         m = np.where(rho_feasible, m, np.nan)
         r0 = np.where(rho_feasible, r0, np.nan)
         corollary_feasible = _corollary(gamma, lam, beta)
-    params = SystemParams(
+    values = dict(
         gamma=gamma, lam=lam, beta=beta, L1=L1, L2=L2, L=L, A=A, B=B, C=C, c=c,
         a_const=a_const, b_const=b_const, s=s, p=p, m=m, r0=r0,
         rho_feasible=rho_feasible, corollary_feasible=corollary_feasible,
     )
-    return params.at(()) if gamma.ndim == 0 else params
+    if gamma.ndim == 0:  # a scalar call returns Python floats and bools
+        values = {name: value.item() for name, value in values.items()}
+    return SystemParams(**values)
 
 
 def corollary_check(gamma, lam, beta):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from proxdyn import prox_grad_map
+from proxdyn import IntegrationAborted, prox_grad_map
 
 
 def energy_at_expanded(obj, params, x, v, acc):
@@ -82,3 +82,74 @@ def derive_params_scalar(gamma, lam, beta):
         b_const=Lsq * gamma / (2.0 * (Lsq + 1.0) * lam),
         s=s, p=p, m=m, r0=r0, rho_feasible=rho_feasible, corollary_feasible=corollary_feasible,
     )
+
+
+def _acceleration(obj, gamma, lam, u, v):
+    """The second component of F: T(u) - gamma*v - u."""
+    return prox_grad_map(obj, lam, u) - gamma * v - u
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a diverging state is reported once, as an abort
+def rk4_reference(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
+    """The RK4 loop of :mod:`proxdyn.dynamics`, one fresh array per stage quantity.
+
+    The library loop keeps its stages in preallocated records and must give
+    these bits, in the same arguments and with the same result.
+
+    ``u`` and ``v`` have shape (dim,) for one trajectory, with scalar
+    ``gamma`` and ``lam``, or (B, dim) for B trajectories, with ``gamma``
+    and ``lam`` (B, 1) columns.  Samples go to ``xs``, ``vs`` and ``accs``
+    of shape (B, n_samples, dim), with B = 1 for one trajectory.
+
+    One trajectory raises IntegrationAborted at the first sample whose state
+    is not finite.  In a stack such a row is dropped, the others go on, and
+    the loop ends once no row is left.  Returns {row: IntegrationAborted}
+    for the dropped rows.
+    """
+    aborted = {}
+    live = np.arange(len(xs))  # the rows still integrating, in stack order
+    rows = 0 if u.ndim == 1 else slice(None)  # where the live rows' samples go
+    acc = _acceleration(obj, gamma, lam, u, v)
+    xs[rows, 0] = u
+    vs[rows, 0] = v
+    accs[rows, 0] = acc
+
+    half = 0.5 * h
+    sixth = h / 6.0
+    idx = 1
+    for step_i in range(1, n_steps + 1):
+        # acc, the field at the step's start, is the first RK4 stage
+        u2 = u + half * v
+        v2 = v + half * acc
+        k2v = _acceleration(obj, gamma, lam, u2, v2)
+        u3 = u + half * v2
+        v3 = v + half * k2v
+        k3v = _acceleration(obj, gamma, lam, u3, v3)
+        u4 = u + h * v3
+        v4 = v + h * k3v
+        k4v = _acceleration(obj, gamma, lam, u4, v4)
+        u = u + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + sixth * (acc + 2.0 * k2v + 2.0 * k3v + k4v)
+        acc = _acceleration(obj, gamma, lam, u, v)
+        if step_i % sample_every == 0:
+            if not (np.isfinite(u).all() and np.isfinite(v).all()):
+                if u.ndim == 1:
+                    raise IntegrationAborted(t=step_i * h, step_index=step_i)
+                ok = np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
+                for row in live[~ok]:
+                    aborted[int(row)] = IntegrationAborted(t=step_i * h, step_index=step_i)
+                if not ok.any():
+                    break
+                live = rows = live[ok]
+                u, v, acc, gamma, lam = u[ok], v[ok], acc[ok], gamma[ok], lam[ok]
+            xs[rows, idx] = u
+            vs[rows, idx] = v
+            accs[rows, idx] = acc
+            idx += 1
+    return aborted
+
+
+def savetxt_csv(path, header, table, int_columns=()):
+    """The file :func:`proxdyn.dynamics._write_csv` writes, written by ``np.savetxt``."""
+    fmt = ["%d" if i in int_columns else "%.17g" for i in range(table.shape[1])]
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")

@@ -192,6 +192,23 @@ def test_run_rejects_step_beyond_guard(tmp_path, capsys):
     assert "stability guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("t_end", math.inf), ("t_end", math.nan), ("h", math.nan)])
+def test_run_rejects_non_finite_t_end_or_h(tmp_path, capsys, key, value):
+    cfg = _run_config(tmp_path, **{key: value})  # json writes Infinity and NaN, and reads them back
+    rc = cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: %s must be finite, got %r\n" % (key, value)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value, shown", [(2.5, "2.5"), (True, "True"), (0, "0")])
+def test_run_rejects_a_sample_every_that_is_not_a_count(tmp_path, capsys, value, shown):
+    cfg = _run_config(tmp_path, t_end=0.1, sample_every=value)
+    rc = cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: sample_every must be a positive integer, got %s\n" % shown
+
+
 def test_run_infeasible_parameters_warn_but_succeed(tmp_path, capsys):
     cfg = _run_config(tmp_path, gamma=2.0, **{"lambda": 0.5}, t_end=2.0, h=0.01,
                       u0=[1.0])

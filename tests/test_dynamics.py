@@ -130,6 +130,36 @@ def test_integrate_input_validation():
         integrate(obj, params, [1.0], [0.0], t_end=1.0, h=0.01, sample_every=0)
 
 
+@pytest.mark.parametrize("t_end, h", [(math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (1.0, math.inf)])
+def test_integrate_rejects_non_finite_t_end_or_h(t_end, h):
+    obj, params = _critically_damped()
+    name, value = ("h", h) if not math.isfinite(h) else ("t_end", t_end)
+    with pytest.raises(ValueError, match="^%s must be finite, got %r$" % (name, value)):
+        integrate(obj, params, [1.0], [0.0], t_end=t_end, h=h)
+    with pytest.raises(ValueError, match="^%s must be finite" % name):
+        integrate_ensemble(obj, [params], [1.0], [0.0], t_end, h)
+
+
+def test_integrate_rejects_a_step_count_that_overflows():
+    obj, params = _critically_damped()
+    with pytest.raises(ValueError, match=r"^t_end/h overflows: t_end=1e\+300, h=1e-10$"):
+        integrate(obj, params, [1.0], [0.0], t_end=1e300, h=1e-10)
+
+
+@pytest.mark.parametrize("sample_every", [2.5, True, False, -1, 0.0, "2", math.nan, math.inf])
+def test_integrate_rejects_a_sample_every_that_is_not_a_count(sample_every):
+    obj, params = _critically_damped()
+    with pytest.raises(ValueError, match="sample_every must be a positive integer, got"):
+        integrate(obj, params, [1.0], [0.0], t_end=1.0, h=0.01, sample_every=sample_every)
+
+
+def test_integrate_takes_an_integral_float_sample_every():
+    obj, params = _critically_damped()
+    got = integrate(obj, params, [1.0], [0.0], t_end=1.0, h=0.1, sample_every=2.0)
+    want = integrate(obj, params, [1.0], [0.0], t_end=1.0, h=0.1, sample_every=np.int64(2))
+    assert got.xs.shape == (6, 1) and _same_bits(got.xs, want.xs)
+
+
 def test_integrate_aborts_on_blowup():
     # The parameter set claims beta = 0, so its stability guard admits a
     # step far too large for this stiff quadratic and the iteration

@@ -1,5 +1,8 @@
 """Property tests on random inputs.
 
+- ``integrate`` and ``integrate_ensemble`` give the bits of the reference
+  RK4 loop in ``tests/oracles.py``, which allocates every stage, on every
+  catalog problem, also when an ensemble row overflows and is dropped.
 - Stacked evaluation gives each row what a lone call gives.  The ensemble
   integrator steps many trajectories as one stack, with gamma and lambda as
   per-row columns, and promises each row the bits of a separate run.  That
@@ -13,9 +16,10 @@
   residual (x - prox_{lam f}(x))/lam is a subgradient of f at the prox.
 - The feasibility verdicts imply each other as the paper states.
 - ``derive_params`` on arrays gives, per element, the bits of the scalar
-  formulas in ``tests/oracles.py`` and of a 0-d call, and rejects a bad
+  formulas in ``tests/oracles.py`` and of a scalar call, and rejects a bad
   array with the message a loop of scalar calls would stop at.
-- Every CSV writer's output reads back bit for bit.
+- Every CSV writer's output reads back bit for bit, and is byte for byte
+  what ``np.savetxt`` writes.
 """
 
 import math
@@ -28,6 +32,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from proxdyn import (
+    IntegrationAborted,
     EnergyTrace,
     IterateHistory,
     Trajectory,
@@ -42,8 +47,9 @@ from proxdyn import (
     write_history_csv,
     write_trajectory_csv,
 )
+from proxdyn.dynamics import _check_run, _write_csv
 from proxdyn.problems import _CATALOG
-from oracles import derive_params_scalar
+from oracles import derive_params_scalar, rk4_reference, savetxt_csv
 
 _SETTINGS = dict(deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -81,6 +87,92 @@ def test_ensemble_rows_equal_integrate(name, pairs, sample_every, start):
         for field in ("times", "xs", "vs", "accs"):
             assert _same_bits(getattr(got, field), getattr(want, field)), field
             assert getattr(got, field).flags.c_contiguous
+
+
+def _reference_runs(obj, params_seq, u0, v0, t_end, h, sample_every, stack):
+    """What the reference loop gives each parameter set: (xs, vs, accs) or its abort.
+
+    With ``stack`` the sets step together as one (B, dim) state, as in
+    ``integrate_ensemble``; without it each set steps alone, as in ``integrate``.
+    """
+    u, v, n_steps, sample_every, n_samples = _check_run(obj, params_seq, u0, v0, t_end, h, sample_every)
+    groups = [params_seq] if stack else [[params] for params in params_seq]
+    runs = []
+    for group in groups:
+        b = len(group)
+        xs, vs, accs = (np.empty((b, n_samples, obj.dim)) for _ in range(3))
+        gamma = np.array([[params.gamma] for params in group])
+        lam = np.array([[params.lam] for params in group])
+        if stack:
+            args = (gamma, lam, np.tile(u, (b, 1)), np.tile(v, (b, 1)))
+        else:
+            args = (group[0].gamma, group[0].lam, u, v)
+        try:
+            aborted = rk4_reference(obj, *args, h, n_steps, sample_every, xs, vs, accs)
+        except IntegrationAborted as exc:
+            aborted = {0: exc}
+        runs += [aborted.get(row, (xs[row], vs[row], accs[row])) for row in range(b)]
+    return runs
+
+
+def _assert_reference_bits(got, want):
+    """``got``, a Trajectory or IntegrationAborted, has the bits of the reference run ``want``."""
+    if isinstance(want, IntegrationAborted):
+        assert isinstance(got, IntegrationAborted)
+        assert (got.t, got.step_index) == (want.t, want.step_index)
+        return
+    for field, ref in zip(("xs", "vs", "accs"), want):
+        assert _same_bits(getattr(got, field), ref), field
+        assert getattr(got, field).flags.c_contiguous
+
+
+def _run_both(obj, params_seq, u0, v0, t_end, h, sample_every):
+    """Each set's integrate result or abort, and the ensemble's entries."""
+    single = []
+    for params in params_seq:
+        try:
+            single.append(integrate(obj, params, u0, v0, t_end, h, sample_every))
+        except IntegrationAborted as exc:
+            single.append(exc)
+    return single, list(integrate_ensemble(obj, params_seq, u0, v0, t_end, h, sample_every))
+
+
+@settings(max_examples=40, **_SETTINGS)
+@given(
+    name=st.sampled_from(sorted(_CATALOG)),
+    dim=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+    pairs=st.lists(st.tuples(st.floats(0.3, 1.6), st.floats(1e-3, 0.5)), min_size=1, max_size=4),
+    sample_every=st.sampled_from([1, 3]),
+)
+def test_integrators_equal_the_reference_loop(name, dim, seed, pairs, sample_every):
+    rng = np.random.default_rng(seed)
+    obj = _build(name, rng, dim)
+    params_seq = [derive_params(g, lam, obj.g.beta) for g, lam in pairs]
+    h = 0.9 / max(params.L1 for params in params_seq)
+    u0, v0 = rng.standard_normal(dim), rng.standard_normal(dim)
+    single, ensemble = _run_both(obj, params_seq, u0, v0, 12 * h, h, sample_every)
+    for got, want in zip(single, _reference_runs(obj, params_seq, u0, v0, 12 * h, h, sample_every, False)):
+        _assert_reference_bits(got, want)
+    for got, want in zip(ensemble, _reference_runs(obj, params_seq, u0, v0, 12 * h, h, sample_every, True)):
+        _assert_reference_bits(got, want)
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+def test_overflowing_ensemble_row_equals_the_reference_loop(sample_every):
+    # beta = 0 lets h = 0.4 past the guard; at lambda 0.01 the stiff first
+    # coordinate overflows about halfway through the 100 steps
+    obj = make_problem("zero_quad", Q=np.diag([2e6, 1.0, 0.5]), b=[0.0, 0.3, -0.2])
+    params_seq = [derive_params(g, lam, 0.0) for g, lam in ((1.0, 1e-9), (1.0, 0.01), (0.5, 1e-8))]
+    u0, v0 = [1.0, 0.5, -0.5], [0.0, 0.1, 0.2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        single, ensemble = _run_both(obj, params_seq, u0, v0, 40.0, 0.4, sample_every)
+        reference = _reference_runs(obj, params_seq, u0, v0, 40.0, 0.4, sample_every, True)
+    assert [type(entry) for entry in ensemble] == [Trajectory, IntegrationAborted, Trajectory]
+    assert 0 < ensemble[1].step_index < 100
+    for entries in (single, ensemble):
+        for got, want in zip(entries, reference):
+            _assert_reference_bits(got, want)
 
 
 def _build(name, rng, dim):
@@ -397,3 +489,33 @@ def test_history_csv_round_trip_is_bitwise(tmp_path_factory, dim, data):
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert _same_bits(back[:, 0], np.arange(len(table), dtype=float))
     assert _same_bits(back[:, 1:], table)
+
+
+_CSV_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
+
+
+@pytest.mark.parametrize(
+    "shape, int_columns",
+    [
+        ((0, 3), ()),
+        ((9, 1), ()),
+        ((4097, 1), ()),  # 4096 one-value rows to a chunk: the last row starts a second chunk
+        ((2 * 1365 + 1, 3), ()),  # 1365 three-value rows to a chunk
+        ((3000, 6), (4, 5)),  # two 0/1 flag columns, as in sweep.csv
+        ((501, 1201), ()),  # the width of a dim-400 trajectory
+    ],
+)
+def test_write_csv_is_byte_for_byte_savetxt(tmp_path, shape, int_columns):
+    rng = np.random.default_rng(shape[0] * 7 + shape[1])
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = rng.random(shape) < 0.05
+    table[special] = rng.choice(_CSV_SPECIAL, int(special.sum()))
+    n = min(shape[1], len(_CSV_SPECIAL))
+    if len(table):
+        table[0, :n] = _CSV_SPECIAL[:n]
+    for column in int_columns:
+        table[:, column] = rng.integers(0, 2, shape[0])
+    header = ["c%d" % i for i in range(shape[1])]
+    _write_csv(tmp_path / "written.csv", header, table, int_columns)
+    savetxt_csv(tmp_path / "savetxt.csv", header, table, int_columns)
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
