@@ -40,7 +40,7 @@ from . import discrete as discrete_mod
 from . import dynamics, lyapunov
 from . import params as params_mod
 from . import rates as rates_mod
-from .problems import _check_keys, problem_from_json
+from .problems import _as_int, _check_keys, problem_from_json
 
 __all__ = ["main"]
 
@@ -161,9 +161,7 @@ def _run_setup(cfg, obj):
 
     Returns (u0, v0, sample_every, outputs).
     """
-    seed = int(cfg.get("seed", 0))
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    seed = _as_int(cfg.get("seed", 0), "seed", least=0)
     if "u0" in cfg:
         u0 = np.asarray(cfg["u0"], dtype=float)
     else:
@@ -320,7 +318,7 @@ def cmd_discrete(args):
     x0 = np.asarray(_merged(args, cfg, "x0", required=True), dtype=float)
     x1_raw = _merged(args, cfg, "x1")
     x1 = x0 if x1_raw is None else np.asarray(x1_raw, dtype=float)
-    max_iter = int(_merged(args, cfg, "max_iter", default=10_000))
+    max_iter = _as_int(_merged(args, cfg, "max_iter", default=10_000), "max_iter")
     tol = float(_merged(args, cfg, "tol", default=1e-8))
     out_name = _merged(args, cfg, "out", default="history.csv")
 
@@ -386,11 +384,11 @@ def cmd_sweep(args):
     gammas = np.linspace(
         float(_merged(args, cfg, "gamma_min", default=0.1)),
         float(_merged(args, cfg, "gamma_max", default=1.7)),
-        int(_merged(args, cfg, "gamma_count", default=25)),
+        _as_int(_merged(args, cfg, "gamma_count", default=25), "gamma_count"),
     )
     lam_lo = float(_merged(args, cfg, "lambda_min", default=1e-3))
     lam_hi = float(_merged(args, cfg, "lambda_max", default=1.0))
-    lam_count = int(_merged(args, cfg, "lambda_count", default=25))
+    lam_count = _as_int(_merged(args, cfg, "lambda_count", default=25), "lambda_count")
     if args.log_lambda:
         lambdas = np.geomspace(lam_lo, lam_hi, lam_count)
     else:

@@ -47,22 +47,25 @@ block only once the previous block's entries have been taken; a sweep of
 many long runs thus holds one or two blocks of samples, not all of them.
 
 ``_write_csv`` is the one CSV writer of the package (trajectories here,
-energy traces, iterate histories and the sweep map elsewhere).  It formats
-a few thousand values with one ``%`` on a repeated row format, and writes
-the bytes ``np.savetxt`` would write, with less per-row dispatch.
+energy traces, iterate histories and the sweep map elsewhere).  It writes
+the bytes ``np.savetxt`` writes with ``%.17g`` and ``%d``.  A value whose
+decimal exponent is in [-6, 16] gets its 17 digits from numpy arithmetic
+that is exact (Dekker's TwoProduct with an exact power of ten), laid out
+in fixed-width cells by table lookups; zeros are constant cells, and the
+rest (nan, +-inf, |x| < 1e-6, |x| >= 1e17 and ``%d``) go through one ``%``
+per chunk of rows.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .params import SystemParams
-from .problems import prox_grad_map
+from .problems import _as_int, prox_grad_map
 
 __all__ = [
     "Trajectory",
@@ -78,9 +81,6 @@ __all__ = [
 # Rows of an ensemble run in blocks whose sample arrays (x, x' and x'' of
 # every row) fit in this many bytes.
 _BLOCK_BYTES = 32 * 2**20
-
-# _write_csv formats this many values, about, with one % operation.
-_CSV_CHUNK_VALUES = 4096
 
 
 class IntegrationAborted(RuntimeError):
@@ -110,13 +110,6 @@ class Trajectory:
     params: Optional[SystemParams]
     step: float
     method: str = "rk4"
-
-
-def _is_count(value):
-    """True for a positive integer, also one spelled as a float (3.0); False for a bool."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        return False
-    return value >= 1 and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
 def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
@@ -152,9 +145,8 @@ def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
     n_steps = max(1, int(round(t_end / h)))
     if sample_every is None:
         sample_every = max(1, math.ceil((n_steps + 1) / 100_000))
-    elif not _is_count(sample_every):
-        raise ValueError("sample_every must be a positive integer, got %r" % (sample_every,))
-    sample_every = int(sample_every)
+    else:
+        sample_every = _as_int(sample_every, "sample_every", least=1)
     if n_steps % sample_every:
         n_steps += sample_every - (n_steps % sample_every)
     return u, v, n_steps, sample_every, n_steps // sample_every + 1
@@ -383,25 +375,172 @@ def third_derivative_check(traj, params):
     )
 
 
+# _write_csv formats this many values, about, at a time.  Larger chunks
+# are no faster, and each doubling adds about 0.5 MB to a run's peak memory.
+_CSV_CHUNK_VALUES = 4096
+
+
+def _least_double_from(k):
+    """The smallest double whose value is at least 10**k."""
+    d = 1 / 10**-k if k < 0 else float(10**k)  # int division rounds correctly
+    num, den = d.as_integer_ratio()
+    if num * 10 ** max(-k, 0) < den * 10 ** max(k, 0):
+        d = float(np.nextafter(d, math.inf))
+    return d
+
+
+# Tables of _write_csv's exact %.17g kernel (see its docstring), indexed by
+# the decimal exponent X + 6 for X in [-6, 16].
+_CSV_EXPONENTS = np.arange(-6, 17)
+_CSV_FROM = np.array([_least_double_from(k) for k in _CSV_EXPONENTS.tolist()])
+_POW10 = np.array([10.0**s for s in range(23)])  # exact doubles
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# The point follows digit _CSV_POINT of the 17 (16: not among them), so
+# q // _CSV_UNIT is the part of the digits q before the point.
+_CSV_POINT = np.where(_CSV_EXPONENTS < -4, 0, np.where(_CSV_EXPONENTS < 0, 16, _CSV_EXPONENTS))
+_CSV_UNIT = 10 ** (16 - _CSV_POINT)
+_CSV_MARK = np.where((_CSV_EXPONENTS < -4) | (_CSV_EXPONENTS >= 0), _CSV_UNIT, 0)
+# A cell: sign, a 5-byte "0.000" lead, 18 digit-and-point bytes, an "e-0X"
+# suffix and the separator; _write_csv drops its NUL bytes.
+_CELL = 29
+
+
+def _byte_rows(strings, width):
+    return np.frombuffer(b"".join(s.ljust(width, b"\0") for s in strings), np.uint8).reshape(-1, width)
+
+
+def _cell_template(x):
+    lead = b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b""
+    suffix = b"e-%02d" % -x if x < -4 else b""
+    return lead.rjust(6, b"\0") + b"\0" * 18 + suffix
+
+
+_CSV_TEMPLATE = _byte_rows([_cell_template(x) for x in _CSV_EXPONENTS], _CELL)
+# The cell of a value that % formats, with its conversion.
+_CSV_SLOT = _byte_rows([b"%.17g", b"%d"], _CELL)
+
+
+def _digit_words(width):
+    """The ``width`` ASCII digits of 0 .. 10**width - 1, right-aligned in 4-byte words.
+
+    Entry 10**width + i is entry i with its trailing zeros as NUL bytes.
+    """
+    i = np.arange(10**width, dtype=np.int32)[:, None]
+    place = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
+    words = np.zeros((2, 10**width, 4), np.uint8)
+    words[:, :, 4 - width :] = i // place % 10 + ord("0")
+    words[1, :, 4 - width :][i % (10 * place) == 0] = 0  # this digit and all after it are 0
+    return words.view(np.uint32).ravel()
+
+
+_DIGITS2 = _digit_words(2)
+_DIGITS4 = _digit_words(4)
+
+
+def _exact_digits(a):
+    """X + 6 and the 17 digits of values ``a`` in [1e-6, 1e17), rounded half to even."""
+    x = np.searchsorted(_CSV_FROM, a, side="right") - 1
+    s = 22 - x  # 16 - X
+    # Dekker's TwoProduct: hi + lo == a * 10**s exactly
+    hi = a * _POW10[s]
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return x, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _digit_cells(a):
+    """The cells of values ``a`` in [1e-6, 1e17), as ``%.17g`` writes them.
+
+    Returns a (len(a), _CELL) uint8 array with no sign and no separator.
+    """
+    x, q = _exact_digits(a)
+    # z is q with one more digit after the point's place: a 1 that keeps the
+    # integer part's zeros from being stripped and is then overwritten by the
+    # point (or by NUL if no fraction digit is left), or a 0 where the point
+    # is not among the digits
+    frac = q % _CSV_UNIT[x]
+    z = (q - frac) * 10 + _CSV_MARK[x] + frac
+    words = np.empty((len(a), 5), np.uint32)
+    stripped = np.ones(len(a), bool)  # every digit after this word is a trailing zero
+    for i in (4, 3, 2, 1):
+        high = z // 10000
+        group = z - high * 10000
+        words[:, i] = _DIGITS4[group + 10000 * stripped]
+        stripped &= group == 0
+        z = high
+    words[:, 0] = _DIGITS2[z + 100 * stripped]
+    cells = _CSV_TEMPLATE[x]
+    cells[:, 6:24] = words.view(np.uint8)[:, 2:]
+    cells[np.arange(len(a)), 7 + _CSV_POINT[x]] = (frac != 0) * ord(".")
+    return cells
+
+
+def _csv_chunk(chunk, int_column):
+    """The text of the rows ``chunk``, as bytes or a uint8 array.
+
+    The columns marked in ``int_column`` are written with ``%d``.
+    """
+    flat = chunk.ravel()
+    ints = np.tile(int_column, len(chunk))
+    a = np.abs(flat)
+    fast = (a >= _CSV_FROM[0]) & (a < 1e17) & ~ints
+    cells = np.zeros((len(flat), _CELL), np.uint8)
+    cells[:, 6] = (a == 0) * ord("0")
+    fast_at = np.flatnonzero(fast)
+    cells[fast_at] = _digit_cells(a[fast_at])
+    cells[:, 0] = np.signbit(flat) * ord("-")
+    slot_at = np.flatnonzero(~fast & (a != 0) | ints)
+    cells[slot_at] = _CSV_SLOT[ints[slot_at].view(np.uint8)]
+    ends = cells.reshape(chunk.shape + (_CELL,))[:, :, -1]
+    ends[:] = ord(",")
+    ends[:, -1] = ord("\n")
+    text = cells[cells != 0]
+    return text.tobytes() % tuple(flat[slot_at].tolist()) if len(slot_at) else text
+
+
 def _write_csv(path, header, table, int_columns=()):
     """Write a header line and the rows of ``table``, comma-separated.
 
     Floats get 17 significant digits (``%.17g``) so that they read back
     exactly; the columns numbered in ``int_columns`` are written with
-    ``%d``.  The rows go out in chunks of about ``_CSV_CHUNK_VALUES`` values,
-    each formatted by one ``%`` of the row format repeated over the chunk's
-    rows, on the chunk's values as Python floats.  These are the
-    conversions ``np.savetxt`` makes row by row, so the file is byte for
-    byte the one it writes.
+    ``%d``.  The file is byte for byte the one ``np.savetxt`` writes with
+    these conversions.
+
+    The rows go out in chunks of about ``_CSV_CHUNK_VALUES`` values, each
+    value in a fixed-width cell whose NUL bytes are dropped on writing.  A
+    finite nonzero value whose decimal exponent X is in [-6, 16] gets its
+    digits from numpy arithmetic that is exact:
+
+    * X is found by comparing |x| with the smallest double >= 10**k.
+    * With s = 16 - X <= 22, 10**s is an exact double, so Dekker's
+      TwoProduct splits |x| * 10**s into hi + lo with no error.  hi >= 1e16
+      > 2**53 is an even integer, so hi + rint(lo) is the 17-digit integer
+      rounded half to even, as CPython's ``%.17g`` rounds.
+    * The result is below 1e17: rounding up to 1e17, a carry into X + 1,
+      needs |x| within 5e-18, relatively, below a power of ten.  No double
+      in this range is (the tests write the doubles around each power of
+      ten).
+
+    The digits, the point, the "0.000" lead of X in [-4, -1] and the "e-0X"
+    of X in [-6, -5] then go into the cell as table lookups, with trailing
+    zeros of the fraction as NUL bytes.  Zeros are "0" and "-0".  Every
+    other value (nan, +-inf, |x| < 1e-6, |x| >= 1e17) and the ``%d`` values
+    get a ``%.17g`` or ``%d`` conversion in their cell instead, and the
+    chunk's text is formatted with one ``%`` on those values.
     """
+    table = np.asarray(table, dtype=np.float64)
     n_columns = table.shape[1]
-    row = ",".join("%d" if i in int_columns else "%.17g" for i in range(n_columns)) + "\n"
+    int_column = np.isin(np.arange(n_columns), list(int_columns))
     chunk_rows = max(1, _CSV_CHUNK_VALUES // n_columns)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(table), chunk_rows):
-            chunk = table[start : start + chunk_rows]
-            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+            fh.write(_csv_chunk(table[start : start + chunk_rows], int_column))
 
 
 def write_trajectory_csv(traj, path):

@@ -43,6 +43,7 @@ n^2 eps lambda_max, plus m min(m, n) u lambda_max for lasso.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -255,9 +256,7 @@ def _make_box_quad(Q, b, lower, upper):
 
 
 def _make_cos_quad(dim, mu=0.0):
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
+    dim = _as_int(dim, "dim", least=1)
     if mu < 0:
         raise ValueError("mu must be nonnegative")
 
@@ -329,11 +328,29 @@ def problem_from_json(source):
             raise ValueError("problem spec %r is missing the %r key" % (name, key))
     kwargs = {key: spec[key] for key in required + optional if key in spec}
     obj = make_problem(name, **kwargs)
-    if "dim" in spec and int(spec["dim"]) != obj.dim:
+    if "dim" in spec and _as_int(spec["dim"], "dim", least=1) != obj.dim:
         raise ValueError(
             "spec says dim=%d but problem data has dim=%d" % (int(spec["dim"]), obj.dim)
         )
     return obj
+
+
+_INTEGER_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def _as_int(value, what, least=None):
+    """``value`` as an int, which must be at least ``least`` when that is given.
+
+    An integer spelled as a float (2.0) is taken; a bool, a string, a
+    fraction (2.5), nan and inf are rejected with ValueError.
+    """
+    integral = not isinstance(value, (bool, np.bool_)) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if not integral or least is not None and value < least:
+        raise ValueError("%s must be %s, got %r" % (what, _INTEGER_KINDS[least], value))
+    return int(value)
 
 
 def _check_keys(spec, valid, what):

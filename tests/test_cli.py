@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import hashlib
 import json
 import math
 import os
@@ -207,6 +208,40 @@ def test_run_rejects_a_sample_every_that_is_not_a_count(tmp_path, capsys, value,
     rc = cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == "error: sample_every must be a positive integer, got %s\n" % shown
+
+
+def _integer_key_argv(tmp_path, key, value):
+    """A command whose config sets ``key`` to ``value``, and which runs when that is 2."""
+    out = ["--out-dir", str(tmp_path / "o")]
+    if key == "seed":
+        return ["run", "--config", _run_config(tmp_path, t_end=0.1, seed=value)] + out
+    if key == "dim":
+        cfg = {"problem": {"name": "cos_quad", "dim": value}, "gamma": 1.0, "lambda": 0.01,
+               "t_end": 0.1, "h": 0.001}
+        return ["run", "--config", _write_json(tmp_path / "config.json", cfg)] + out
+    if key == "max_iter":
+        cfg = {"problem": LASSO, "lambda": 0.5, "gamma": 2.0, "x0": [0.0], "max_iter": value}
+        return ["discrete", "--config", _write_json(tmp_path / "config.json", cfg)] + out
+    cfg = {"beta": 1.0, key: value}  # gamma_count or lambda_count
+    return ["sweep", "--config", _write_json(tmp_path / "config.json", cfg)] + out
+
+
+_INTEGER_KEYS = {"seed": "a nonnegative integer", "dim": "a positive integer",
+                 "max_iter": "an integer", "gamma_count": "an integer", "lambda_count": "an integer"}
+
+
+@pytest.mark.parametrize("key", sorted(_INTEGER_KEYS))
+@pytest.mark.parametrize("value", [2.5, True, "2", math.nan])
+def test_integer_keys_are_not_coerced(tmp_path, capsys, key, value):
+    rc = cli.main(_integer_key_argv(tmp_path, key, value))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: %s must be %s, got %r\n" % (key, _INTEGER_KEYS[key], value)
+
+
+@pytest.mark.parametrize("key", sorted(_INTEGER_KEYS))
+def test_integer_keys_take_an_integral_float(tmp_path, capsys, key):
+    assert cli.main(_integer_key_argv(tmp_path, key, 2.0)) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_run_infeasible_parameters_warn_but_succeed(tmp_path, capsys):
@@ -546,6 +581,33 @@ def test_python_m_proxdyn_runs_the_cli():
                              "--json")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["rho_feasible"] is True
+
+
+# SHA-256 of four outputs of ``python -m proxdyn``, recorded when every
+# value was formatted by Python's %.  Each config is IEEE-exact on any
+# platform: 1x1 products and sqrt, no libm transcendental, no geomspace.
+GOLDEN_SHA256 = {
+    "trajectory.csv": "3c989d5921501be0a54e2473742dc152d81d5d0c225277083bbeabeebaf0f8d6",
+    "energy.csv": "f9885e3284b01945f42d786de8e939c9c3d934e33d078759aa9d751552d58063",
+    "history.csv": "01372c22c586e3cb24264a91ff16e35cb6df43f59cce94121e23364a0e89e3df",
+    "sweep.csv": "20b6abd50ef063cadc35b2d1627cd7a2b0b0aa5675ad743d9cf9961a8a84c4c0",
+}
+
+
+def test_outputs_keep_their_golden_bytes(tmp_path):
+    readme = {"problem": LASSO, "gamma": 1.0, "lambda": 0.02, "u0": [1.5], "v0": [0.0],
+              "t_end": 100.0, "h": 0.01, "outputs": ["trajectory", "energy"]}
+    out = ["--out-dir", str(tmp_path)]
+    for argv in (
+        ["run", "--config", _write_json(tmp_path / "readme.json", readme)],
+        ["discrete", "--problem", json.dumps(LASSO), "--lambda", "0.5", "--gamma", "2", "--x0", "0",
+         "--max-iter", "50", "--tol", "0"],
+        ["sweep", "--beta", "1", "--gamma-count", "5", "--lambda-count", "4"],
+    ):
+        done = _python_m_proxdyn(*argv, *out)
+        assert done.returncode == 0, done.stderr
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # -- overflow -----------------------------------------------------------

@@ -19,7 +19,9 @@
   formulas in ``tests/oracles.py`` and of a scalar call, and rejects a bad
   array with the message a loop of scalar calls would stop at.
 - Every CSV writer's output reads back bit for bit, and is byte for byte
-  what ``np.savetxt`` writes.
+  what ``np.savetxt`` writes: on arbitrary doubles, and on doubles around
+  every power of ten and on exact rounding ties, where the writer's exact
+  digit arithmetic could go wrong.
 """
 
 import math
@@ -47,7 +49,7 @@ from proxdyn import (
     write_history_csv,
     write_trajectory_csv,
 )
-from proxdyn.dynamics import _check_run, _write_csv
+from proxdyn.dynamics import _CSV_CHUNK_VALUES, _check_run, _write_csv
 from proxdyn.problems import _CATALOG
 from oracles import derive_params_scalar, rk4_reference, savetxt_csv
 
@@ -519,3 +521,66 @@ def test_write_csv_is_byte_for_byte_savetxt(tmp_path, shape, int_columns):
     _write_csv(tmp_path / "written.csv", header, table, int_columns)
     savetxt_csv(tmp_path / "savetxt.csv", header, table, int_columns)
     assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def _tie_values(rng, n):
+    """Doubles whose exact decimal expansion has 18 significant digits, the last a 5.
+
+    m / 2**j with m odd has the digits of m * 5**j, which end in 5; m is
+    drawn so that they number 18.  ``%.17g`` rounds each half to even.
+    """
+    values = []
+    for j in rng.integers(2, 26, n).tolist():
+        m = int(rng.integers(-(-10**17 // 5**j), min(10**18 // 5**j, 2**53))) | 1
+        assert len(str(m * 5**j)) == 18
+        values.append(m / 2**j)
+    return np.array(values)
+
+
+def _writer_values(rng):
+    """Values concentrated in ``_write_csv``'s exact-digit range [1e-6, 1e17) and at its edges."""
+    near_powers = [10.0**k + np.arange(-200, 201) * np.spacing(10.0**k) for k in range(-8, 20)]
+    bit_patterns = rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)
+    log_uniform = np.exp(rng.uniform(math.log(1e-7), math.log(1e18), 4000))
+    values = np.concatenate(near_powers + [_tie_values(rng, 2000), log_uniform])
+    values *= rng.choice([-1.0, 1.0], len(values))
+    specials = np.repeat([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324], 50)
+    values = np.concatenate([values, bit_patterns, specials])
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize(
+    "n_columns, int_columns",
+    [
+        (1, ()),  # about 23 000 rows, so the table spans several chunks
+        (3, (1,)),
+        (7, (0, 5)),
+        (1201, ()),  # the width of a dim-400 trajectory
+    ],
+)
+def test_write_csv_matches_savetxt_in_and_around_the_exact_range(tmp_path, n_columns, int_columns):
+    rng = np.random.default_rng(n_columns)
+    values = _writer_values(rng)
+    rows = len(values) // n_columns
+    assert rows * n_columns > _CSV_CHUNK_VALUES
+    table = values[: rows * n_columns].reshape(rows, n_columns)
+    for column in int_columns:
+        table[:, column] = rng.choice([0.0, -0.0, 1.0, 7.0, -42.0, 2.5, 1e30], rows)
+    header = ["c%d" % i for i in range(n_columns)]
+    _write_csv(tmp_path / "written.csv", header, table, int_columns)
+    savetxt_csv(tmp_path / "savetxt.csv", header, table, int_columns)
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(
+    table=hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4)),
+                     elements=st.floats(allow_nan=True, allow_infinity=True)),
+)
+def test_write_csv_matches_savetxt_on_any_doubles(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("csv")
+    header = ["c%d" % i for i in range(table.shape[1])]
+    _write_csv(path / "written.csv", header, table)
+    savetxt_csv(path / "savetxt.csv", header, table)
+    assert (path / "written.csv").read_bytes() == (path / "savetxt.csv").read_bytes()
