@@ -375,9 +375,9 @@ def third_derivative_check(traj, params):
     )
 
 
-# _write_csv formats this many values, about, at a time.  Larger chunks
-# are no faster, and each doubling adds about 0.5 MB to a run's peak memory.
-_CSV_CHUNK_VALUES = 4096
+# _write_csv formats this many values, about, at a time.  Its temporaries
+# take about 100 bytes a value, some 0.2 MB for a chunk.
+_CSV_CHUNK_VALUES = 2048
 
 
 def _least_double_from(k):
@@ -385,30 +385,42 @@ def _least_double_from(k):
     d = 1 / 10**-k if k < 0 else float(10**k)  # int division rounds correctly
     num, den = d.as_integer_ratio()
     if num * 10 ** max(-k, 0) < den * 10 ** max(k, 0):
-        d = float(np.nextafter(d, math.inf))
+        d = math.nextafter(d, math.inf)
     return d
 
 
+def _point_digit(x):
+    """The digit of the 17 that the point follows for exponent ``x`` (16: none)."""
+    return 0 if x < -4 else 16 if x < 0 else x
+
+
 # Tables of _write_csv's exact %.17g kernel (see its docstring), indexed by
-# the decimal exponent X + 6 for X in [-6, 16].
-_CSV_EXPONENTS = np.arange(-6, 17)
-_CSV_FROM = np.array([_least_double_from(k) for k in _CSV_EXPONENTS.tolist()])
-_POW10 = np.array([10.0**s for s in range(23)])  # exact doubles
+# X + 6 for the decimal exponent X in [-6, 16].  They are built from Python
+# numbers, and the integer ones are int64 whatever numpy's default integer.
+_CSV_EXPONENTS = range(-6, 17)
+# searchsorted(_CSV_BOUNDS, |x|, "right") is the row of x's cell template:
+# 0 for zero, 1 below the range, X + _CSV_X_ROW + 6 in it and 25 from 1e17
+# on (and for inf and nan).  A %d column adds _CSV_INT_SHIFT, to a row that
+# reads "%d".
+_CSV_BOUNDS = np.array([5e-324] + [_least_double_from(k) for k in range(-6, 18)])
+_CSV_X_ROW, _CSV_INT_SHIFT = 2, 26
+_CSV_SCALE = np.array([10.0 ** (16 - x) for x in _CSV_EXPONENTS])  # exact doubles
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
-_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-# The point follows digit _CSV_POINT of the 17 (16: not among them), so
-# q // _CSV_UNIT is the part of the digits q before the point.
-_CSV_POINT = np.where(_CSV_EXPONENTS < -4, 0, np.where(_CSV_EXPONENTS < 0, 16, _CSV_EXPONENTS))
-_CSV_UNIT = 10 ** (16 - _CSV_POINT)
-_CSV_MARK = np.where((_CSV_EXPONENTS < -4) | (_CSV_EXPONENTS >= 0), _CSV_UNIT, 0)
+_CSV_SCALE_HI = np.array([p * _SPLIT - (p * _SPLIT - p) for p in _CSV_SCALE.tolist()])
+_CSV_SCALE_LO = _CSV_SCALE - _CSV_SCALE_HI
+# The point follows digit _CSV_POINT of the 17, so q // _CSV_UNIT is the
+# part of the digits q before the point.  _CSV_MARK is _CSV_UNIT where the
+# point is among the digits or there is an exponent suffix, else 0.
+_CSV_POINT = np.array([_point_digit(x) for x in _CSV_EXPONENTS], np.int64)
+_CSV_UNIT = np.array([10 ** (16 - _point_digit(x)) for x in _CSV_EXPONENTS], np.int64)
+_CSV_MARK = np.array(
+    [0 if -4 <= x < 0 else 10 ** (16 - _point_digit(x)) for x in _CSV_EXPONENTS], np.int64
+)
 # A cell: sign, a 5-byte "0.000" lead, 18 digit-and-point bytes, an "e-0X"
-# suffix and the separator; _write_csv drops its NUL bytes.
+# suffix and the separator; _write_csv drops its NUL bytes.  _CSV_TEMPLATE
+# holds the cell of each row above.  A value that % formats has its
+# conversion in its cell.
 _CELL = 29
-
-
-def _byte_rows(strings, width):
-    return np.frombuffer(b"".join(s.ljust(width, b"\0") for s in strings), np.uint8).reshape(-1, width)
 
 
 def _cell_template(x):
@@ -417,90 +429,126 @@ def _cell_template(x):
     return lead.rjust(6, b"\0") + b"\0" * 18 + suffix
 
 
-_CSV_TEMPLATE = _byte_rows([_cell_template(x) for x in _CSV_EXPONENTS], _CELL)
-# The cell of a value that % formats, with its conversion.
-_CSV_SLOT = _byte_rows([b"%.17g", b"%d"], _CELL)
+_CSV_TEMPLATE = np.frombuffer(
+    b"".join(
+        cell.ljust(_CELL - 1, b"\0") + b","
+        for cell in [b"\0" * 6 + b"0", b"\0%.17g"]
+        + [_cell_template(x) for x in _CSV_EXPONENTS]
+        + [b"\0%.17g"]
+        + [b"\0%d"] * _CSV_INT_SHIFT
+    ),
+    np.uint8,
+).reshape(-1, _CELL)
+_CSV_SLOT_ROW = np.array(
+    [False, True] + [False] * len(_CSV_EXPONENTS) + [True] * (1 + _CSV_INT_SHIFT)
+)
+# uint8 bytes, so that a 0/1 byte times one of them is a uint8, not an int64
+_POINT, _MINUS = np.uint8(ord(".")), np.uint8(ord("-"))
 
 
-def _digit_words(width):
-    """The ``width`` ASCII digits of 0 .. 10**width - 1, right-aligned in 4-byte words.
+def _digit_words():
+    """The ASCII digits of 0 .. 99 and of 0 .. 9999, right-aligned in 4-byte words.
 
-    Entry 10**width + i is entry i with its trailing zeros as NUL bytes.
+    Entry 100 + i of the first table and 10000 + i of the second are entry
+    i with its trailing zeros as NUL bytes.  Both are copied together from
+    the 100 digit pairs, with no wider temporaries than the tables.
     """
-    i = np.arange(10**width, dtype=np.int32)[:, None]
-    place = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
-    words = np.zeros((2, 10**width, 4), np.uint8)
-    words[:, :, 4 - width :] = i // place % 10 + ord("0")
-    words[1, :, 4 - width :][i % (10 * place) == 0] = 0  # this digit and all after it are 0
-    return words.view(np.uint32).ravel()
+    pairs = [b"%02d" % i for i in range(100)]
+    full = np.frombuffer(b"".join(pairs), np.uint8).reshape(100, 2)
+    stripped = np.frombuffer(b"".join(p.rstrip(b"0").ljust(2, b"\0") for p in pairs), np.uint8)
+    stripped = stripped.reshape(100, 2)
+    words2 = np.zeros((2, 100, 4), np.uint8)
+    words2[0, :, 2:] = full
+    words2[1, :, 2:] = stripped
+    words4 = np.empty((2, 100, 100, 4), np.uint8)
+    words4[:, :, :, :2] = full[:, None]
+    words4[1, :, 0, :2] = stripped  # a zero low pair strips the high pair too
+    words4[0, :, :, 2:] = full
+    words4[1, :, :, 2:] = stripped
+    return words2.view(np.uint32).ravel(), words4.view(np.uint32).ravel()
 
 
-_DIGITS2 = _digit_words(2)
-_DIGITS4 = _digit_words(4)
+_DIGITS2, _DIGITS4 = _digit_words()
 
 
-def _exact_digits(a):
-    """X + 6 and the 17 digits of values ``a`` in [1e-6, 1e17), rounded half to even."""
-    x = np.searchsorted(_CSV_FROM, a, side="right") - 1
-    s = 22 - x  # 16 - X
-    # Dekker's TwoProduct: hi + lo == a * 10**s exactly
-    hi = a * _POW10[s]
-    t = a * _SPLIT
-    a_hi = t - (t - a)
+def _exact_digits(a, x):
+    """The 17 significant digits of values ``a`` in [1e-6, 1e17), rounded half to even.
+
+    ``x`` is X + 6.  Returns them as int64 integers in [1e16, 1e17).  The
+    steps work in place, to keep the temporaries of a chunk few.
+    """
+    # Dekker's TwoProduct: hi + lo == a * 10**(16 - X) exactly
+    hi = a * _CSV_SCALE[x]
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
     a_lo = a - a_hi
-    p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    return x, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    p_hi, p_lo = _CSV_SCALE_HI[x], _CSV_SCALE_LO[x]
+    lo = a_hi * p_hi
+    lo -= hi
+    lo += a_hi * p_lo
+    lo += a_lo * p_hi
+    lo += a_lo * p_lo
+    q = hi.astype(np.int64)
+    q += np.rint(lo, out=lo).astype(np.int64)
+    return q
 
 
-def _digit_cells(a):
-    """The cells of values ``a`` in [1e-6, 1e17), as ``%.17g`` writes them.
+def _digit_bytes(a, x):
+    """The 18 digit-and-point bytes of the cells of values ``a`` in [1e-6, 1e17).
 
-    Returns a (len(a), _CELL) uint8 array with no sign and no separator.
+    ``x`` is X + 6.  Returns a (len(a), 18) uint8 array: the 17 significant
+    digits of ``a``, with the point among them and the trailing zeros of
+    the fraction as NUL bytes.
     """
-    x, q = _exact_digits(a)
+    q = _exact_digits(a, x)
     # z is q with one more digit after the point's place: a 1 that keeps the
     # integer part's zeros from being stripped and is then overwritten by the
     # point (or by NUL if no fraction digit is left), or a 0 where the point
     # is not among the digits
     frac = q % _CSV_UNIT[x]
-    z = (q - frac) * 10 + _CSV_MARK[x] + frac
+    z = q - frac
+    z *= 10
+    z += _CSV_MARK[x]
+    z += frac
     words = np.empty((len(a), 5), np.uint32)
-    stripped = np.ones(len(a), bool)  # every digit after this word is a trailing zero
+    # 10000 while every digit after this word is a trailing zero, then 0
+    strip = np.full(len(a), 10000, np.int64)
     for i in (4, 3, 2, 1):
         high = z // 10000
-        group = z - high * 10000
-        words[:, i] = _DIGITS4[group + 10000 * stripped]
-        stripped &= group == 0
+        z -= high * 10000
+        words[:, i] = _DIGITS4[z + strip]
+        strip[z != 0] = 0
         z = high
-    words[:, 0] = _DIGITS2[z + 100 * stripped]
-    cells = _CSV_TEMPLATE[x]
-    cells[:, 6:24] = words.view(np.uint8)[:, 2:]
-    cells[np.arange(len(a)), 7 + _CSV_POINT[x]] = (frac != 0) * ord(".")
-    return cells
+    words[:, 0] = _DIGITS2[z + strip // 100]
+    digits = words.view(np.uint8)[:, 2:]
+    digits[np.arange(len(a)), 1 + _CSV_POINT[x]] = (frac != 0).view(np.uint8) * _POINT
+    return digits
 
 
-def _csv_chunk(chunk, int_column):
+def _csv_text(chunk, int_shift):
     """The text of the rows ``chunk``, as bytes or a uint8 array.
 
-    The columns marked in ``int_column`` are written with ``%d``.
+    The columns where ``int_shift`` is _CSV_INT_SHIFT, not 0, are written
+    with ``%d``.
     """
+    # each temporary is deleted once used, to keep the chunk's peak memory low
     flat = chunk.ravel()
-    ints = np.tile(int_column, len(chunk))
-    a = np.abs(flat)
-    fast = (a >= _CSV_FROM[0]) & (a < 1e17) & ~ints
-    cells = np.zeros((len(flat), _CELL), np.uint8)
-    cells[:, 6] = (a == 0) * ord("0")
-    fast_at = np.flatnonzero(fast)
-    cells[fast_at] = _digit_cells(a[fast_at])
-    cells[:, 0] = np.signbit(flat) * ord("-")
-    slot_at = np.flatnonzero(~fast & (a != 0) | ints)
-    cells[slot_at] = _CSV_SLOT[ints[slot_at].view(np.uint8)]
-    ends = cells.reshape(chunk.shape + (_CELL,))[:, :, -1]
-    ends[:] = ord(",")
-    ends[:, -1] = ord("\n")
+    row = np.searchsorted(_CSV_BOUNDS, np.abs(chunk), side="right")
+    row += int_shift
+    row = row.ravel()
+    fast_at = np.flatnonzero((row >= _CSV_X_ROW) & (row < _CSV_X_ROW + len(_CSV_EXPONENTS)))
+    digits = _digit_bytes(np.abs(flat[fast_at]), row[fast_at] - _CSV_X_ROW)
+    cells = _CSV_TEMPLATE[row]
+    cells[fast_at, 6:24] = digits
+    del digits, fast_at
+    slot = _CSV_SLOT_ROW[row]
+    del row
+    cells[:, 0] = (np.signbit(flat) & ~slot).view(np.uint8) * _MINUS
+    cells.reshape(chunk.shape + (_CELL,))[:, -1, -1] = ord("\n")
+    slot_values = flat[slot]
     text = cells[cells != 0]
-    return text.tobytes() % tuple(flat[slot_at].tolist()) if len(slot_at) else text
+    del cells
+    return text.tobytes() % tuple(slot_values.tolist()) if len(slot_values) else text
 
 
 def _write_csv(path, header, table, int_columns=()):
@@ -533,14 +581,13 @@ def _write_csv(path, header, table, int_columns=()):
     get a ``%.17g`` or ``%d`` conversion in their cell instead, and the
     chunk's text is formatted with one ``%`` on those values.
     """
-    table = np.asarray(table, dtype=np.float64)
     n_columns = table.shape[1]
-    int_column = np.isin(np.arange(n_columns), list(int_columns))
+    int_shift = np.array([_CSV_INT_SHIFT * (i in int_columns) for i in range(n_columns)])
     chunk_rows = max(1, _CSV_CHUNK_VALUES // n_columns)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(table), chunk_rows):
-            fh.write(_csv_chunk(table[start : start + chunk_rows], int_column))
+            fh.write(_csv_text(table[start : start + chunk_rows], int_shift))
 
 
 def write_trajectory_csv(traj, path):

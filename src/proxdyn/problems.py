@@ -328,10 +328,10 @@ def problem_from_json(source):
             raise ValueError("problem spec %r is missing the %r key" % (name, key))
     kwargs = {key: spec[key] for key in required + optional if key in spec}
     obj = make_problem(name, **kwargs)
-    if "dim" in spec and _as_int(spec["dim"], "dim", least=1) != obj.dim:
-        raise ValueError(
-            "spec says dim=%d but problem data has dim=%d" % (int(spec["dim"]), obj.dim)
-        )
+    if "dim" in spec:
+        dim = _as_int(spec["dim"], "dim", least=1)
+        if dim != obj.dim:
+            raise ValueError("spec says dim=%d but problem data has dim=%d" % (dim, obj.dim))
     return obj
 
 

@@ -49,7 +49,7 @@ from proxdyn import (
     write_history_csv,
     write_trajectory_csv,
 )
-from proxdyn.dynamics import _CSV_CHUNK_VALUES, _check_run, _write_csv
+from proxdyn.dynamics import _CSV_CHUNK_VALUES, _CSV_MARK, _CSV_POINT, _CSV_UNIT, _check_run, _write_csv
 from proxdyn.problems import _CATALOG
 from oracles import derive_params_scalar, rk4_reference, savetxt_csv
 
@@ -501,8 +501,8 @@ _CSV_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
     [
         ((0, 3), ()),
         ((9, 1), ()),
-        ((4097, 1), ()),  # 4096 one-value rows to a chunk: the last row starts a second chunk
-        ((2 * 1365 + 1, 3), ()),  # 1365 three-value rows to a chunk
+        ((4097, 1), ()),  # more one-value rows than a chunk holds: the last row starts a new chunk
+        ((2 * 1365 + 1, 3), ()),  # several chunks of three-value rows
         ((3000, 6), (4, 5)),  # two 0/1 flag columns, as in sweep.csv
         ((501, 1201), ()),  # the width of a dim-400 trajectory
     ],
@@ -571,6 +571,16 @@ def test_write_csv_matches_savetxt_in_and_around_the_exact_range(tmp_path, n_col
     _write_csv(tmp_path / "written.csv", header, table, int_columns)
     savetxt_csv(tmp_path / "savetxt.csv", header, table, int_columns)
     assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def test_write_csv_integer_tables_are_int64():
+    # 10**16 does not fit in 32 bits: a table of numpy's default integer type
+    # would wrap around silently where that type is int32
+    exponents = range(-6, 17)
+    assert [table.dtype for table in (_CSV_POINT, _CSV_UNIT, _CSV_MARK)] == [np.dtype(np.int64)] * 3
+    assert _CSV_POINT.tolist() == [0 if x < -4 else 16 if x < 0 else x for x in exponents]
+    assert _CSV_UNIT.tolist() == [10**16 if x < -4 else 1 if x < 0 else 10 ** (16 - x) for x in exponents]
+    assert _CSV_MARK.tolist() == [0 if -4 <= x < 0 else u for x, u in zip(exponents, _CSV_UNIT.tolist())]
 
 
 @settings(max_examples=200, **_SETTINGS)
