@@ -132,8 +132,8 @@ def _resolve_problem(spec, base_dir):
     return problem_from_json(spec)
 
 
-def _out_path(args, name):
-    out_dir = args.out_dir or "."
+def _out_path(out_dir, name):
+    out_dir = out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     if os.path.isabs(name):
         return name
@@ -180,7 +180,7 @@ def _run_setup(cfg, obj):
     return u0, v0, sample_every, outputs
 
 
-def _execute_run(cfg, base_dir, args):
+def _execute_run(cfg, base_dir, out_dir):
     obj = _resolve_problem(cfg["problem"], base_dir)
     params = params_mod.derive_params(float(cfg["gamma"]), float(cfg["lambda"]), obj.g.beta)
     warning_list = _feasibility_warnings(params)
@@ -188,12 +188,12 @@ def _execute_run(cfg, base_dir, args):
     traj = dynamics.integrate(
         obj, params, u0, v0, float(cfg["t_end"]), float(cfg["h"]), sample_every=sample_every
     )
-    return _finish_run(cfg, obj, params, traj, outputs, warning_list, args)
+    return _finish_run(cfg, obj, params, traj, outputs, warning_list, out_dir)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing run warns once, not per numpy call
-def _finish_run(cfg, obj, params, traj, outputs, warning_list, args):
-    """Monitor and classify an integrated run, then write its outputs."""
+def _finish_run(cfg, obj, params, traj, outputs, warning_list, out_dir):
+    """Monitor and classify an integrated run, then write its outputs into ``out_dir``."""
     trace = lyapunov.monitor(obj, params, traj)
     energy_tol = 1e-6 * (1.0 + abs(float(trace.energy[0])))
     violations = lyapunov.check_monotone(trace, energy_tol)
@@ -204,9 +204,7 @@ def _finish_run(cfg, obj, params, traj, outputs, warning_list, args):
     if rises:
         warning_list.append("energy increased beyond tolerance %g at %d sample pairs" % (energy_tol, rises))
 
-    rate_kwargs = {}
-    if "x_limit" in cfg:
-        rate_kwargs["x_limit"] = np.asarray(cfg["x_limit"], dtype=float)
+    rate_kwargs = {"x_limit": _parse_x_limit(cfg.get("x_limit"))}
     if "t0" in cfg:
         rate_kwargs["t0"] = float(cfg["t0"])
     if "converged_tol" in cfg:
@@ -219,15 +217,15 @@ def _finish_run(cfg, obj, params, traj, outputs, warning_list, args):
 
     written = []
     if "trajectory" in outputs:
-        path = _out_path(args, "trajectory.csv")
+        path = _out_path(out_dir, "trajectory.csv")
         dynamics.write_trajectory_csv(traj, path)
         written.append(path)
     if "energy" in outputs:
-        path = _out_path(args, "energy.csv")
+        path = _out_path(out_dir, "energy.csv")
         lyapunov.write_energy_csv(trace, path)
         written.append(path)
     if "rates" in outputs:
-        path = _out_path(args, "rates.json")
+        path = _out_path(out_dir, "rates.json")
         _dump_json(rate_dict, path)
         written.append(path)
 
@@ -244,7 +242,7 @@ def _finish_run(cfg, obj, params, traj, outputs, warning_list, args):
         safe_summary["warnings"] = list(safe_summary["warnings"]) + [
             "%d non-finite values serialized as null" % dropped
         ]
-    path = _out_path(args, "summary.json")
+    path = _out_path(out_dir, "summary.json")
     _dump_json(safe_summary, path)
     written.append(path)
     return safe_summary, written
@@ -256,7 +254,7 @@ def cmd_run(args):
     cfg = _load_json_object(args.config, "config")
     _check_keys(cfg, _RUN_KEYS, "run config")
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    summary, written = _execute_run(cfg, base_dir, args)
+    summary, written = _execute_run(cfg, base_dir, args.out_dir)
     if args.json:
         _dump_json(summary)
     else:
@@ -311,19 +309,21 @@ def cmd_check_params(args):
 def cmd_discrete(args):
     cfg = _config_dict(args, ("problem", "lambda", "gamma", "x0", "x1", "max_iter", "tol", "out"))
     spec = _merged(args, cfg, "problem", required=True)
-    base_dir = os.path.dirname(os.path.abspath(args.config)) if args.config else os.getcwd()
+    # a problem file named in the config file is relative to that file, one
+    # named by --problem to the working directory
+    base_dir = os.getcwd() if args.problem is not None else os.path.dirname(os.path.abspath(args.config))
     obj = _resolve_problem(spec, base_dir)
     lam = float(_merged(args, cfg, "lam", key="lambda", required=True))
     gamma = float(_merged(args, cfg, "gamma", required=True))
     x0 = np.asarray(_merged(args, cfg, "x0", required=True), dtype=float)
     x1_raw = _merged(args, cfg, "x1")
     x1 = x0 if x1_raw is None else np.asarray(x1_raw, dtype=float)
-    max_iter = _as_int(_merged(args, cfg, "max_iter", default=10_000), "max_iter")
+    max_iter = _merged(args, cfg, "max_iter", default=10_000)
     tol = float(_merged(args, cfg, "tol", default=1e-8))
     out_name = _merged(args, cfg, "out", default="history.csv")
 
     history = discrete_mod.run_inertial(obj, lam, gamma, x0, x1, max_iter, tol)
-    path = _out_path(args, out_name)
+    path = _out_path(args.out_dir, out_name)
     discrete_mod.write_history_csv(history, path)
     if args.json:
         _dump_json(
@@ -349,10 +349,14 @@ def cmd_discrete(args):
 # rates
 
 
-def _parse_x_limit(tokens):
-    if tokens is None or tokens == ["auto"]:
+def _parse_x_limit(value):
+    """The limit point given as "auto" (None), a number or a list of numbers.
+
+    The list may hold the tokens of ``--x-limit``, which are strings.
+    """
+    if value is None or value == "auto" or value == ["auto"]:
         return None
-    return np.asarray([float(tok) for tok in tokens], dtype=float)
+    return np.atleast_1d(np.asarray(value, dtype=float))
 
 
 def cmd_rates(args):
@@ -397,10 +401,9 @@ def cmd_sweep(args):
     grid_gamma, grid_lam = np.meshgrid(gammas, lambdas, indexing="ij")
     params = params_mod.derive_params(grid_gamma.ravel(), grid_lam.ravel(), beta)
     report = params_mod.params_report(params)
-    csv_path = _out_path(args, "sweep.csv")
-    columns = list(report)
-    table = np.column_stack(list(report.values()))  # the two flags become 1.0 and 0.0
-    dynamics._write_csv(csv_path, columns, table, int_columns=range(len(columns) - 2, len(columns)))
+    csv_path = _out_path(args.out_dir, "sweep.csv")
+    table = np.column_stack(list(report.values()))  # the two flags become 1.0 and 0.0, written 1 and 0
+    dynamics._write_csv(csv_path, list(report), table)
 
     feasible = params.rho_feasible
     points = feasible.size
@@ -457,11 +460,8 @@ def _sweep_runs(template, base_dir, gammas, lambdas, parent_out):
                 file=sys.stderr,
             )
             continue
-        sub_args = argparse.Namespace(
-            out_dir=os.path.join(parent_out, "run_g%.6g_l%.6g" % (params.gamma, params.lam)),
-            json=False,
-        )
-        _finish_run(template, obj, params, outcome, outputs, warning_list, sub_args)
+        out_dir = os.path.join(parent_out, "run_g%.6g_l%.6g" % (params.gamma, params.lam))
+        _finish_run(template, obj, params, outcome, outputs, warning_list, out_dir)
     return aborted
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import _map_residual, prox_grad_map
+from .problems import _as_int, _check_real, _map_residual, prox_grad_map
 
 __all__ = [
     "IterateHistory",
@@ -60,8 +60,7 @@ class IterateHistory:
 
 def constant_gamma(value):
     """Schedule k -> value."""
-    if value <= 0:
-        raise ValueError("gamma must be positive")
+    _check_real(value, "gamma")
 
     def schedule(k):
         return value
@@ -71,8 +70,8 @@ def constant_gamma(value):
 
 def inverse_k_gamma(base, floor=1e-3):
     """Schedule k -> max(base / k, floor)."""
-    if base <= 0 or floor <= 0:
-        raise ValueError("base and floor must be positive")
+    _check_real(base, "base")
+    _check_real(floor, "floor")
 
     def schedule(k):
         return max(base / k, floor)
@@ -82,8 +81,7 @@ def inverse_k_gamma(base, floor=1e-3):
 
 def inertial_step_unit(obj, lam, gk, xk, xkm1):
     """One step at hk = 1, in the relaxed proximal-gradient arrangement."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_real(lam, "lambda")
     xk = np.asarray(xk, dtype=float)
     xkm1 = np.asarray(xkm1, dtype=float)
     return _relaxed_step(gk, xk, xkm1, prox_grad_map(obj, lam, xk))
@@ -91,8 +89,7 @@ def inertial_step_unit(obj, lam, gk, xk, xkm1):
 
 def _relaxed_step(gk, xk, xkm1, zk):
     """x_{k+1} at hk = 1, given zk = T(xk)."""
-    if gk <= 0:
-        raise ValueError("gk must be positive")
+    _check_real(gk, "gamma_k")
     w = 1.0 / (1.0 + gk)
     return (1.0 - w) * xk + w * zk + w * (xk - xkm1)
 
@@ -106,12 +103,11 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     iteration 1.  The residual and x_{k+1} come from one evaluation of T(x_k).
     Aborts with DivergenceError when an iterate norm exceeds 1e12.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_real(lam, "lambda")
+    max_iter = _as_int(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_real(tol, "tol", nonnegative=True)
     if not callable(gamma_schedule):
         gamma_schedule = constant_gamma(float(gamma_schedule))
     x_prev = np.asarray(x0, dtype=float).copy()
@@ -155,4 +151,4 @@ def write_history_csv(history, path):
     header = ["k"] + ["x_%d" % i for i in range(n)] + ["residual", "objective"]
     residuals = np.concatenate(([np.nan], history.residuals))
     table = np.column_stack((np.arange(n_rows), history.xs, residuals, history.objective_values))
-    _write_csv(path, header, table, int_columns=(0,))
+    _write_csv(path, header, table)

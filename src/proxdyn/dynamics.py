@@ -48,12 +48,13 @@ many long runs thus holds one or two blocks of samples, not all of them.
 
 ``_write_csv`` is the one CSV writer of the package (trajectories here,
 energy traces, iterate histories and the sweep map elsewhere).  It writes
-the bytes ``np.savetxt`` writes with ``%.17g`` and ``%d``.  A value whose
+the bytes ``np.savetxt`` writes with ``%.17g``.  A value whose
 decimal exponent is in [-6, 16] gets its 17 digits from numpy arithmetic
 that is exact (Dekker's TwoProduct with an exact power of ten), laid out
 in fixed-width cells by table lookups; zeros are constant cells, and the
-rest (nan, +-inf, |x| < 1e-6, |x| >= 1e17 and ``%d``) go through one ``%``
-per chunk of rows.
+rest (nan, +-inf, |x| < 1e-6 and |x| >= 1e17) go through one ``%`` per
+chunk of rows.  An integral value such as an iteration count or a 0/1 flag
+is written like ``%d`` would write it, with no point.
 """
 
 from __future__ import annotations
@@ -400,10 +401,9 @@ def _point_digit(x):
 _CSV_EXPONENTS = range(-6, 17)
 # searchsorted(_CSV_BOUNDS, |x|, "right") is the row of x's cell template:
 # 0 for zero, 1 below the range, X + _CSV_X_ROW + 6 in it and 25 from 1e17
-# on (and for inf and nan).  A %d column adds _CSV_INT_SHIFT, to a row that
-# reads "%d".
+# on (and for inf and nan).
 _CSV_BOUNDS = np.array([5e-324] + [_least_double_from(k) for k in range(-6, 18)])
-_CSV_X_ROW, _CSV_INT_SHIFT = 2, 26
+_CSV_X_ROW = 2
 _CSV_SCALE = np.array([10.0 ** (16 - x) for x in _CSV_EXPONENTS])  # exact doubles
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
 _CSV_SCALE_HI = np.array([p * _SPLIT - (p * _SPLIT - p) for p in _CSV_SCALE.tolist()])
@@ -435,13 +435,10 @@ _CSV_TEMPLATE = np.frombuffer(
         for cell in [b"\0" * 6 + b"0", b"\0%.17g"]
         + [_cell_template(x) for x in _CSV_EXPONENTS]
         + [b"\0%.17g"]
-        + [b"\0%d"] * _CSV_INT_SHIFT
     ),
     np.uint8,
 ).reshape(-1, _CELL)
-_CSV_SLOT_ROW = np.array(
-    [False, True] + [False] * len(_CSV_EXPONENTS) + [True] * (1 + _CSV_INT_SHIFT)
-)
+_CSV_SLOT_ROW = np.array([False, True] + [False] * len(_CSV_EXPONENTS) + [True])
 # uint8 bytes, so that a 0/1 byte times one of them is a uint8, not an int64
 _POINT, _MINUS = np.uint8(ord(".")), np.uint8(ord("-"))
 
@@ -525,17 +522,11 @@ def _digit_bytes(a, x):
     return digits
 
 
-def _csv_text(chunk, int_shift):
-    """The text of the rows ``chunk``, as bytes or a uint8 array.
-
-    The columns where ``int_shift`` is _CSV_INT_SHIFT, not 0, are written
-    with ``%d``.
-    """
+def _csv_text(chunk):
+    """The text of the rows ``chunk``, as bytes or a uint8 array."""
     # each temporary is deleted once used, to keep the chunk's peak memory low
     flat = chunk.ravel()
-    row = np.searchsorted(_CSV_BOUNDS, np.abs(chunk), side="right")
-    row += int_shift
-    row = row.ravel()
+    row = np.searchsorted(_CSV_BOUNDS, np.abs(flat), side="right")
     fast_at = np.flatnonzero((row >= _CSV_X_ROW) & (row < _CSV_X_ROW + len(_CSV_EXPONENTS)))
     digits = _digit_bytes(np.abs(flat[fast_at]), row[fast_at] - _CSV_X_ROW)
     cells = _CSV_TEMPLATE[row]
@@ -551,13 +542,12 @@ def _csv_text(chunk, int_shift):
     return text.tobytes() % tuple(slot_values.tolist()) if len(slot_values) else text
 
 
-def _write_csv(path, header, table, int_columns=()):
+def _write_csv(path, header, table):
     """Write a header line and the rows of ``table``, comma-separated.
 
     Floats get 17 significant digits (``%.17g``) so that they read back
-    exactly; the columns numbered in ``int_columns`` are written with
-    ``%d``.  The file is byte for byte the one ``np.savetxt`` writes with
-    these conversions.
+    exactly.  The file is byte for byte the one ``np.savetxt`` writes with
+    that conversion.
 
     The rows go out in chunks of about ``_CSV_CHUNK_VALUES`` values, each
     value in a fixed-width cell whose NUL bytes are dropped on writing.  A
@@ -577,17 +567,15 @@ def _write_csv(path, header, table, int_columns=()):
     The digits, the point, the "0.000" lead of X in [-4, -1] and the "e-0X"
     of X in [-6, -5] then go into the cell as table lookups, with trailing
     zeros of the fraction as NUL bytes.  Zeros are "0" and "-0".  Every
-    other value (nan, +-inf, |x| < 1e-6, |x| >= 1e17) and the ``%d`` values
-    get a ``%.17g`` or ``%d`` conversion in their cell instead, and the
-    chunk's text is formatted with one ``%`` on those values.
+    other value (nan, +-inf, |x| < 1e-6, |x| >= 1e17) gets a ``%.17g``
+    conversion in its cell instead, and the chunk's text is formatted with
+    one ``%`` on those values.
     """
-    n_columns = table.shape[1]
-    int_shift = np.array([_CSV_INT_SHIFT * (i in int_columns) for i in range(n_columns)])
-    chunk_rows = max(1, _CSV_CHUNK_VALUES // n_columns)
+    chunk_rows = max(1, _CSV_CHUNK_VALUES // table.shape[1])
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(table), chunk_rows):
-            fh.write(_csv_text(table[start : start + chunk_rows], int_shift))
+            fh.write(_csv_text(table[start : start + chunk_rows]))
 
 
 def write_trajectory_csv(traj, path):

@@ -9,9 +9,10 @@ is nonincreasing along the flow whenever the parameters are feasible, with
 dissipation rate bounded by A||x'||^2 + B||x''||^2.  The same value arises as
 H(u, v, w) = (f+g)(u) + (1/(2 lam))||u - v||^2 - (C/(2 lam))||w||^2 evaluated
 at u = x''+gamma*x'+x, v = (1-c)*gamma*x'+x, w = x', since u - v =
-x'' + c*gamma*x'.  Both routes are implemented separately and compared in
-tests; neither assumes feasibility (for infeasible parameters the formulas
-are evaluated verbatim and the checks simply report what they find).
+x'' + c*gamma*x'.  The two routes share (f+g) and ||x'||^2 but form their
+other quadratic term each its own way, and are compared in tests; neither
+assumes feasibility (for infeasible parameters the formulas are evaluated
+verbatim and the checks simply report what they find).
 """
 
 from __future__ import annotations
@@ -60,13 +61,13 @@ def _sqnorm(x):
     return np.sum(x * x, axis=-1)
 
 
-def _energy(params, fg, v, acc):
-    """E from (f+g)(acc + gamma*v + x), x' and x''; see the module docstring."""
+def _energy(params, fg, v, acc, vv):
+    """E from (f+g)(acc + gamma*v + x), x', x'' and ||x'||^2; see the module docstring."""
     inv2lam = 1.0 / (2.0 * params.lam)
     return (
         fg
         + inv2lam * _sqnorm(acc + (params.c * params.gamma) * v)
-        - (params.C * inv2lam) * _sqnorm(v)
+        - (params.C * inv2lam) * vv
     )
 
 
@@ -84,7 +85,13 @@ def energy_at(obj, params, x, v, acc):
     v = np.asarray(v, dtype=float)
     acc = np.asarray(acc, dtype=float)
     z = acc + params.gamma * v + x
-    return _energy(params, obj.f.eval(z) + obj.g.eval(z), v, acc)
+    return _energy(params, obj.f.eval(z) + obj.g.eval(z), v, acc, _sqnorm(v))
+
+
+def _h(params, fg, u, v, ww):
+    """H from (f+g)(u), u, v and ||w||^2; see :func:`h_value`."""
+    inv2lam = 1.0 / (2.0 * params.lam)
+    return fg + inv2lam * _sqnorm(u - v) - (params.C * inv2lam) * ww
 
 
 def h_value(obj, params, u, v, w):
@@ -93,15 +100,11 @@ def h_value(obj, params, u, v, w):
     Returns +inf when u lies outside dom f.  H(u, u, 0) = (f+g)(u).
     """
     u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    fg = obj.f.eval(u) + obj.g.eval(u)
-    inv2lam = 1.0 / (2.0 * params.lam)
-    return fg + inv2lam * _sqnorm(u - v) - (params.C * inv2lam) * _sqnorm(w)
+    return _h(params, obj.f.eval(u) + obj.g.eval(u), u, np.asarray(v, dtype=float), _sqnorm(w))
 
 
-def _bound(coef_acc, coef_v, v, acc):
-    return coef_acc * np.linalg.norm(acc, axis=-1) + coef_v * np.linalg.norm(v, axis=-1)
+def _bound(coef_acc, coef_v, vv, aa):
+    return coef_acc * np.sqrt(aa) + coef_v * np.sqrt(vv)
 
 
 def w_bound(params, v, acc, a):
@@ -120,7 +123,7 @@ def w_bound(params, v, acc, a):
         + (2.0 * a + 1.0) * params.gamma
         - params.C
     ) / params.lam
-    return _bound(coef_acc, coef_v, np.asarray(v, dtype=float), np.asarray(acc, dtype=float))
+    return _bound(coef_acc, coef_v, _sqnorm(v), _sqnorm(acc))
 
 
 def subgradient_witness(obj, params, traj, a):
@@ -153,24 +156,24 @@ def monitor(obj, params, traj):
 
     z is recomputed from the system identity (one prox and gradient sweep
     over the samples) rather than reconstructed from the stored
-    acceleration, so (f+g)(z) is always evaluated inside dom f.  H is traced
-    at the a = 1-c instantiation through its own code path; its
-    subgradient bound takes (s, p) from the parameter set.
+    acceleration, so (f+g)(z) is always evaluated inside dom f.  (f+g)(z),
+    ||x'||^2 and ||x''||^2 are evaluated once, for E, H at a = 1-c, the
+    dissipation and the subgradient bound, which takes (s, p) from params.
     """
     x, v, acc = traj.xs, traj.vs, traj.accs
     z = prox_grad_map(obj, params.lam, x)
     fg_z = obj.f.eval(z) + obj.g.eval(z)
-    energy = _energy(params, fg_z, v, acc)
-    h_vals = h_value(obj, params, z, (1.0 - params.c) * params.gamma * v + x, v)
-    bounds = _bound(params.s, params.p, v, acc)
+    vv, aa = _sqnorm(v), _sqnorm(acc)
+    energy = _energy(params, fg_z, v, acc, vv)
+    h_vals = _h(params, fg_z, z, (1.0 - params.c) * params.gamma * v + x, vv)
     residual = _map_residual(x, z, params.lam)
-    dissipation = params.A * _sqnorm(v) + params.B * _sqnorm(acc)
+    dissipation = params.A * vv + params.B * aa
     return EnergyTrace(
         times=traj.times,
         energy=np.asarray(energy, dtype=float),
         fg_shifted=np.asarray(fg_z, dtype=float),
         h_value=np.asarray(h_vals, dtype=float),
-        w_bound=bounds,
+        w_bound=_bound(params.s, params.p, vv, aa),
         residual=residual,
         dissipation=dissipation,
     )

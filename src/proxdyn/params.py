@@ -32,6 +32,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .problems import _check_real
+
 __all__ = [
     "SystemParams",
     "lipschitz_l1",
@@ -132,10 +134,8 @@ def _check_inputs(gamma, lam, beta):
 
 
 def _check_lipschitz_inputs(gamma, lambda_beta):
-    if np.any(gamma <= 0):
-        raise ValueError("gamma must be positive")
-    if np.any(lambda_beta < 0):
-        raise ValueError("lambda_beta must be nonnegative")
+    _check_real(gamma, "gamma")
+    _check_real(lambda_beta, "lambda_beta", nonnegative=True)
 
 
 def _l1(gamma, lambda_beta):

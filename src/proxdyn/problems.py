@@ -222,8 +222,7 @@ def _make_lasso(M, y, mu):
     y = np.asarray(y, dtype=float)
     if y.shape != (M.shape[0],):
         raise ValueError("y has shape %s, expected (%d,)" % (y.shape, M.shape[0]))
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    _check_real(mu, "mu", nonnegative=True)
     n = M.shape[1]
     Mt = M.T
     gram = Mt @ M
@@ -257,8 +256,7 @@ def _make_box_quad(Q, b, lower, upper):
 
 def _make_cos_quad(dim, mu=0.0):
     dim = _as_int(dim, "dim", least=1)
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    _check_real(mu, "mu", nonnegative=True)
 
     def value(x):
         x = np.asarray(x)
@@ -353,6 +351,22 @@ def _as_int(value, what, least=None):
     return int(value)
 
 
+def _check_real(value, what, nonnegative=False):
+    """Reject a ``value`` that is not a finite real above 0 (at least 0 when ``nonnegative``).
+
+    ``value`` may be an array, of which the first bad entry is named.  nan
+    and inf are rejected, where a plain ``value <= 0`` would let nan through,
+    and so are a bool and a string.
+    """
+    kind = "a nonnegative finite real" if nonnegative else "a positive finite real"
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError("%s must be %s, got %r" % (what, kind, value))
+    ok = np.isfinite(array) & (array >= 0 if nonnegative else array > 0)
+    if not ok.all():
+        raise ValueError("%s must be %s, got %r" % (what, kind, float(array.flat[np.argmin(ok)])))
+
+
 def _check_keys(spec, valid, what):
     """Reject a dict holding any key outside ``valid``, naming the valid ones."""
     unknown = sorted(set(spec) - set(valid))
@@ -379,8 +393,7 @@ def prox_grad_residual(obj, lam, x):
     Vanishes exactly at critical points of f + g.  Batched over the leading
     axes of x.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_real(lam, "lambda")
     x = np.asarray(x, dtype=float)
     return _map_residual(x, prox_grad_map(obj, lam, x), lam)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -79,18 +79,11 @@ class RateReport:
     x_limit: Optional[np.ndarray] = None
 
     def to_dict(self):
-        return {
-            "regime": self.regime,
-            "theta": self.theta,
-            "a1": self.a1,
-            "a2": self.a2,
-            "a3": self.a3,
-            "a4": self.a4,
-            "fit_quality": dict(self.fit_quality),
-            "t0": self.t0,
-            "window_end": self.window_end,
-            "x_limit": None if self.x_limit is None else [float(x) for x in self.x_limit],
-        }
+        """The fields in declaration order, which is the JSON key order."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["fit_quality"] = dict(self.fit_quality)
+        out["x_limit"] = None if self.x_limit is None else [float(x) for x in self.x_limit]
+        return out
 
 
 def _speed(traj):
@@ -240,17 +233,13 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
         )
     scale = float(d.max(initial=0.0))
     window_end = 0.9 * float(times[-1])
+    report = RateReport(regime="undetermined", window_end=window_end, x_limit=x_limit)
 
     below = d <= _FINITE_TIME_FACTOR * scale
     settled = np.logical_and.accumulate(below[::-1])[::-1]
     settled_idx = np.nonzero(settled)[0]
     if settled_idx.size and settled_idx[0] < len(times) - 1:
-        return RateReport(
-            regime="finite_time",
-            t0=float(times[settled_idx[0]]),
-            window_end=window_end,
-            x_limit=x_limit,
-        )
+        return replace(report, regime="finite_time", t0=float(times[settled_idx[0]]))
 
     if t0 is None:
         if speed[0] > 0.0:
@@ -258,9 +247,9 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
             t0 = float(times[dropped[0]]) if dropped.size else float(times[0])
         else:
             t0 = float(times[0])
-    t0 = float(t0)
+    t0 = report.t0 = float(t0)
 
-    fit_quality = {}
+    fit_quality = report.fit_quality
     exp_fit = None
     try:
         a1, a2, r2e = fit_exponential(traj, x_limit, t0, t_max=window_end)
@@ -271,45 +260,18 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
         fit_quality["exponential"] = None
     poly_fit = None
     try:
-        a3, a4, theta, r2p = fit_polynomial(traj, x_limit, t0, t_max=window_end)
-        fit_quality["polynomial"] = r2p
-        poly_fit = (a3, a4, theta, r2p)
+        poly_fit = fit_polynomial(traj, x_limit, t0, t_max=window_end)
+        fit_quality["polynomial"] = poly_fit[3]
     except ValueError:
         fit_quality["polynomial"] = None
 
     best_exp = exp_fit[2] if exp_fit else -math.inf
     best_poly = poly_fit[3] if poly_fit else -math.inf
     if max(best_exp, best_poly) < _R2_ACCEPT:
-        return RateReport(
-            regime="undetermined",
-            fit_quality=fit_quality,
-            t0=t0,
-            window_end=window_end,
-            x_limit=x_limit,
-        )
+        return report
     if best_exp >= best_poly:
-        a1, a2, r2e = exp_fit
-        return RateReport(
-            regime="exponential",
-            theta=0.5,
-            a1=a1,
-            a2=a2,
-            fit_quality=fit_quality,
-            t0=t0,
-            window_end=window_end,
-            x_limit=x_limit,
-        )
-    a3, a4, theta, r2p = poly_fit
-    return RateReport(
-        regime="polynomial",
-        theta=theta,
-        a3=a3,
-        a4=a4,
-        fit_quality=fit_quality,
-        t0=t0,
-        window_end=window_end,
-        x_limit=x_limit,
-    )
+        return replace(report, regime="exponential", theta=0.5, a1=exp_fit[0], a2=exp_fit[1])
+    return replace(report, regime="polynomial", a3=poly_fit[0], a4=poly_fit[1], theta=poly_fit[2])
 
 
 @dataclass

@@ -150,6 +150,10 @@ def rk4_reference(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs)
 
 
 def savetxt_csv(path, header, table, int_columns=()):
-    """The file :func:`proxdyn.dynamics._write_csv` writes, written by ``np.savetxt``."""
+    """The file :func:`proxdyn.dynamics._write_csv` writes, written by ``np.savetxt``.
+
+    The columns numbered in ``int_columns``, which must hold nonnegative
+    integers, are written with ``%d``.
+    """
     fmt = ["%d" if i in int_columns else "%.17g" for i in range(table.shape[1])]
     np.savetxt(path, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,36 @@ def test_discrete_zero_tol_is_honoured(tmp_path, capsys):
     assert exact["final_residual"] == 0.0 or exact["iterations"] == 300
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--lambda", "nan"], "lambda must be a positive finite real, got nan"),
+    (["--lambda", "inf"], "lambda must be a positive finite real, got inf"),
+    (["--gamma", "nan"], "gamma must be a positive finite real, got nan"),
+    (["--tol", "inf"], "tol must be a nonnegative finite real, got inf"),
+    (["--problem", '{"name": "lasso", "M": [[1.0]], "y": [1.0], "mu": NaN}'],
+     "mu must be a nonnegative finite real, got nan"),
+])
+def test_discrete_rejects_non_finite_reals(tmp_path, capsys, flags, message):
+    argv = ["discrete", "--problem", json.dumps(LASSO), "--lambda", "0.5", "--gamma", "2",
+            "--x0", "0", "--out-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        rc = cli.main(argv + flags)  # argparse keeps the last of a repeated flag
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert not (tmp_path / "history.csv").exists()
+
+
+def test_discrete_problem_flag_is_relative_to_the_working_directory(tmp_path, capsys, monkeypatch):
+    # only a problem named inside the config file is relative to that file
+    _write_json(tmp_path / "p.json", LASSO)
+    (tmp_path / "cfgdir").mkdir()
+    cfg = _write_json(tmp_path / "cfgdir" / "d.json", {"lambda": 0.5, "gamma": 2.0, "x0": [0.0]})
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["discrete", "--config", cfg, "--problem", "p.json", "--out-dir", "o"])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "o" / "history.csv").is_file()
+
+
 # -- rates flags --------------------------------------------------------
 
 
@@ -367,6 +398,26 @@ def test_rates_auto_tokens(traj_csv, capsys):
                    "--t0", "auto"])
     assert rc == 0
     assert "regime" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("x_limit, tokens", [(0.5, ["0.5"]), ([0.5], ["0.5"]), ("auto", ["auto"])])
+def test_rates_config_takes_x_limit_in_every_form(traj_csv, tmp_path, capsys, x_limit, tokens):
+    cfg = _write_json(tmp_path / "rates.json", {"traj": traj_csv, "x_limit": x_limit})
+    capsys.readouterr()
+    assert cli.main(["rates", "--config", cfg, "--json"]) == 0
+    from_config = json.loads(capsys.readouterr().out)
+    assert cli.main(["rates", "--traj", traj_csv, "--x-limit", *tokens, "--json"]) == 0
+    assert from_config == json.loads(capsys.readouterr().out)
+    if x_limit != "auto":
+        assert from_config["x_limit"] == [0.5]
+
+
+def test_run_config_takes_a_number_as_x_limit(tmp_path):
+    for x_limit in (0.5, [0.5]):
+        cfg = _run_config(tmp_path, t_end=2.0, x_limit=x_limit)
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / str(x_limit))]) == 0
+    rates = [json.loads((tmp_path / name / "rates.json").read_text()) for name in ("0.5", "[0.5]")]
+    assert rates[0] == rates[1] and rates[0]["x_limit"] == [0.5]
 
 
 def test_rates_convergence_rejection(tmp_path, capsys):

@@ -173,6 +173,28 @@ def test_run_inertial_validation():
         run_inertial(obj, 0.1, 1.0, np.zeros(2), np.zeros(1), max_iter=10, tol=1e-8)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda obj: constant_gamma(math.nan), "gamma must be a positive finite real, got nan"),
+    (lambda obj: inverse_k_gamma(math.inf), "base must be a positive finite real, got inf"),
+    (lambda obj: inverse_k_gamma(1.0, floor=math.nan), "floor must be a positive finite real, got nan"),
+    (lambda obj: inertial_step_unit(obj, math.nan, 1.0, np.zeros(1), np.zeros(1)),
+     "lambda must be a positive finite real, got nan"),
+    (lambda obj: run_inertial(obj, math.inf, 1.0, np.zeros(1), np.zeros(1), 10, 1e-8),
+     "lambda must be a positive finite real, got inf"),
+    (lambda obj: run_inertial(obj, 0.1, 1.0, np.zeros(1), np.ones(1), 10, math.inf),
+     "tol must be a nonnegative finite real, got inf"),
+    (lambda obj: run_inertial(obj, 0.1, lambda k: math.nan, np.zeros(1), np.ones(1), 10, 1e-8),
+     "gamma_k must be a positive finite real, got nan"),
+    (lambda obj: run_inertial(obj, 0.1, 1.0, np.zeros(1), np.ones(1), 2.5, 1e-8),
+     "max_iter must be an integer, got 2.5"),
+])
+def test_discrete_rejects_non_finite_reals(call, message):
+    obj = make_problem("zero_quad", Q=[[1.0]], b=[0.0])
+    with pytest.raises(ValueError) as info:
+        call(obj)
+    assert str(info.value) == message
+
+
 def test_history_csv_round_trip(tmp_path):
     obj = make_problem("lasso", M=[[1.0]], y=[1.0], mu=0.5)
     hist = run_inertial(obj, 0.5, 2.0, np.zeros(1), np.array([0.1]), max_iter=20,

@@ -5,6 +5,7 @@ f = 0, gamma = 1, lam = 1/4 and the state x = 2, v = 0, the system
 acceleration is -1/2 and the energy is 1.5^2/2 + 2 * 0.25 = 1.625.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from proxdyn import (
     integrate,
     make_problem,
     monitor,
+    prox_grad_map,
     subgradient_witness,
     w_bound,
     write_energy_csv,
@@ -90,6 +92,30 @@ def test_monitor_energy_agrees_with_pointwise_routes():
     assert np.all(np.abs(trace.energy - batched) <= 1e-10 * scale)
     # the H column is the same quantity through the H code path
     assert np.all(np.abs(trace.energy - trace.h_value) <= 1e-10 * scale)
+
+
+def test_monitor_evaluates_f_and_g_once_each():
+    obj, params, traj = _short_run()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls.append(name)
+            return fn(x)
+
+        return wrapper
+
+    wrapped = dataclasses.replace(
+        obj,
+        f=dataclasses.replace(obj.f, eval=counted("f", obj.f.eval)),
+        g=dataclasses.replace(obj.g, eval=counted("g", obj.g.eval)),
+    )
+    trace = monitor(wrapped, params, traj)
+    assert sorted(calls) == ["f", "g"]
+    # the shared (f+g)(z) gives the H column h_value gives, bit for bit
+    z = prox_grad_map(obj, params.lam, traj.xs)
+    u = (1.0 - params.c) * params.gamma * traj.vs + traj.xs
+    assert trace.h_value.tobytes() == h_value(obj, params, z, u, traj.vs).tobytes()
 
 
 def test_w_bound_matches_s_p_at_canonical_weight():

@@ -47,6 +47,15 @@ def test_lipschitz_validation():
         lipschitz_l2(1.0, -0.1)
 
 
+def test_lipschitz_rejects_non_finite_inputs():
+    with pytest.raises(ValueError, match=r"^gamma must be a positive finite real, got nan$"):
+        lipschitz_l1(math.nan, 0.1)
+    with pytest.raises(ValueError, match=r"^gamma must be a positive finite real, got inf$"):
+        lipschitz_l2(math.inf, 0.1)
+    with pytest.raises(ValueError, match=r"^lambda_beta must be a nonnegative finite real, got nan$"):
+        lipschitz_l1([1.0, 2.0], [0.1, math.nan])
+
+
 def _exact_constants():
     """Rational-arithmetic evaluation of the worked example (1, 1/200, 3)."""
     gamma = Fraction(1)

@@ -7,6 +7,7 @@ rather than against reimplementations of the same formulas.
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -336,11 +337,16 @@ def test_make_problem_validation():
         make_problem("lasso", M=[[1.0]], y=[1.0], mu=-0.1)
     with pytest.raises(ValueError, match="positive"):
         make_problem("cos_quad", dim=0)
+    for name, spec in (("lasso", {"M": [[1.0]], "y": [1.0]}), ("cos_quad", {"dim": 1})):
+        for mu in (math.nan, math.inf, "0.5", True):
+            with pytest.raises(ValueError) as info:
+                make_problem(name, mu=mu, **spec)
+            assert str(info.value) == "mu must be a nonnegative finite real, got %r" % (mu,)
 
 
 def test_prox_grad_residual_rejects_bad_step():
     obj = make_problem("cos_quad", dim=1)
-    for lam in (0.0, -1.0):
+    for lam in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             prox_grad_residual(obj, lam, np.array([1.0]))
 
