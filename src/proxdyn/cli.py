@@ -24,6 +24,10 @@ argument of the subcommand and may hold no other key; for ``run`` it is the
 experiment config itself), ``--out-dir DIR``, ``--json``.  Exit codes: 0
 success (infeasible parameters only warn), 1 invalid input, 2 numerical
 abort.
+
+Each subcommand's inputs are declared once, in the ``_INPUTS`` table: key,
+reader, default.  Its flags, its valid config keys and the reading of every
+flag and config value are made from that table.
 """
 
 from __future__ import annotations
@@ -40,16 +44,11 @@ from . import discrete as discrete_mod
 from . import dynamics, lyapunov
 from . import params as params_mod
 from . import rates as rates_mod
-from .problems import _as_int, _check_keys, problem_from_json
+from .problems import _as_int, _check_keys, _check_real, problem_from_json
 
 __all__ = ["main"]
 
 _OUTPUT_KINDS = ("trajectory", "energy", "rates", "summary")
-# the keys a run config (or a sweep's run template) may hold
-_RUN_KEYS = (
-    "problem", "gamma", "lambda", "seed", "u0", "v0", "sample_every", "outputs",
-    "t_end", "h", "x_limit", "t0", "converged_tol",
-)
 
 
 def _json_safe(value):
@@ -98,38 +97,150 @@ def _dump_json(payload, path=None):
     return dropped
 
 
-def _load_json_object(path, what):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError("%s must be a JSON object: %s" % (what, path))
-    return payload
+# ---------------------------------------------------------------------------
+# inputs
+#
+# A reader is (read, flag).  read(value, key, base_dir) checks a value and
+# returns what the command uses; a relative path in a JSON file starts at
+# base_dir, and one in a flag at "", the working directory.  ``flag`` holds
+# the argparse keywords that turn the flag's tokens into the Python types
+# JSON gives, so a value meets the same check on every route.
 
 
-def _config_dict(args, keys):
-    """The --config file of a subcommand whose arguments are ``keys``, or {}."""
-    if args.config is None:
-        return {}
-    cfg = _load_json_object(args.config, "config")
-    _check_keys(cfg, keys, "%s config" % args.command)
-    return cfg
+def _real(kind):
+    def read(value, key, base_dir):
+        if np.ndim(value):
+            raise ValueError("%s must be a number, got %r" % (key, value))
+        return float(_check_real(value, key, kind))
+
+    return read, {"type": float}
 
 
-def _merged(args, cfg, attr, key=None, required=False, default=None):
-    """CLI flag wins, then the --config file, then ``default`` (never in place of a 0)."""
-    value = getattr(args, attr)
-    if value is None:
-        value = cfg.get(key or attr)
-    if value is None and required:
-        raise ValueError("missing required argument --%s" % (key or attr).replace("_", "-"))
-    return default if value is None else value
+def _integer(least=None):
+    return (lambda value, key, base_dir: _as_int(value, key, least)), {"type": int}
 
 
-def _resolve_problem(spec, base_dir):
-    """Load a problem given inline, or as a file name relative to base_dir."""
-    if isinstance(spec, str) and not spec.lstrip().startswith("{"):
-        spec = os.path.join(base_dir, spec)
-    return problem_from_json(spec)
+def _vector(value, key, base_dir):
+    return _check_real(value, "each entry of " + key, "finite")
+
+
+def _auto_or_float(token):
+    return token if token == "auto" else float(token)
+
+
+def _auto(reader):
+    """``reader``, or None for "auto" (as a flag, the token list ["auto"])."""
+    read, flag = reader
+    return (lambda value, key, base_dir: None if value in ("auto", ["auto"]) else read(value, key, base_dir),
+            dict(flag, type=_auto_or_float))
+
+
+def _path(value, key, base_dir):
+    if not isinstance(value, str):
+        raise ValueError("%s must be a file name, got %r" % (key, value))
+    return os.path.join(base_dir, value)
+
+
+def _problem(value, key, base_dir):
+    """A problem given inline (a JSON object or its text), or as a path."""
+    inline = not isinstance(value, str) or value.lstrip().startswith("{")
+    return problem_from_json(value if inline else _path(value, key, base_dir))
+
+
+def _outputs(value, key, base_dir):
+    unknown = set(value) - set(_OUTPUT_KINDS)
+    if unknown:
+        raise ValueError("unknown outputs %s; choose from %s" % (sorted(unknown), list(_OUTPUT_KINDS)))
+    return set(value)
+
+
+_POSITIVE, _NONNEGATIVE, _FINITE = _real("positive"), _real("nonnegative"), _real("finite")
+_VECTOR = _vector, {"type": float, "nargs": "+"}
+_FILE = _path, {"metavar": "FILE"}
+_REQUIRED = object()
+
+# The inputs of each command, one row each: (key, reader, default or
+# _REQUIRED, help).  The flag is "--" + key with "-" for "_"; a --config
+# file holds keys of its command's rows and no other.  run has no flags: its
+# config holds the run keys, and so does a sweep's run template.
+_GAMMA = ("gamma", _POSITIVE, _REQUIRED, "damping value")
+_LAMBDA = ("lambda", _POSITIVE, _REQUIRED, "proximal step")
+_BETA = ("beta", _NONNEGATIVE, _REQUIRED, "Lipschitz constant of grad g")
+_RATE_INPUTS = (
+    ("x_limit", _auto(_VECTOR), None, "'auto' or the limit coordinates"),
+    ("t0", _auto(_FINITE), None, "'auto' or the fit-window start time"),
+    ("converged_tol", _NONNEGATIVE, None, "reject trajectories whose final speed exceeds this"),
+)
+_INPUTS = {
+    "run": (
+        ("problem", (_problem, {}), _REQUIRED, None), _GAMMA, _LAMBDA,
+        ("seed", _integer(0), 0, None),
+        ("u0", _VECTOR, None, None),
+        ("v0", _VECTOR, None, None),
+        ("sample_every", _integer(1), None, None),
+        ("outputs", (_outputs, {}), _OUTPUT_KINDS, None),
+        ("t_end", _FINITE, _REQUIRED, None),
+        ("h", _FINITE, _REQUIRED, None),
+    ) + _RATE_INPUTS,
+    "check-params": (_GAMMA, _LAMBDA, _BETA),
+    "discrete": (
+        ("problem", (_problem, {}), _REQUIRED, "problem JSON file (or inline JSON object text)"),
+        _LAMBDA, _GAMMA,
+        ("x0", _VECTOR, _REQUIRED, None),
+        ("x1", _VECTOR, None, "second iterate (default: x0)"),
+        ("max_iter", _integer(), 10_000, None),
+        ("tol", _NONNEGATIVE, 1e-8, None),
+        # a name in the output directory, not a path from the config file
+        ("out", ((lambda value, key, base_dir: _path(value, key, "")), {}), "history.csv",
+         "history CSV name (default history.csv)"),
+    ),
+    "rates": (("traj", _FILE, _REQUIRED, "trajectory CSV written by run"),) + _RATE_INPUTS,
+    "sweep": (
+        _BETA,
+        ("gamma_min", _FINITE, 0.1, None),
+        ("gamma_max", _FINITE, 1.7, None),
+        ("gamma_count", _integer(), 25, None),
+        ("lambda_min", _FINITE, 1e-3, None),
+        ("lambda_max", _FINITE, 1.0, None),
+        ("lambda_count", _integer(), 25, None),
+        ("run_config", _FILE, None, "experiment template to run at every feasible point"),
+    ),
+}
+
+
+def _read_inputs(table, path, what, args=None, supplied=()):
+    """The inputs of ``table`` by key: each one's flag in ``args``, else its key in
+    the JSON file ``path``, else its default, through its reader.
+
+    A required input may be absent only when its key is in ``supplied``;
+    else the error names its flag, or its key when it has no flag.
+    """
+    given, base_dir = {}, ""
+    if path is not None:
+        with open(path) as fh:
+            given = json.load(fh)
+        if not isinstance(given, dict):
+            raise ValueError("%s must be a JSON object: %s" % (what, path))
+        _check_keys(given, [row[0] for row in table], what)
+        base_dir = os.path.dirname(os.path.abspath(path))
+    inputs = {}
+    for key, (read, _), default, _ in table:
+        value, where = getattr(args, key, None), ""
+        if value is None:
+            value, where = given.get(key), base_dir
+        if value is not None:
+            inputs[key] = read(value, key, where)
+        elif default is not _REQUIRED or key in supplied:
+            inputs[key] = None if default is _REQUIRED else default
+        elif hasattr(args, key):
+            raise ValueError("missing required argument --%s" % key.replace("_", "-"))
+        else:
+            raise ValueError("missing config key %r" % key)
+    return inputs
+
+
+def _command_inputs(args):
+    return _read_inputs(_INPUTS[args.command], args.config, "%s config" % args.command, args)
 
 
 def _out_path(out_dir, name):
@@ -156,43 +267,20 @@ def _feasibility_warnings(params):
     return [message]
 
 
-def _run_setup(cfg, obj):
-    """The parts of a run config that do not depend on gamma and lambda.
-
-    Returns (u0, v0, sample_every, outputs).
-    """
-    seed = _as_int(cfg.get("seed", 0), "seed", least=0)
-    if "u0" in cfg:
-        u0 = np.asarray(cfg["u0"], dtype=float)
-    else:
-        u0 = np.random.default_rng(seed).standard_normal(obj.dim)
-    if "v0" in cfg:
-        v0 = np.asarray(cfg["v0"], dtype=float)
-    else:
-        v0 = np.zeros(obj.dim)
-
-    sample_every = cfg.get("sample_every")  # checked by the integrator, which rejects 2.5 or true
-    outputs = cfg.get("outputs")
-    outputs = set(_OUTPUT_KINDS) if outputs is None else set(outputs)
-    unknown = outputs - set(_OUTPUT_KINDS)
-    if unknown:
-        raise ValueError("unknown outputs %s; choose from %s" % (sorted(unknown), list(_OUTPUT_KINDS)))
-    return u0, v0, sample_every, outputs
+def _initial_state(inputs, obj):
+    """u0, drawn from the seeded generator when not given, and v0, zero when not given."""
+    u0, v0 = inputs["u0"], inputs["v0"]
+    if u0 is None:
+        u0 = np.random.default_rng(inputs["seed"]).standard_normal(obj.dim)
+    return u0, np.zeros(obj.dim) if v0 is None else v0
 
 
-def _execute_run(cfg, base_dir, out_dir):
-    obj = _resolve_problem(cfg["problem"], base_dir)
-    params = params_mod.derive_params(float(cfg["gamma"]), float(cfg["lambda"]), obj.g.beta)
-    warning_list = _feasibility_warnings(params)
-    u0, v0, sample_every, outputs = _run_setup(cfg, obj)
-    traj = dynamics.integrate(
-        obj, params, u0, v0, float(cfg["t_end"]), float(cfg["h"]), sample_every=sample_every
-    )
-    return _finish_run(cfg, obj, params, traj, outputs, warning_list, out_dir)
+def _classify(traj, inputs):
+    return rates_mod.classify_rate(traj, **{row[0]: inputs[row[0]] for row in _RATE_INPUTS})
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing run warns once, not per numpy call
-def _finish_run(cfg, obj, params, traj, outputs, warning_list, out_dir):
+def _finish_run(inputs, obj, params, traj, warning_list, out_dir):
     """Monitor and classify an integrated run, then write its outputs into ``out_dir``."""
     trace = lyapunov.monitor(obj, params, traj)
     energy_tol = 1e-6 * (1.0 + abs(float(trace.energy[0])))
@@ -204,17 +292,13 @@ def _finish_run(cfg, obj, params, traj, outputs, warning_list, out_dir):
     if rises:
         warning_list.append("energy increased beyond tolerance %g at %d sample pairs" % (energy_tol, rises))
 
-    rate_kwargs = {"x_limit": _parse_x_limit(cfg.get("x_limit"))}
-    if "t0" in cfg:
-        rate_kwargs["t0"] = float(cfg["t0"])
-    if "converged_tol" in cfg:
-        rate_kwargs["converged_tol"] = float(cfg["converged_tol"])
     try:
-        rate_dict = rates_mod.classify_rate(traj, **rate_kwargs).to_dict()
+        rate_dict = _classify(traj, inputs).to_dict()
     except ValueError as exc:
         rate_dict = {"regime": "undetermined", "error": str(exc)}
         warning_list.append("rate classification failed: %s" % exc)
 
+    outputs = inputs["outputs"]
     written = []
     if "trajectory" in outputs:
         path = _out_path(out_dir, "trajectory.csv")
@@ -251,10 +335,14 @@ def _finish_run(cfg, obj, params, traj, outputs, warning_list, out_dir):
 def cmd_run(args):
     if args.config is None:
         raise ValueError("run requires --config FILE with the experiment description")
-    cfg = _load_json_object(args.config, "config")
-    _check_keys(cfg, _RUN_KEYS, "run config")
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    summary, written = _execute_run(cfg, base_dir, args.out_dir)
+    inputs = _command_inputs(args)
+    obj = inputs["problem"]
+    params = params_mod.derive_params(inputs["gamma"], inputs["lambda"], obj.g.beta)
+    warning_list = _feasibility_warnings(params)
+    u0, v0 = _initial_state(inputs, obj)
+    traj = dynamics.integrate(obj, params, u0, v0, inputs["t_end"], inputs["h"],
+                              sample_every=inputs["sample_every"])
+    summary, written = _finish_run(inputs, obj, params, traj, warning_list, args.out_dir)
     if args.json:
         _dump_json(summary)
     else:
@@ -282,10 +370,8 @@ def _text_number(value):
 
 
 def cmd_check_params(args):
-    cfg = _config_dict(args, ("gamma", "lambda", "beta"))
-    gamma = float(_merged(args, cfg, "gamma", required=True))
-    lam = float(_merged(args, cfg, "lam", key="lambda", required=True))
-    beta = float(_merged(args, cfg, "beta", required=True))
+    inputs = _command_inputs(args)
+    gamma, lam, beta = inputs["gamma"], inputs["lambda"], inputs["beta"]
     params = params_mod.derive_params(gamma, lam, beta)
     if not params.rho_feasible:
         print(
@@ -307,23 +393,12 @@ def cmd_check_params(args):
 
 
 def cmd_discrete(args):
-    cfg = _config_dict(args, ("problem", "lambda", "gamma", "x0", "x1", "max_iter", "tol", "out"))
-    spec = _merged(args, cfg, "problem", required=True)
-    # a problem file named in the config file is relative to that file, one
-    # named by --problem to the working directory
-    base_dir = os.getcwd() if args.problem is not None else os.path.dirname(os.path.abspath(args.config))
-    obj = _resolve_problem(spec, base_dir)
-    lam = float(_merged(args, cfg, "lam", key="lambda", required=True))
-    gamma = float(_merged(args, cfg, "gamma", required=True))
-    x0 = np.asarray(_merged(args, cfg, "x0", required=True), dtype=float)
-    x1_raw = _merged(args, cfg, "x1")
-    x1 = x0 if x1_raw is None else np.asarray(x1_raw, dtype=float)
-    max_iter = _merged(args, cfg, "max_iter", default=10_000)
-    tol = float(_merged(args, cfg, "tol", default=1e-8))
-    out_name = _merged(args, cfg, "out", default="history.csv")
-
-    history = discrete_mod.run_inertial(obj, lam, gamma, x0, x1, max_iter, tol)
-    path = _out_path(args.out_dir, out_name)
+    inputs = _command_inputs(args)
+    x0 = inputs["x0"]
+    x1 = x0 if inputs["x1"] is None else inputs["x1"]
+    history = discrete_mod.run_inertial(inputs["problem"], inputs["lambda"], inputs["gamma"], x0, x1,
+                                        inputs["max_iter"], inputs["tol"])
+    path = _out_path(args.out_dir, inputs["out"])
     discrete_mod.write_history_csv(history, path)
     if args.json:
         _dump_json(
@@ -349,26 +424,9 @@ def cmd_discrete(args):
 # rates
 
 
-def _parse_x_limit(value):
-    """The limit point given as "auto" (None), a number or a list of numbers.
-
-    The list may hold the tokens of ``--x-limit``, which are strings.
-    """
-    if value is None or value == "auto" or value == ["auto"]:
-        return None
-    return np.atleast_1d(np.asarray(value, dtype=float))
-
-
 def cmd_rates(args):
-    cfg = _config_dict(args, ("traj", "x_limit", "t0", "converged_tol"))
-    traj_path = _merged(args, cfg, "traj", required=True)
-    traj = dynamics.read_trajectory_csv(traj_path)
-    x_limit = _parse_x_limit(_merged(args, cfg, "x_limit"))
-    t0_raw = _merged(args, cfg, "t0")
-    t0 = None if t0_raw in (None, "auto") else float(t0_raw)
-    tol_raw = _merged(args, cfg, "converged_tol")
-    converged_tol = None if tol_raw is None else float(tol_raw)
-    report = rates_mod.classify_rate(traj, x_limit=x_limit, t0=t0, converged_tol=converged_tol)
+    inputs = _command_inputs(args)
+    report = _classify(dynamics.read_trajectory_csv(inputs["traj"]), inputs)
     if args.json:
         _dump_json(report.to_dict())
     else:
@@ -382,24 +440,13 @@ def cmd_rates(args):
 
 
 def cmd_sweep(args):
-    cfg = _config_dict(args, ("beta", "gamma_min", "gamma_max", "gamma_count", "lambda_min",
-                              "lambda_max", "lambda_count", "run_config"))
-    beta = float(_merged(args, cfg, "beta", required=True))
-    gammas = np.linspace(
-        float(_merged(args, cfg, "gamma_min", default=0.1)),
-        float(_merged(args, cfg, "gamma_max", default=1.7)),
-        _as_int(_merged(args, cfg, "gamma_count", default=25), "gamma_count"),
-    )
-    lam_lo = float(_merged(args, cfg, "lambda_min", default=1e-3))
-    lam_hi = float(_merged(args, cfg, "lambda_max", default=1.0))
-    lam_count = _as_int(_merged(args, cfg, "lambda_count", default=25), "lambda_count")
-    if args.log_lambda:
-        lambdas = np.geomspace(lam_lo, lam_hi, lam_count)
-    else:
-        lambdas = np.linspace(lam_lo, lam_hi, lam_count)
+    inputs = _command_inputs(args)
+    gammas = np.linspace(inputs["gamma_min"], inputs["gamma_max"], inputs["gamma_count"])
+    spacing = np.geomspace if args.log_lambda else np.linspace
+    lambdas = spacing(inputs["lambda_min"], inputs["lambda_max"], inputs["lambda_count"])
 
     grid_gamma, grid_lam = np.meshgrid(gammas, lambdas, indexing="ij")
-    params = params_mod.derive_params(grid_gamma.ravel(), grid_lam.ravel(), beta)
+    params = params_mod.derive_params(grid_gamma.ravel(), grid_lam.ravel(), inputs["beta"])
     report = params_mod.params_report(params)
     csv_path = _out_path(args.out_dir, "sweep.csv")
     table = np.column_stack(list(report.values()))  # the two flags become 1.0 and 0.0, written 1 and 0
@@ -409,13 +456,9 @@ def cmd_sweep(args):
     points = feasible.size
     n_feasible = int(np.count_nonzero(feasible))
     aborted = []
-    run_config = _merged(args, cfg, "run_config")
+    run_config = inputs["run_config"]
     if run_config is not None:
-        template = _load_json_object(run_config, "run config template")
-        _check_keys(template, _RUN_KEYS, "run config template")
-        base_dir = os.path.dirname(os.path.abspath(run_config))
-        aborted = _sweep_runs(template, base_dir, params.gamma[feasible], params.lam[feasible],
-                              args.out_dir or ".")
+        aborted = _sweep_runs(run_config, params.gamma[feasible], params.lam[feasible], args.out_dir or ".")
 
     if args.json:
         _dump_json(
@@ -435,19 +478,19 @@ def cmd_sweep(args):
     return 2 if aborted else 0
 
 
-def _sweep_runs(template, base_dir, gammas, lambdas, parent_out):
+def _sweep_runs(run_config, gammas, lambdas, parent_out):
     """Run the template at every (gamma, lambda) point as one ensemble; return the aborted runs.
 
     Each point's run directory gets what ``run`` writes for the template at
     that point's gamma and lambda, in grid order.
     """
-    obj = _resolve_problem(template["problem"], base_dir)
-    u0, v0, sample_every, outputs = _run_setup(template, obj)
+    inputs = _read_inputs(_INPUTS["run"], run_config, "run config template", supplied=("gamma", "lambda"))
+    obj = inputs["problem"]
+    u0, v0 = _initial_state(inputs, obj)
     derived = params_mod.derive_params(gammas, lambdas, obj.g.beta)
     params_seq = [derived.at(i) for i in range(len(gammas))]
     outcomes = dynamics.integrate_ensemble(
-        obj, params_seq, u0, v0, float(template["t_end"]), float(template["h"]),
-        sample_every=sample_every,
+        obj, params_seq, u0, v0, inputs["t_end"], inputs["h"], sample_every=inputs["sample_every"]
     )
     aborted = []
     for params, outcome in zip(params_seq, outcomes):
@@ -461,12 +504,21 @@ def _sweep_runs(template, base_dir, gammas, lambdas, parent_out):
             )
             continue
         out_dir = os.path.join(parent_out, "run_g%.6g_l%.6g" % (params.gamma, params.lam))
-        _finish_run(template, obj, params, outcome, outputs, warning_list, out_dir)
+        _finish_run(inputs, obj, params, outcome, warning_list, out_dir)
     return aborted
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+_COMMANDS = {
+    "run": (cmd_run, "integrate a flow experiment from a JSON config"),
+    "check-params": (cmd_check_params, "derive constants and feasibility verdicts"),
+    "discrete": (cmd_discrete, "run the inertial iteration at unit step"),
+    "rates": (cmd_rates, "classify the decay rate of a trajectory CSV"),
+    "sweep": (cmd_sweep, "feasibility grid, optionally a run per feasible point"),
+}
 
 
 def _build_parser():
@@ -481,47 +533,16 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[common], help="integrate a flow experiment from a JSON config")
-    p_run.set_defaults(func=cmd_run)
-
-    p_check = sub.add_parser("check-params", parents=[common], help="derive constants and feasibility verdicts")
-    p_check.add_argument("--gamma", type=float)
-    p_check.add_argument("--lambda", dest="lam", type=float)
-    p_check.add_argument("--beta", type=float)
-    p_check.set_defaults(func=cmd_check_params)
-
-    p_disc = sub.add_parser("discrete", parents=[common], help="run the inertial iteration at unit step")
-    p_disc.add_argument("--problem", help="problem JSON file (or inline JSON object text)")
-    p_disc.add_argument("--lambda", dest="lam", type=float)
-    p_disc.add_argument("--gamma", type=float, help="constant damping value")
-    p_disc.add_argument("--x0", type=float, nargs="+")
-    p_disc.add_argument("--x1", type=float, nargs="+", help="second iterate (default: x0)")
-    p_disc.add_argument("--max-iter", dest="max_iter", type=int)
-    p_disc.add_argument("--tol", type=float)
-    p_disc.add_argument("--out", help="history CSV name (default history.csv)")
-    p_disc.set_defaults(func=cmd_discrete)
-
-    p_rates = sub.add_parser("rates", parents=[common], help="classify the decay rate of a trajectory CSV")
-    p_rates.add_argument("--traj", help="trajectory CSV written by run")
-    p_rates.add_argument("--x-limit", dest="x_limit", nargs="+", help="'auto' or the limit coordinates")
-    p_rates.add_argument("--t0", help="'auto' or the fit-window start time")
-    p_rates.add_argument("--converged-tol", dest="converged_tol", type=float,
-                         help="reject trajectories whose final speed exceeds this")
-    p_rates.set_defaults(func=cmd_rates)
-
-    p_sweep = sub.add_parser("sweep", parents=[common], help="feasibility grid, optionally a run per feasible point")
-    p_sweep.add_argument("--beta", type=float)
-    p_sweep.add_argument("--gamma-min", dest="gamma_min", type=float)
-    p_sweep.add_argument("--gamma-max", dest="gamma_max", type=float)
-    p_sweep.add_argument("--gamma-count", dest="gamma_count", type=int)
-    p_sweep.add_argument("--lambda-min", dest="lambda_min", type=float)
-    p_sweep.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p_sweep.add_argument("--lambda-count", dest="lambda_count", type=int)
-    p_sweep.add_argument("--log-lambda", dest="log_lambda", action="store_true",
-                         help="space the lambda grid geometrically")
-    p_sweep.add_argument("--run-config", dest="run_config", metavar="FILE",
-                         help="experiment template to run at every feasible point")
-    p_sweep.set_defaults(func=cmd_sweep)
+    for command, (func, help_text) in _COMMANDS.items():
+        p_command = sub.add_parser(command, parents=[common], help=help_text)
+        p_command.set_defaults(func=func)
+        if command == "run":
+            continue  # run's inputs are its experiment config, not flags
+        for key, (_, flag), _, flag_help in _INPUTS[command]:
+            p_command.add_argument("--" + key.replace("_", "-"), dest=key, help=flag_help, **flag)
+        if command == "sweep":
+            p_command.add_argument("--log-lambda", dest="log_lambda", action="store_true",
+                                   help="space the lambda grid geometrically")
     return parser
 
 
@@ -536,11 +557,8 @@ def main(argv=None):
     except (dynamics.IntegrationAborted, discrete_mod.DivergenceError) as exc:
         print("numerical abort: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        if isinstance(exc, KeyError):
-            print("error: missing config key %s" % exc, file=sys.stderr)
-        else:
-            print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, TypeError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 1
 
 

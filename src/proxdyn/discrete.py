@@ -107,11 +107,11 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     max_iter = _as_int(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    _check_real(tol, "tol", nonnegative=True)
+    _check_real(tol, "tol", "nonnegative")
     if not callable(gamma_schedule):
         gamma_schedule = constant_gamma(float(gamma_schedule))
-    x_prev = np.asarray(x0, dtype=float).copy()
-    x_cur = np.asarray(x1, dtype=float).copy()
+    x_prev = np.array(_check_real(x0, "each entry of x0", "finite"))
+    x_cur = np.array(_check_real(x1, "each entry of x1", "finite"))
     if x_prev.shape != (obj.dim,) or x_cur.shape != (obj.dim,):
         raise ValueError("x0 and x1 must have shape (%d,)" % obj.dim)
     xs = [x_prev, x_cur]

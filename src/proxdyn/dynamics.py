@@ -66,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .params import SystemParams
-from .problems import _as_int, prox_grad_map
+from .problems import _as_int, _check_real, prox_grad_map
 
 __all__ = [
     "Trajectory",
@@ -119,17 +119,14 @@ def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
     Returns (u, v, n_steps, sample_every, n_samples).  The step guard is
     checked for every parameter set, and the first that fails raises.
     """
-    u = np.array(u0, dtype=float)
-    v = np.array(v0, dtype=float)
+    u = np.array(_check_real(u0, "each entry of u0", "finite"))
+    v = np.array(_check_real(v0, "each entry of v0", "finite"))
     if u.shape != (obj.dim,) or v.shape != (obj.dim,):
         raise ValueError(
             "u0 and v0 must have shape (%d,), got %s and %s" % (obj.dim, u.shape, v.shape)
         )
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ValueError("initial state must be finite")
-    for name, value in (("h", h), ("t_end", t_end)):
-        if not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, float(value)))
+    _check_real(h, "h", "finite")
+    _check_real(t_end, "t_end", "finite")
     if h <= 0:
         raise ValueError("h must be positive, got %r" % float(h))
     for params in params_seq:

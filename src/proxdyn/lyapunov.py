@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import _map_residual, prox_grad_map
+from .problems import _check_real, _map_residual, prox_grad_map
 
 __all__ = [
     "EnergyTrace",
@@ -115,8 +115,7 @@ def w_bound(params, v, acc, a):
     At a = 1 - c the coefficients are exactly (s, p) from the parameter set,
     which is how :func:`monitor` takes them.
     """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
+    _check_real(a, "a", "nonnegative")
     coef_acc = params.beta + 1.0 / params.lam
     coef_v = (
         params.beta * params.lam * params.gamma
@@ -139,8 +138,7 @@ def subgradient_witness(obj, params, traj, a):
     of H at (z, a*gamma*v + x, v); its product-space norm must stay below
     :func:`w_bound` with the same a.
     """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
+    _check_real(a, "a", "nonnegative")
     lam = params.lam
     gamma = params.gamma
     x, v, acc = traj.xs, traj.vs, traj.accs

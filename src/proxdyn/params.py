@@ -135,7 +135,7 @@ def _check_inputs(gamma, lam, beta):
 
 def _check_lipschitz_inputs(gamma, lambda_beta):
     _check_real(gamma, "gamma")
-    _check_real(lambda_beta, "lambda_beta", nonnegative=True)
+    _check_real(lambda_beta, "lambda_beta", "nonnegative")
 
 
 def _l1(gamma, lambda_beta):

@@ -181,7 +181,7 @@ def _box_prox_fn(lower, upper, dim):
 
 
 def _quadratic_smooth(Q, b):
-    Q = np.asarray(Q, dtype=float)
+    Q = _check_real(Q, "each entry of Q", "finite")
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be a square matrix")
     n = Q.shape[0]
@@ -189,7 +189,7 @@ def _quadratic_smooth(Q, b):
         raise ValueError("Q must be symmetric")
     if b is None:
         b = np.zeros(n)
-    b = np.asarray(b, dtype=float)
+    b = _check_real(b, "each entry of b", "finite")
     if b.shape != (n,):
         raise ValueError("b has shape %s, expected (%d,)" % (b.shape, n))
     eigenvalues = np.linalg.eigvalsh(Q)
@@ -216,13 +216,13 @@ def _make_zero_quad(Q, b=None):
 
 
 def _make_lasso(M, y, mu):
-    M = np.asarray(M, dtype=float)
+    M = _check_real(M, "each entry of M", "finite")
     if M.ndim != 2:
         raise ValueError("M must be a matrix")
-    y = np.asarray(y, dtype=float)
+    y = _check_real(y, "each entry of y", "finite")
     if y.shape != (M.shape[0],):
         raise ValueError("y has shape %s, expected (%d,)" % (y.shape, M.shape[0]))
-    _check_real(mu, "mu", nonnegative=True)
+    _check_real(mu, "mu", "nonnegative")
     n = M.shape[1]
     Mt = M.T
     gram = Mt @ M
@@ -247,8 +247,8 @@ def _make_lasso(M, y, mu):
 def _make_box_quad(Q, b, lower, upper):
     g = _quadratic_smooth(Q, b)
     n = g.dim
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).copy()
+    lower = np.broadcast_to(_check_real(lower, "each entry of lower", "extended"), (n,)).copy()
+    upper = np.broadcast_to(_check_real(upper, "each entry of upper", "extended"), (n,)).copy()
     if np.any(lower > upper):
         raise ValueError("box is empty: lower > upper somewhere")
     return Objective(f=_box_prox_fn(lower, upper, n), g=g, dim=n, name="box_quad")
@@ -256,7 +256,7 @@ def _make_box_quad(Q, b, lower, upper):
 
 def _make_cos_quad(dim, mu=0.0):
     dim = _as_int(dim, "dim", least=1)
-    _check_real(mu, "mu", nonnegative=True)
+    _check_real(mu, "mu", "nonnegative")
 
     def value(x):
         x = np.asarray(x)
@@ -351,20 +351,40 @@ def _as_int(value, what, least=None):
     return int(value)
 
 
-def _check_real(value, what, nonnegative=False):
-    """Reject a ``value`` that is not a finite real above 0 (at least 0 when ``nonnegative``).
+_REAL_KINDS = {"positive": "a positive finite real", "nonnegative": "a nonnegative finite real",
+               "finite": "a finite real", "extended": "a real or an infinity"}
 
-    ``value`` may be an array, of which the first bad entry is named.  nan
-    and inf are rejected, where a plain ``value <= 0`` would let nan through,
-    and so are a bool and a string.
+
+def _check_real(value, what, kind="positive"):
+    """``value`` as a float array whose entries are reals of ``kind``, else ValueError.
+
+    ``kind`` is "positive" or "nonnegative" (and finite), "finite", or
+    "extended" (±inf too).  A bool, a string or nan anywhere is rejected,
+    naming the first bad entry.  ``np.asarray`` makes a bool among the
+    numbers of a list 0 or 1, so only entries equal to 0 or 1 have their
+    type looked at: a dense matrix costs two comparisons, and a 0/1 one a
+    scan of its entries' types at C speed.
     """
-    kind = "a nonnegative finite real" if nonnegative else "a positive finite real"
     array = np.asarray(value)
+    entries = ()
     if array.dtype.kind not in "iuf":
-        raise ValueError("%s must be %s, got %r" % (what, kind, value))
-    ok = np.isfinite(array) & (array >= 0 if nonnegative else array > 0)
-    if not ok.all():
-        raise ValueError("%s must be %s, got %r" % (what, kind, float(array.flat[np.argmin(ok)])))
+        entries = np.asarray(value, dtype=object).ravel()
+    elif isinstance(value, (list, tuple)):
+        suspects = (array == 0) | (array == 1)
+        if suspects.any():
+            entries = np.asarray(value, dtype=object)[suspects]
+    types = set(map(type, entries))  # a few types, whatever the number of entries
+    if types and not all(issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_)) for t in types):
+        entry = next(e for e in entries if isinstance(e, (bool, np.bool_)) or not isinstance(e, numbers.Real))
+        raise ValueError("%s must be %s, got %r" % (what, _REAL_KINDS[kind], entry))
+    array = array.astype(float, copy=False)
+    ok = ~np.isnan(array) if kind == "extended" else np.isfinite(array)
+    if kind in ("positive", "nonnegative"):
+        ok &= array > 0 if kind == "positive" else array >= 0
+    if not ok.all():  # a number of kind "finite" fails only by not being finite, and is told so
+        raise ValueError("%s must be %s, got %r" % (
+            what, "finite" if kind == "finite" else _REAL_KINDS[kind], float(array.flat[np.argmin(ok)])))
+    return array
 
 
 def _check_keys(spec, valid, what):

@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from .problems import _check_real
+
 __all__ = [
     "SigmaTrace",
     "RateReport",
@@ -193,7 +195,8 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
     converged_tol : float, optional
         When given, the final speed must be at or below this absolute
         value, else NotConvergedError is raised.  When omitted no
-        convergence check is made.
+        convergence check is made.  nan is rejected with ValueError, since
+        no speed compares above it.
 
     Raises ValueError when the limit point is not finite, or when a sample,
     its speed ||x'|| + ||x''|| or its distance to the limit is not finite:
@@ -211,9 +214,11 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
     times = traj.times
     if len(times) < 2:
         raise ValueError("need at least 2 samples")
+    if converged_tol is not None:
+        _check_real(converged_tol, "converged_tol", "nonnegative")
     if x_limit is None:
         x_limit = traj.xs[-1].copy()
-    x_limit = np.asarray(x_limit, dtype=float)
+    x_limit = np.atleast_1d(np.asarray(x_limit, dtype=float))
     if not np.all(np.isfinite(x_limit)):
         raise ValueError("the limit point is not finite, so no rate can be classified")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -293,8 +298,7 @@ def sigma_ode_check(sigma_trace, theta, alpha):
     """Check the decay ODE for sigma at every interior sample with sigma > 0."""
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_real(alpha, "alpha")
     t = np.asarray(sigma_trace.times, dtype=float)
     s = np.asarray(sigma_trace.sigma, dtype=float)
     if len(t) < 3:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -245,6 +246,85 @@ def test_integer_keys_take_an_integral_float(tmp_path, capsys, key):
     assert "error" not in capsys.readouterr().err
 
 
+# the real keys of each config route, each with what its error says a value must be
+_REAL_KINDS = {"positive": "a positive finite real", "nonnegative": "a nonnegative finite real",
+               "finite": "a finite real"}
+_RUN_REAL_KEYS = {"gamma": "positive", "lambda": "positive", "t_end": "finite", "h": "finite",
+                  "u0": "vector", "v0": "vector", "x_limit": "vector", "t0": "finite",
+                  "converged_tol": "nonnegative"}
+_REAL_KEYS = {
+    "check-params": {"gamma": "positive", "lambda": "positive", "beta": "nonnegative"},
+    "discrete": {"lambda": "positive", "gamma": "positive", "tol": "nonnegative", "x0": "vector",
+                 "x1": "vector"},
+    "rates": {"x_limit": "vector", "t0": "finite", "converged_tol": "nonnegative"},
+    "sweep": {"beta": "nonnegative", "gamma_min": "finite", "gamma_max": "finite",
+              "lambda_min": "finite", "lambda_max": "finite"},
+    "run": _RUN_REAL_KEYS,
+    "sweep template": _RUN_REAL_KEYS,
+}
+
+
+def _real_key_argv(tmp_path, route, key, value):
+    """A command whose ``route`` config sets ``key`` to ``value`` and is valid otherwise."""
+    out = ["--out-dir", str(tmp_path / "o")]
+    run_cfg = {"problem": ZERO_QUAD, "gamma": 1.0, "lambda": 0.01, "u0": [1.0], "v0": [0.0],
+               "t_end": 0.1, "h": 0.01, key: value}
+    if route == "run":
+        return ["run", "--config", _write_json(tmp_path / "config.json", run_cfg)] + out
+    if route == "sweep template":
+        template = _write_json(tmp_path / "template.json", run_cfg)
+        return ["sweep", "--beta", "0", "--gamma-count", "1", "--lambda-count", "1",
+                "--run-config", template] + out
+    cfg = {
+        "check-params": {"gamma": 1.0, "lambda": 0.02, "beta": 1.0},
+        "discrete": {"problem": LASSO, "lambda": 0.5, "gamma": 2.0, "x0": [0.0]},
+        "rates": {"traj": "trajectory.csv"},
+        "sweep": {"beta": 1.0, "gamma_count": 2, "lambda_count": 2},
+    }[route]
+    return [route, "--config", _write_json(tmp_path / "config.json", dict(cfg, **{key: value}))] + out
+
+
+@pytest.mark.parametrize("route, key", [(route, key) for route, keys in _REAL_KEYS.items() for key in keys])
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_real_keys_are_not_coerced(tmp_path, capsys, route, key, value):
+    kind = _REAL_KEYS[route][key]
+    if kind == "vector":  # a list holding the value, as in "u0": ["1.5"]
+        argv = _real_key_argv(tmp_path, route, key, [value])
+        message = "each entry of %s must be a finite real, got %r" % (key, value)
+    else:
+        argv = _real_key_argv(tmp_path, route, key, value)
+        message = "%s must be %s, got %r" % (key, _REAL_KINDS[kind], value)
+    rc = cli.main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("route", list(_REAL_KEYS))
+def test_real_key_configs_run_with_a_valid_value(tmp_path, capsys, route):
+    key, value = {"check-params": ("beta", 1), "discrete": ("x1", [0.0]), "rates": ("t0", "auto"),
+                  "sweep": ("gamma_min", 1), "run": ("x_limit", 0.0), "sweep template": ("t0", 0.05)}[route]
+    if route == "rates":  # the config's traj, relative to the config file
+        assert cli.main(["run", "--config", _run_config(tmp_path, t_end=2.0), "--out-dir", str(tmp_path)]) == 0
+    assert cli.main(_real_key_argv(tmp_path, route, key, value)) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["flag", "rates config", "run config"])
+def test_a_nan_converged_tol_is_rejected(tmp_path, capsys, route):
+    cfg = _run_config(tmp_path, t_end=2.0)
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    traj = str(tmp_path / "trajectory.csv")
+    argv = {
+        "flag": ["rates", "--traj", traj, "--converged-tol", "nan"],
+        "rates config": ["rates", "--config", _write_json(tmp_path / "r.json", {"traj": traj,
+                                                                               "converged_tol": math.nan})],
+        "run config": ["run", "--config", _run_config(tmp_path, t_end=2.0, converged_tol=math.nan),
+                       "--out-dir", str(tmp_path / "o")],
+    }[route]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: converged_tol must be a nonnegative finite real, got nan\n")
+
+
 def test_run_infeasible_parameters_warn_but_succeed(tmp_path, capsys):
     cfg = _run_config(tmp_path, gamma=2.0, **{"lambda": 0.5}, t_end=2.0, h=0.01,
                       u0=[1.0])
@@ -368,6 +448,35 @@ def test_discrete_problem_flag_is_relative_to_the_working_directory(tmp_path, ca
     assert (tmp_path / "o" / "history.csv").is_file()
 
 
+def test_paths_in_a_config_file_are_relative_to_it(tmp_path, capsys, monkeypatch):
+    # sweep's run_config and rates' traj, named inside a config file in another directory
+    (tmp_path / "sub").mkdir()
+    _write_json(tmp_path / "sub" / "tmpl.json", {"problem": ZERO_QUAD, "u0": [1.0], "v0": [0.0],
+                                                 "t_end": 2.0, "h": 0.01})
+    sweep_cfg = _write_json(tmp_path / "sub" / "sw.json", {"beta": 0, "gamma_count": 1, "lambda_count": 1,
+                                                           "gamma_min": 1.0, "lambda_min": 0.01,
+                                                           "run_config": "tmpl.json"})
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", "--config", sweep_cfg, "--out-dir", "sub"]) == 0, capsys.readouterr().err
+    (tmp_path / "sub" / "run_g1_l0.01" / "trajectory.csv").rename(tmp_path / "sub" / "trajectory.csv")
+    rates_cfg = _write_json(tmp_path / "sub" / "r.json", {"traj": "trajectory.csv"})
+    capsys.readouterr()
+    assert cli.main(["rates", "--config", rates_cfg, "--json"]) == 0, capsys.readouterr().err
+    assert "regime" in json.loads(capsys.readouterr().out)
+    # on the command line the same names are relative to the working directory
+    assert cli.main(["rates", "--config", rates_cfg, "--traj", "sub/trajectory.csv"]) == 0
+    assert cli.main(["rates", "--config", rates_cfg, "--traj", "trajectory.csv"]) == 1
+    assert cli.main(["sweep", "--config", sweep_cfg, "--run-config", "tmpl.json", "--out-dir", "o"]) == 1
+    assert "No such file or directory: 'tmpl.json'" in capsys.readouterr().err
+
+
+def test_invalid_problem_data_exits_one_not_two(tmp_path, capsys):
+    problem = {"name": "zero_quad", "Q": [[1.0]], "b": [math.nan]}
+    rc = cli.main(["run", "--config", _run_config(tmp_path, problem=problem), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: each entry of b must be finite, got nan\n"
+
+
 # -- rates flags --------------------------------------------------------
 
 
@@ -410,6 +519,13 @@ def test_rates_config_takes_x_limit_in_every_form(traj_csv, tmp_path, capsys, x_
     assert from_config == json.loads(capsys.readouterr().out)
     if x_limit != "auto":
         assert from_config["x_limit"] == [0.5]
+
+
+def test_run_config_takes_auto_as_t0(tmp_path):
+    for name, extra in (("auto", {"t0": "auto"}), ("omitted", {})):
+        cfg = _run_config(tmp_path, t_end=2.0, **extra)
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / name)]) == 0
+    assert (tmp_path / "auto" / "rates.json").read_bytes() == (tmp_path / "omitted" / "rates.json").read_bytes()
 
 
 def test_run_config_takes_a_number_as_x_limit(tmp_path):
@@ -604,6 +720,32 @@ def test_sweep_zero_lambda_min_is_rejected(tmp_path, capsys):
 
 
 # -- parser edges -------------------------------------------------------
+
+
+# the flags of each subcommand, beside --config, --out-dir, --json and --help
+FLAGS = {
+    "run": [],
+    "check-params": ["--gamma", "--lambda", "--beta"],
+    "discrete": ["--problem", "--lambda", "--gamma", "--x0", "--x1", "--max-iter", "--tol", "--out"],
+    "rates": ["--traj", "--x-limit", "--t0", "--converged-tol"],
+    "sweep": ["--beta", "--gamma-min", "--gamma-max", "--gamma-count", "--lambda-min", "--lambda-max",
+              "--lambda-count", "--log-lambda", "--run-config"],
+}
+
+
+def test_each_subcommand_keeps_its_flags():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(FLAGS)
+    for command, flags in FLAGS.items():
+        actions = sub.choices[command]._actions
+        assert {s for a in actions for s in a.option_strings} == {
+            "-h", "--help", "--config", "--out-dir", "--json", *flags}
+        nargs = {a.option_strings[0]: a.nargs for a in actions if a.nargs == "+"}
+        assert nargs == {flag: "+" for flag in flags if flag in ("--x0", "--x1", "--x-limit")}
+        # a --config key is its flag's name with "_" for "-", and --log-lambda is a flag only
+        keys = [row[0] for row in cli._INPUTS[command]] if command != "run" else []
+        assert ["--" + key.replace("_", "-") for key in keys] == [f for f in flags if f != "--log-lambda"]
 
 
 def test_help_exits_zero(capsys):

@@ -6,6 +6,7 @@ exp(-t/2).  That gives an oracle that shares no code with the integrator.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,19 @@ def test_integrate_input_validation():
         integrate(obj, params, [1.0], [0.0], t_end=0.001, h=0.01)
     with pytest.raises(ValueError, match="sample_every"):
         integrate(obj, params, [1.0], [0.0], t_end=1.0, h=0.01, sample_every=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"t_end": True}, "t_end must be a finite real, got True"),
+    ({"h": "0.01"}, "h must be a finite real, got '0.01'"),
+    ({"u0": [True]}, "each entry of u0 must be a finite real, got True"),
+    ({"v0": [math.nan]}, "each entry of v0 must be finite, got nan"),
+])
+def test_integrate_rejects_a_bool_string_or_nan_input(kwargs, message):
+    obj, params = _critically_damped()
+    run = dict({"u0": [1.0], "v0": [0.0], "t_end": 1.0, "h": 0.01}, **kwargs)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        integrate(obj, params, **run)
 
 
 @pytest.mark.parametrize("t_end, h", [(math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (1.0, math.inf)])

@@ -160,6 +160,14 @@ def test_weight_must_be_nonnegative():
         subgradient_witness(obj, params, traj, -0.1)
 
 
+def test_a_nan_weight_is_rejected():
+    obj, params, traj = _short_run()
+    with pytest.raises(ValueError, match="^a must be a nonnegative finite real, got nan$"):
+        w_bound(params, traj.vs, traj.accs, math.nan)
+    with pytest.raises(ValueError, match="^a must be a nonnegative finite real, got nan$"):
+        subgradient_witness(obj, params, traj, math.nan)
+
+
 def _flat_trace(times, energy, dissipation):
     n = len(times)
     zeros = np.zeros(n)

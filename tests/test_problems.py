@@ -344,6 +344,41 @@ def test_make_problem_validation():
             assert str(info.value) == "mu must be a nonnegative finite real, got %r" % (mu,)
 
 
+# dim-2 specs whose arrays hold numbers only
+_ARRAY_SPECS = {
+    "Q": ("zero_quad", {"Q": [[2.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0]}),
+    "b": ("zero_quad", {"Q": [[2.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0]}),
+    "M": ("lasso", {"M": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 1.0], "mu": 0.5}),
+    "y": ("lasso", {"M": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 1.0], "mu": 0.5}),
+    "lower": ("box_quad", {"Q": [[2.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0], "lower": [-1.0, -1.0],
+                           "upper": [1.0, 1.0]}),
+    "upper": ("box_quad", {"Q": [[2.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0], "lower": [-1.0, -1.0],
+                           "upper": [1.0, 1.0]}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_ARRAY_SPECS))
+@pytest.mark.parametrize("bad", [True, False, "1", math.nan])
+def test_problem_arrays_reject_bool_string_and_nan(key, bad):
+    name, spec = _ARRAY_SPECS[key]
+    spec = json.loads(json.dumps(spec))
+    row = spec[key][-1] if isinstance(spec[key][-1], list) else spec[key]
+    row[-1] = bad  # among numbers, where np.asarray would make a bool 1.0 or 0.0
+    kind = "a real or an infinity" if key in ("lower", "upper") else "a finite real"
+    if isinstance(bad, float) and key not in ("lower", "upper"):
+        kind = "finite"
+    with pytest.raises(ValueError) as info:
+        problem_from_json(dict(spec, name=name))
+    assert str(info.value) == "each entry of %s must be %s, got %r" % (key, kind, bad)
+
+
+def test_box_bounds_may_be_infinite():
+    obj = problem_from_json('{"name": "box_quad", "Q": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], '
+                            '"lower": [-Infinity, 0.0], "upper": [2.0, Infinity]}')
+    assert np.array_equal(obj.f.prox(1.0, np.array([-5.0, 5.0])), [-5.0, 5.0])
+    assert np.array_equal(obj.f.prox(1.0, np.array([5.0, -5.0])), [2.0, 0.0])
+
+
 def test_prox_grad_residual_rejects_bad_step():
     obj = make_problem("cos_quad", dim=1)
     for lam in (0.0, -1.0, math.nan, math.inf):

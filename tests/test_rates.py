@@ -221,6 +221,15 @@ def test_classify_convergence_gate():
     assert report.regime in {"exponential", "polynomial", "undetermined"}
 
 
+def test_classify_rejects_a_nan_convergence_tolerance():
+    # no speed compares above nan, so a nan tolerance would pass any trajectory
+    t = np.arange(0.0, 10.0, 0.01)
+    d = np.exp(-0.1 * t)
+    traj = _traj(t, d, -0.1 * d, 0.01 * d)
+    with pytest.raises(ValueError, match=r"^converged_tol must be a nonnegative finite real, got nan$"):
+        classify_rate(traj, x_limit=[0.0], converged_tol=math.nan)
+
+
 @pytest.mark.parametrize("xs, vs, x_limit", [
     ([1.0, math.inf, 0.0], [0.0, 0.0, 0.0], [0.0]),  # a non-finite sample
     ([1.0, 0.5, 0.0], [math.nan, 0.0, 0.0], [0.0]),
@@ -281,6 +290,12 @@ def test_sigma_ode_validation():
     short = SigmaTrace(times=t[:2], sigma=np.ones(2))
     with pytest.raises(ValueError, match="at least 3"):
         sigma_ode_check(short, theta=0.5, alpha=1.0)
+
+
+def test_sigma_ode_rejects_a_nan_alpha():
+    trace = SigmaTrace(times=np.linspace(0.0, 1.0, 10), sigma=np.exp(-np.linspace(0.0, 1.0, 10)))
+    with pytest.raises(ValueError, match="^alpha must be a positive finite real, got nan$"):
+        sigma_ode_check(trace, theta=0.5, alpha=math.nan)
 
 
 # -- sigma dominance ----------------------------------------------------
