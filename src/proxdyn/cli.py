@@ -199,10 +199,10 @@ _INPUTS = {
         _BETA,
         ("gamma_min", _FINITE, 0.1, None),
         ("gamma_max", _FINITE, 1.7, None),
-        ("gamma_count", _integer(), 25, None),
+        ("gamma_count", _integer(1), 25, None),
         ("lambda_min", _FINITE, 1e-3, None),
         ("lambda_max", _FINITE, 1.0, None),
-        ("lambda_count", _integer(), 25, None),
+        ("lambda_count", _integer(1), 25, None),
         ("run_config", _FILE, None, "experiment template to run at every feasible point"),
     ),
 }

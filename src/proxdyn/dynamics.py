@@ -66,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .params import SystemParams
-from .problems import _as_int, _check_real, prox_grad_map
+from .problems import _as_int, _check_real, _rowwise_sqnorm, prox_grad_map
 
 __all__ = [
     "Trajectory",
@@ -351,16 +351,14 @@ def third_derivative_check(traj, params):
         raise ValueError("need at least 3 samples for a central difference")
     dt = traj.times[1] - traj.times[0]
     x3 = (traj.accs[2:] - traj.accs[:-2]) / (2.0 * dt)
-    v_mid = traj.vs[1:-1]
-    a_mid = traj.accs[1:-1]
-    lhs = np.sum(x3 * x3, axis=-1)
-    v_sq = np.sum(v_mid * v_mid, axis=-1)
-    a_sq = np.sum(a_mid * a_mid, axis=-1)
+    lhs = _rowwise_sqnorm(x3)
+    v_sq = _rowwise_sqnorm(traj.vs[1:-1])
+    a_sq = _rowwise_sqnorm(traj.accs[1:-1])
     l1_sq = params.L1 * params.L1
     l2_sq = params.L2 * params.L2
     rhs_l1 = l1_sq * v_sq + (l1_sq - 1.0) * a_sq
     rhs_l2 = l2_sq * v_sq + (l2_sq - 1.0) * a_sq
-    acc_norms = np.linalg.norm(traj.accs, axis=-1)
+    acc_norms = np.sqrt(_rowwise_sqnorm(traj.accs))
     tol = 10.0 * dt * dt * float(acc_norms.max(initial=0.0))
     return ThirdDerivativeReport(
         times=traj.times[1:-1],

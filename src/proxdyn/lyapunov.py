@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import _check_real, _map_residual, prox_grad_map
+from .problems import _check_real, _map_residual, _rowwise_sqnorm, prox_grad_map
 
 __all__ = [
     "EnergyTrace",
@@ -56,17 +56,12 @@ class EnergyTrace:
     dissipation: np.ndarray
 
 
-def _sqnorm(x):
-    x = np.asarray(x, dtype=float)
-    return np.sum(x * x, axis=-1)
-
-
 def _energy(params, fg, v, acc, vv):
     """E from (f+g)(acc + gamma*v + x), x', x'' and ||x'||^2; see the module docstring."""
     inv2lam = 1.0 / (2.0 * params.lam)
     return (
         fg
-        + inv2lam * _sqnorm(acc + (params.c * params.gamma) * v)
+        + inv2lam * _rowwise_sqnorm(acc + (params.c * params.gamma) * v)
         - (params.C * inv2lam) * vv
     )
 
@@ -81,17 +76,15 @@ def energy_at(obj, params, x, v, acc):
     not come from the system identity may place it outside dom f, in which
     case the value is +inf.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    acc = np.asarray(acc, dtype=float)
+    x, v, acc = (np.asarray(a, dtype=float) for a in (x, v, acc))
     z = acc + params.gamma * v + x
-    return _energy(params, obj.f.eval(z) + obj.g.eval(z), v, acc, _sqnorm(v))
+    return _energy(params, obj.value(z), v, acc, _rowwise_sqnorm(v))
 
 
 def _h(params, fg, u, v, ww):
     """H from (f+g)(u), u, v and ||w||^2; see :func:`h_value`."""
     inv2lam = 1.0 / (2.0 * params.lam)
-    return fg + inv2lam * _sqnorm(u - v) - (params.C * inv2lam) * ww
+    return fg + inv2lam * _rowwise_sqnorm(u - v) - (params.C * inv2lam) * ww
 
 
 def h_value(obj, params, u, v, w):
@@ -100,7 +93,7 @@ def h_value(obj, params, u, v, w):
     Returns +inf when u lies outside dom f.  H(u, u, 0) = (f+g)(u).
     """
     u = np.asarray(u, dtype=float)
-    return _h(params, obj.f.eval(u) + obj.g.eval(u), u, np.asarray(v, dtype=float), _sqnorm(w))
+    return _h(params, obj.value(u), u, np.asarray(v, dtype=float), _rowwise_sqnorm(w))
 
 
 def _bound(coef_acc, coef_v, vv, aa):
@@ -122,7 +115,7 @@ def w_bound(params, v, acc, a):
         + (2.0 * a + 1.0) * params.gamma
         - params.C
     ) / params.lam
-    return _bound(coef_acc, coef_v, _sqnorm(v), _sqnorm(acc))
+    return _bound(coef_acc, coef_v, _rowwise_sqnorm(v), _rowwise_sqnorm(acc))
 
 
 def subgradient_witness(obj, params, traj, a):
@@ -146,7 +139,7 @@ def subgradient_witness(obj, params, traj, a):
     g1 = obj.g.grad(z) - obj.g.grad(x) - (a * gamma / lam) * v
     g2 = -(acc + (1.0 - a) * gamma * v) / lam
     g3 = -(params.C / lam) * v
-    return np.sqrt(_sqnorm(g1) + _sqnorm(g2) + _sqnorm(g3))
+    return np.sqrt(_rowwise_sqnorm(g1) + _rowwise_sqnorm(g2) + _rowwise_sqnorm(g3))
 
 
 def monitor(obj, params, traj):
@@ -160,8 +153,8 @@ def monitor(obj, params, traj):
     """
     x, v, acc = traj.xs, traj.vs, traj.accs
     z = prox_grad_map(obj, params.lam, x)
-    fg_z = obj.f.eval(z) + obj.g.eval(z)
-    vv, aa = _sqnorm(v), _sqnorm(acc)
+    fg_z = obj.value(z)
+    vv, aa = _rowwise_sqnorm(v), _rowwise_sqnorm(acc)
     energy = _energy(params, fg_z, v, acc, vv)
     h_vals = _h(params, fg_z, z, (1.0 - params.c) * params.gamma * v + x, vv)
     residual = _map_residual(x, z, params.lam)

@@ -39,8 +39,6 @@ __all__ = [
     "lipschitz_l1",
     "lipschitz_l2",
     "derive_params",
-    "corollary_check",
-    "feasible_region",
     "rate_envelope_constants",
     "envelope_constants",
     "params_report",
@@ -177,7 +175,7 @@ def lipschitz_l2(gamma, lambda_beta):
     return _scalar_or_array(_l2(gamma, lambda_beta))
 
 
-def _corollary(gamma, lam, beta):
+def _corollary(gamma, lam, beta):  # the paper's one-inequality sufficient test for rho_feasible
     two = 2.0 + lam * beta
     D = two * two + gamma * two
     return (gamma <= _SQRT3) & (-gamma / (lam * D) + beta * (D + gamma * gamma + 1.0) < 0.0)
@@ -247,38 +245,6 @@ def derive_params(gamma, lam, beta):
     if gamma.ndim == 0:  # a scalar call returns Python floats and bools
         values = {name: value.item() for name, value in values.items()}
     return SystemParams(**values)
-
-
-def corollary_check(gamma, lam, beta):
-    """Single-inequality sufficient condition for feasibility.
-
-    True iff 0 < gamma <= sqrt(3) and, with D = (2+lam*beta)^2 +
-    gamma*(2+lam*beta):
-
-        -gamma/(lam*D) + beta*(D + gamma^2 + 1) < 0.
-
-    Implies ``rho_feasible`` whenever it holds.
-    """
-    gamma, lam, beta = _float_arrays(gamma, lam, beta)
-    _check_inputs(gamma, lam, beta)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _scalar_or_array(_corollary(gamma, lam, beta))
-
-
-def feasible_region(beta, gamma_grid, lambda_grid):
-    """All feasible grid points, in grid order (gamma outer, lambda inner).
-
-    Returns a list of (gamma, lam, SystemParams) triples for which
-    ``rho_feasible`` holds; the grid is derived in one array call.
-    """
-    gammas = np.asarray(list(gamma_grid), dtype=float)
-    lambdas = np.asarray(list(lambda_grid), dtype=float)
-    if not gammas.size or not lambdas.size:
-        raise ValueError("grids must be nonempty")
-    grid_gamma, grid_lam = np.meshgrid(gammas, lambdas, indexing="ij")
-    params = derive_params(grid_gamma.ravel(), grid_lam.ravel(), beta)
-    points = [params.at(i) for i in np.flatnonzero(params.rho_feasible)]
-    return [(sp.gamma, sp.lam, sp) for sp in points]
 
 
 def envelope_constants(A, B, s, p):

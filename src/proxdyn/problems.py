@@ -13,7 +13,10 @@ Fortran-ordered, transposed, strided).  Matrix contractions therefore go
 through ``_rowwise_matmul``, which runs each row through the same
 vector-matrix kernel as a single point, and sums over coordinates go through
 ``_rowwise_sum``, which reduces each row of a C-ordered array the same way as
-a lone row.
+a lone row.  ``_rowwise_sqnorm`` is the package's one per-row sum of squares:
+every squared norm and norm of a row, here and in the energy, bound, rate
+and third-derivative functions, goes through it, so those too give a row of
+a stack in any layout the bits of the row alone.
 
 ``beta`` of the quadratic entries bounds the top eigenvalue of the Hessian
 H (Q for zero_quad and box_quad, M^T M for lasso) from above, from one
@@ -78,14 +81,11 @@ def box_project(x, lower, upper):
 def _rowwise_matmul(x, mat):
     """``x @ mat`` for a point or a stack of points, rounded the same per row.
 
-    A stack is a broadcast of ``(1, n) @ mat`` products, so each row goes
-    through the vector-matrix kernel of a lone point rather than a
-    matrix-matrix kernel that may sum in another order.
+    Every row, a lone point included, is a ``(1, n) @ mat`` product of a
+    broadcast, so each goes through the same vector-matrix kernel rather
+    than a matrix-matrix kernel that may sum in another order.
     """
-    x = np.ascontiguousarray(x)
-    if x.ndim == 1:
-        return x @ mat
-    return (x[..., None, :] @ mat)[..., 0, :]
+    return (np.ascontiguousarray(x)[..., None, :] @ mat)[..., 0, :]
 
 
 def _rowwise_sum(a):
@@ -95,6 +95,12 @@ def _rowwise_sum(a):
     stack one column at a time, and the two orders round differently.
     """
     return np.sum(np.ascontiguousarray(a), axis=-1)
+
+
+def _rowwise_sqnorm(x):
+    """Squared Euclidean norm over the last axis, through :func:`_rowwise_sum`."""
+    x = np.asarray(x, dtype=float)
+    return _rowwise_sum(x * x)
 
 
 def _top_eigenvalue_bound(eigenvalues, extra=0.0):
@@ -231,8 +237,7 @@ def _make_lasso(M, y, mu):
     beta = _top_eigenvalue_bound(np.linalg.eigvalsh(gram), gram_error)
 
     def value(x):
-        r = _rowwise_matmul(x, Mt) - y
-        return 0.5 * _rowwise_sum(r * r)
+        return 0.5 * _rowwise_sqnorm(_rowwise_matmul(x, Mt) - y)
 
     def grad(x):
         x = np.ascontiguousarray(x)
@@ -420,5 +425,4 @@ def prox_grad_residual(obj, lam, x):
 
 def _map_residual(x, mapped, lam):
     """||x - mapped|| / lam over the last axis, given mapped = T(x)."""
-    d = x - mapped
-    return np.sqrt(_rowwise_sum(d * d)) / lam
+    return np.sqrt(_rowwise_sqnorm(x - mapped)) / lam

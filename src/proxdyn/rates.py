@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import _check_real
+from .problems import _check_real, _rowwise_sqnorm
 
 __all__ = [
     "SigmaTrace",
@@ -89,7 +89,7 @@ class RateReport:
 
 
 def _speed(traj):
-    return np.linalg.norm(traj.vs, axis=-1) + np.linalg.norm(traj.accs, axis=-1)
+    return np.sqrt(_rowwise_sqnorm(traj.vs)) + np.sqrt(_rowwise_sqnorm(traj.accs))
 
 
 def sigma_estimate(traj):
@@ -116,8 +116,7 @@ def sigma_estimate(traj):
 
 
 def _distance(traj, x_limit):
-    x_limit = np.asarray(x_limit, dtype=float)
-    return np.linalg.norm(traj.xs - x_limit, axis=-1)
+    return np.sqrt(_rowwise_sqnorm(traj.xs - np.asarray(x_limit, dtype=float)))
 
 
 def _window_mask(times, d, t0, t_max):
@@ -139,18 +138,26 @@ def _linear_fit(xv, yv):
     return float(slope), float(intercept), r2
 
 
+def _fitted_exp(x, what):
+    """exp(x) for the fitted constant ``what``; ValueError when it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ValueError("the fitted %s = exp(%g) overflows" % (what, x)) from None
+
+
 def fit_exponential(traj, x_limit, t0=0.0, t_max=None):
     """Least-squares line on (t, log distance) for t >= t0.
 
     Returns (a1, a2, r_squared) for the model distance <= a1*exp(-a2*t).
-    Raises ValueError with fewer than 5 usable samples.
+    Raises ValueError with fewer than 5 usable samples or when a1 overflows.
     """
     d = _distance(traj, x_limit)
     mask = _window_mask(traj.times, d, t0, t_max)
     if int(mask.sum()) < 5:
         raise ValueError("fewer than 5 usable samples beyond t0 for the exponential fit")
     slope, intercept, r2 = _linear_fit(traj.times[mask], np.log(d[mask]))
-    return math.exp(intercept), -slope, r2
+    return _fitted_exp(intercept, "a1"), -slope, r2
 
 
 def fit_polynomial(traj, x_limit, t0=0.0, t_max=None):
@@ -160,8 +167,8 @@ def fit_polynomial(traj, x_limit, t0=0.0, t_max=None):
     q = (1-theta)/(2*theta-1).  The pair (a3, a4) has a one-parameter
     redundancy on a log scale; it is fixed by the convention a4 = a3 * t_ref
     with t_ref the start of the fit window.  Returns (a3, a4, theta,
-    r_squared); raises ValueError when the data does not decay (q <= 0) or
-    has fewer than 5 usable samples.
+    r_squared); raises ValueError when the data does not decay (q <= 0),
+    has fewer than 5 usable samples or gives a constant that is not finite.
     """
     d = _distance(traj, x_limit)
     mask = _window_mask(traj.times, d, t0, t_max) & (traj.times > 0.0)
@@ -173,9 +180,11 @@ def fit_polynomial(traj, x_limit, t0=0.0, t_max=None):
     if q <= 0.0:
         raise ValueError("distance does not decay polynomially (fitted q = %g <= 0)" % q)
     theta = (1.0 + q) / (1.0 + 2.0 * q)
-    a3 = math.exp(-intercept / q)
+    a3 = _fitted_exp(-intercept / q, "a3")
     t_ref = t0 if t0 > 0.0 else float(tt[0])
     a4 = a3 * t_ref
+    if not math.isfinite(a4):  # also when -intercept / q is inf, and exp of it too
+        raise ValueError("the fitted a4 = %g * %g is not finite" % (a3, t_ref))
     return a3, a4, theta, r2
 
 
@@ -349,7 +358,7 @@ def check_sigma_dominance(traj, sigma_trace=None):
         sigma_trace = sigma_estimate(traj)
     sigma = sigma_trace.sigma
     d = _distance(traj, traj.xs[-1])
-    v_norm = np.linalg.norm(traj.vs, axis=-1)
+    v_norm = np.sqrt(_rowwise_sqnorm(traj.vs))
     tol_d = 1e-12 * float(d.max(initial=0.0))
     tol_v = float(v_norm[-1]) + 1e-12 * float(v_norm.max(initial=0.0))
     excess_d = float(np.max(d - sigma, initial=-np.inf))

@@ -228,8 +228,8 @@ def _integer_key_argv(tmp_path, key, value):
     return ["sweep", "--config", _write_json(tmp_path / "config.json", cfg)] + out
 
 
-_INTEGER_KEYS = {"seed": "a nonnegative integer", "dim": "a positive integer",
-                 "max_iter": "an integer", "gamma_count": "an integer", "lambda_count": "an integer"}
+_INTEGER_KEYS = {"seed": "a nonnegative integer", "dim": "a positive integer", "max_iter": "an integer",
+                 "gamma_count": "a positive integer", "lambda_count": "a positive integer"}
 
 
 @pytest.mark.parametrize("key", sorted(_INTEGER_KEYS))
@@ -719,6 +719,16 @@ def test_sweep_zero_lambda_min_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: lambda must be a positive finite real, got 0.0\n"
 
 
+@pytest.mark.parametrize("flag", ["--gamma-count", "--lambda-count"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_sweep_counts_must_be_positive(tmp_path, capsys, flag, value):
+    rc = cli.main(["sweep", "--beta", "1", flag, value, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == "error: %s must be a positive integer, got %s\n" % (key, value)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # -- parser edges -------------------------------------------------------
 
 
@@ -844,6 +854,17 @@ def test_run_with_non_finite_summary_values_succeeds(tmp_path):
         "rate classification failed: " + _OVERFLOW_RATE_ERROR,
         "2 non-finite values serialized as null",
     ]
+
+
+def test_run_whose_polynomial_fit_overflows_succeeds(tmp_path):
+    # x moves about 5e-3 towards x_limit in 0.1 time units, so the fitted
+    # power q is tiny and a3 = exp(-intercept / q) overflows
+    cfg = _run_config(tmp_path, u0=[1.0], v0=[0.0], t_end=0.1, h=0.01, x_limit=0.5)
+    done = _python_m_proxdyn("run", "--config", cfg, "--out-dir", str(tmp_path / "o"))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    rates = json.loads((tmp_path / "o" / "rates.json").read_text())
+    assert rates["fit_quality"]["polynomial"] is None
 
 
 # the norms of the gamma 1.0 run overflow from its first sample on

@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from proxdyn import (
-    corollary_check,
     derive_params,
     envelope_constants,
-    feasible_region,
     lipschitz_l1,
     lipschitz_l2,
     params_report,
@@ -114,13 +112,13 @@ def test_b_minus_a_identity():
 
 def test_corollary_gamma_boundary():
     root3 = math.sqrt(3.0)
-    assert corollary_check(root3, 1.0, 0.0)
-    assert not corollary_check(root3 + 1e-12, 1.0, 0.0)
-    assert corollary_check(1.0, 1.0, 0.0)
-    assert corollary_check(1.0, 0.005, 3.0)
+    assert derive_params(root3, 1.0, 0.0).corollary_feasible
+    assert not derive_params(root3 + 1e-12, 1.0, 0.0).corollary_feasible
+    assert derive_params(1.0, 1.0, 0.0).corollary_feasible
+    assert derive_params(1.0, 0.005, 3.0).corollary_feasible
     for lam in (1e-4, 0.01, 1.0):
         for beta in (0.0, 1.0, 3.0):
-            assert not corollary_check(2.0, lam, beta)
+            assert not derive_params(2.0, lam, beta).corollary_feasible
 
 
 def test_grid_implications():
@@ -136,28 +134,6 @@ def test_grid_implications():
                     assert p.C < 0.0
                 if p.corollary_feasible:
                     assert p.rho_feasible
-
-
-def test_feasible_region_membership_and_order():
-    gammas = [0.5, 1.0]
-    lams = [0.001, 0.005, 1.0]
-    out = feasible_region(3.0, gammas, lams)
-    pairs = [(g, l) for g, l, _ in out]
-    assert (1.0, 0.005) in pairs
-    assert (1.0, 1.0) not in pairs
-    order = [(gammas.index(g), lams.index(l)) for g, l in pairs]
-    assert order == sorted(order)
-    for _, _, sp in out:
-        assert sp.rho_feasible
-    everything = feasible_region(0.0, gammas, lams)
-    assert len(everything) == 6
-
-
-def test_feasible_region_validation():
-    with pytest.raises(ValueError):
-        feasible_region(1.0, [], [0.1])
-    with pytest.raises(ValueError):
-        feasible_region(1.0, [0.5], [])
 
 
 def test_envelope_hand_example():

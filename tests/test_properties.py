@@ -8,7 +8,9 @@
   per-row columns, and promises each row the bits of a separate run.  That
   rests on every catalog oracle rounding a row of a stack exactly like the
   same point alone, which the second property checks on random stacks and
-  steps.
+  steps.  The energy, H, bound and witness functions keep the same promise
+  for stacks in any memory layout, and a Fortran-ordered trajectory gives
+  the monitor, third-derivative, sigma and rate results of a C-ordered one.
 - ``beta`` of a quadratic bounds every Rayleigh quotient of its Hessian,
   computed exactly in integers, and exceeds the computed top eigenvalue by
   a rounding allowance only.
@@ -25,7 +27,8 @@
 """
 
 import math
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,14 +40,23 @@ from proxdyn import (
     IntegrationAborted,
     EnergyTrace,
     IterateHistory,
+    RateReport,
     Trajectory,
+    classify_rate,
     derive_params,
+    energy_at,
+    h_value,
     integrate,
     integrate_ensemble,
     make_problem,
+    monitor,
     prox_grad_map,
     rate_envelope_constants,
     read_trajectory_csv,
+    sigma_estimate,
+    subgradient_witness,
+    third_derivative_check,
+    w_bound,
     write_energy_csv,
     write_history_csv,
     write_trajectory_csv,
@@ -230,6 +242,75 @@ def test_batched_oracles_equal_single_calls(name, stack, seed, fortran):
         }
         for oracle, value in single.items():
             assert _same_bits(batched[oracle][i], value), (name, oracle, i)
+
+
+# Memory layouts of a stack of rows.  numpy sums a C-ordered row pairwise but
+# a Fortran-ordered stack one column at a time, which rounds differently from
+# 8 coordinates on, so the stacks below reach well past that.
+_LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "Fortran": lambda a: a.T.copy().T,  # a transposed copy
+    "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+}
+
+
+def _trajectory(xs, vs, accs):
+    return Trajectory(times=0.1 * np.arange(len(xs)), xs=xs, vs=vs, accs=accs, params=None, step=0.1)
+
+
+@settings(max_examples=40, **_SETTINGS)
+@given(
+    name=st.sampled_from(sorted(_CATALOG)),
+    rows=st.integers(1, 6),
+    dim=st.integers(1, 48),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(sorted(_LAYOUTS)),
+    a=st.floats(0.0, 2.0),
+)
+def test_energy_and_bounds_of_a_stack_equal_single_calls(name, rows, dim, seed, layout, a):
+    rng = np.random.default_rng(seed)
+    obj = _build(name, rng, dim)
+    params = derive_params(1.0, 0.05, obj.g.beta)
+    x, v, acc = (_LAYOUTS[layout](rng.standard_normal((rows, dim))) for _ in range(3))
+    batched = {
+        "energy_at": energy_at(obj, params, x, v, acc),
+        "h_value": h_value(obj, params, x, v, acc),
+        "w_bound": w_bound(params, v, acc, a),
+        "subgradient_witness": subgradient_witness(obj, params, _trajectory(x, v, acc), a),
+    }
+    for i in range(rows):
+        xi, vi, ai = x[i].copy(), v[i].copy(), acc[i].copy()
+        single = {
+            "energy_at": energy_at(obj, params, xi, vi, ai),
+            "h_value": h_value(obj, params, xi, vi, ai),
+            "w_bound": w_bound(params, vi, ai, a),
+            "subgradient_witness": subgradient_witness(obj, params, _trajectory(xi, vi, ai), a),
+        }
+        for quantity, value in single.items():
+            assert _same_bits(batched[quantity][i], value), (name, layout, quantity, i)
+
+
+def _same_fields(a, b):
+    """Whether two reports hold the same values, every float bit for bit."""
+    if isinstance(a, RateReport):  # repr tells every two doubles apart
+        return repr(a.to_dict()) == repr(b.to_dict())
+    return all(_same_bits(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+@settings(max_examples=15, **_SETTINGS)
+@given(name=st.sampled_from(sorted(_CATALOG)), dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_a_fortran_ordered_trajectory_gives_the_bits_of_a_c_ordered_one(name, dim, seed):
+    rng = np.random.default_rng(seed)
+    obj = _build(name, rng, dim)
+    params = derive_params(1.0, 0.05, obj.g.beta)
+    h = 0.9 / params.L1
+    traj = integrate(obj, params, rng.standard_normal(dim), rng.standard_normal(dim), 40 * h, h)
+    fortran = replace(traj, **{key: np.asfortranarray(getattr(traj, key)) for key in ("xs", "vs", "accs")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # sigma of a short run is truncated
+        for check in (lambda t: monitor(obj, params, t), lambda t: third_derivative_check(t, params),
+                      sigma_estimate, classify_rate):
+            assert _same_fields(check(fortran), check(traj)), (name, check)
 
 
 # f of each problem _build makes, plus cos_quad without its l1 term: (kind, mu or box)

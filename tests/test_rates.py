@@ -98,6 +98,14 @@ def test_fit_exponential_critically_damped_slope():
     assert r2 >= 0.99
 
 
+def test_fit_exponential_rejects_a_constant_that_overflows():
+    # a1 = exp(intercept) extrapolates the fitted line back to t = 0, here e^870
+    t = np.arange(870.0, 901.0)
+    d = np.exp(870.0 - t)
+    with pytest.raises(ValueError, match="a1"):
+        fit_exponential(_traj(t, d, -d, d), [0.0])
+
+
 def test_fit_exponential_too_few_samples():
     t = np.linspace(0.0, 1.0, 4)
     traj = _traj(t, np.exp(-t), np.zeros(4), np.zeros(4))
@@ -148,6 +156,19 @@ def test_fit_polynomial_rejects_growth():
     traj = _traj(t, t, np.zeros_like(t), np.zeros_like(t))
     with pytest.raises(ValueError, match="does not decay"):
         fit_polynomial(traj, [0.0])
+
+
+def test_fit_polynomial_rejects_a_constant_that_overflows():
+    # the distance barely moves over a short window: q is about 4e-5 and
+    # a3 = exp(-intercept / q) about exp(2e4)
+    t = np.linspace(0.0, 0.1, 11)
+    decay = 0.5 * np.exp(-1e-3 * t)
+    traj = _traj(t, 0.5 + decay, -1e-3 * decay, 1e-6 * decay)
+    with pytest.raises(ValueError, match="a3"):
+        fit_polynomial(traj, [0.5])
+    report = classify_rate(traj, x_limit=[0.5])
+    assert report.fit_quality["polynomial"] is None
+    assert report.regime == "exponential"
 
 
 def test_fit_polynomial_too_few_samples():
