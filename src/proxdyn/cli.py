@@ -52,10 +52,9 @@ _OUTPUT_KINDS = ("trajectory", "energy", "rates", "summary")
 
 
 def _json_safe(value):
-    """Recursively convert a payload to strict-JSON types.
+    """Recursively convert a payload to strict JSON: non-finite floats become null.
 
-    numpy scalars and arrays become Python numbers and lists; non-finite
-    floats become null.  Returns (converted, number_of_nonfinite_floats).
+    Returns (converted, number_of_nonfinite_floats).
     """
     if isinstance(value, dict):
         count = 0
@@ -72,29 +71,19 @@ def _json_safe(value):
             out.append(safe)
             count += sub
         return out, count
-    if isinstance(value, np.ndarray):
-        return _json_safe(value.tolist())
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value), 0
-    if isinstance(value, (int, np.integer)):
-        return int(value), 0
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            return None, 1
-        return value, 0
+    if isinstance(value, float) and not math.isfinite(value):
+        return None, 1
     return value, 0
 
 
-def _dump_json(payload, path=None):
-    safe, dropped = _json_safe(payload)
+def _dump_json(safe, path=None):
+    """Print ``safe``, a payload made strict by :func:`_json_safe`, or write it to ``path``."""
     text = json.dumps(safe, indent=2)
     if path is None:
         print(text)
     else:
         with open(path, "w") as fh:
             fh.write(text + "\n")
-    return dropped
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +177,7 @@ _INPUTS = {
         _LAMBDA, _GAMMA,
         ("x0", _VECTOR, _REQUIRED, None),
         ("x1", _VECTOR, None, "second iterate (default: x0)"),
-        ("max_iter", _integer(), 10_000, None),
+        ("max_iter", _integer(1), 10_000, None),
         ("tol", _NONNEGATIVE, 1e-8, None),
         # a name in the output directory, not a path from the config file
         ("out", ((lambda value, key, base_dir: _path(value, key, "")), {}), "history.csv",
@@ -244,10 +233,11 @@ def _command_inputs(args):
 
 
 def _out_path(out_dir, name):
-    out_dir = out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
+    """``name`` in ``out_dir``, made if missing; an absolute ``name`` as it is."""
     if os.path.isabs(name):
         return name
+    out_dir = out_dir or "."
+    os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
 
 
@@ -310,26 +300,23 @@ def _finish_run(inputs, obj, params, traj, warning_list, out_dir):
         written.append(path)
     if "rates" in outputs:
         path = _out_path(out_dir, "rates.json")
-        _dump_json(rate_dict, path)
+        _dump_json(_json_safe(rate_dict)[0], path)
         written.append(path)
 
-    summary = {
+    summary, dropped = _json_safe({
         "params": params_mod.params_report(params),
         "final_residual": float(trace.residual[-1]),
         "final_velocity_norm": float(np.linalg.norm(traj.vs[-1])),
         "energy_monotone": not violations,
         "rate_report": rate_dict,
         "warnings": warning_list,
-    }
-    safe_summary, dropped = _json_safe(summary)
+    })
     if dropped:
-        safe_summary["warnings"] = list(safe_summary["warnings"]) + [
-            "%d non-finite values serialized as null" % dropped
-        ]
+        summary["warnings"].append("%d non-finite values serialized as null" % dropped)
     path = _out_path(out_dir, "summary.json")
-    _dump_json(safe_summary, path)
+    _dump_json(summary, path)
     written.append(path)
-    return safe_summary, written
+    return summary, written
 
 
 def cmd_run(args):
@@ -381,7 +368,7 @@ def cmd_check_params(args):
         )
     report = params_mod.params_report(params)
     if args.json:
-        _dump_json(report)
+        _dump_json(_json_safe(report)[0])
     else:
         for key, value in report.items():
             print("%s = %r" % (key, value))
@@ -401,15 +388,13 @@ def cmd_discrete(args):
     path = _out_path(args.out_dir, inputs["out"])
     discrete_mod.write_history_csv(history, path)
     if args.json:
-        _dump_json(
-            {
-                "converged": history.converged,
-                "iterations": history.iterations,
-                "final_residual": float(history.residuals[-1]),
-                "final_objective": float(history.objective_values[-1]),
-                "history": path,
-            }
-        )
+        _dump_json(_json_safe({
+            "converged": history.converged,
+            "iterations": history.iterations,
+            "final_residual": float(history.residuals[-1]),
+            "final_objective": float(history.objective_values[-1]),
+            "history": path,
+        })[0])
     else:
         print("wrote %s" % path)
         status = "converged" if history.converged else "stopped"
@@ -428,7 +413,7 @@ def cmd_rates(args):
     inputs = _command_inputs(args)
     report = _classify(dynamics.read_trajectory_csv(inputs["traj"]), inputs)
     if args.json:
-        _dump_json(report.to_dict())
+        _dump_json(_json_safe(report.to_dict())[0])
     else:
         for key, value in report.to_dict().items():
             print("%s = %r" % (key, value))
@@ -461,15 +446,13 @@ def cmd_sweep(args):
         aborted = _sweep_runs(run_config, params.gamma[feasible], params.lam[feasible], args.out_dir or ".")
 
     if args.json:
-        _dump_json(
-            {
-                "points": points,
-                "feasible": n_feasible,
-                "sweep": csv_path,
-                "runs": n_feasible if run_config is not None else 0,
-                "aborted": aborted,
-            }
-        )
+        _dump_json(_json_safe({
+            "points": points,
+            "feasible": n_feasible,
+            "sweep": csv_path,
+            "runs": n_feasible if run_config is not None else 0,
+            "aborted": aborted,
+        })[0])
     else:
         print("wrote %s" % csv_path)
         print("%d of %d grid points feasible" % (n_feasible, points))

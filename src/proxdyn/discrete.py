@@ -104,9 +104,7 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     Aborts with DivergenceError when an iterate norm exceeds 1e12.
     """
     _check_real(lam, "lambda")
-    max_iter = _as_int(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    max_iter = _as_int(max_iter, "max_iter", least=1)
     _check_real(tol, "tol", "nonnegative")
     if not callable(gamma_schedule):
         gamma_schedule = constant_gamma(float(gamma_schedule))

@@ -25,8 +25,10 @@ trajectories with gamma and lam as (B, 1) columns
 (:func:`integrate_ensemble`).  A lone point keeps the oracles'
 single-point route; a stack evaluates every row as that route would, so
 each ensemble row is bitwise the trajectory :func:`integrate` gives it.
-Finiteness is checked per row at each sample: a row that fails is
-recorded as aborted and dropped from the stack, and the others go on.
+Finiteness is checked per row at each sample.  A row that fails aborts
+there and keeps its place, stepping on from zero with values that nothing
+reads, until every row has aborted or the run ends; :func:`integrate` then
+raises its one row's abort.
 
 The loop keeps each RK4 stage in a preallocated *stage record* of shape
 (..., 3, dim) holding (x, x', x'').  Its [..., :2, :] block is the stage
@@ -40,11 +42,12 @@ of a loop that allocates every stage.  Outside the oracles a step makes
 25 numpy calls instead of 38, and at small dim those calls are most of
 its cost.
 
-Samples are stored as (B, n_samples, dim) arrays, so each row's x, x' and
-x'' are C-contiguous blocks.  An ensemble runs its rows in blocks whose
-three sample arrays fit in ``_BLOCK_BYTES`` (32 MB), integrating the next
-block only once the previous block's entries have been taken; a sweep of
-many long runs thus holds one or two blocks of samples, not all of them.
+Samples are stored as (n_samples, dim) arrays for one trajectory and
+(B, n_samples, dim) for B, so each row's x, x' and x'' are C-contiguous
+blocks.  An ensemble runs its rows in blocks whose three sample arrays fit
+in ``_BLOCK_BYTES`` (32 MB), integrating the next block only once the
+previous block's entries have been taken; a sweep of many long runs thus
+holds one or two blocks of samples, not all of them.
 
 ``_write_csv`` is the one CSV writer of the package (trajectories here,
 energy traces, iterate histories and the sweep map elsewhere).  It writes
@@ -157,7 +160,7 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
     ``u`` and ``v`` have shape (dim,) for one trajectory, with scalar
     ``gamma`` and ``lam``, or (B, dim) for B trajectories, with ``gamma``
     and ``lam`` (B, 1) columns.  Samples go to ``xs``, ``vs`` and ``accs``
-    of shape (B, n_samples, dim), with B = 1 for one trajectory.
+    of shape (n_samples, dim) or (B, n_samples, dim).
 
     The four stages live in stage records, see the module docstring; the
     first record holds the state.  Each stage quantity is computed by the
@@ -165,23 +168,21 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
     sixth*(v + 2*v2 + 2*v3 + v4)`` in their order, so it has the bits a loop
     allocating every stage would give.
 
-    One trajectory raises IntegrationAborted at the first sample whose state
-    is not finite.  In a stack such a row is dropped, the others go on, and
-    the loop ends once no row is left.  Returns {row: IntegrationAborted}
-    for the dropped rows.
+    A row whose state is not finite at a sample aborts there.  It keeps its
+    place and steps on, from zero, with values that nothing reads, and the
+    loop ends once every row has aborted.  Returns {row: IntegrationAborted}
+    for the aborted rows; a lone state is row 0.
     """
     aborted = {}
-    live = np.arange(len(xs))  # the rows still integrating, in stack order
-    rows = 0 if u.ndim == 1 else slice(None)  # where the live rows' samples go
     # records[k] is stage k+1's (x, x', x''); [..., :2, :] its state, [..., 1:, :] its slope
     records = np.empty((4,) + u.shape[:-1] + (3, u.shape[-1]))
     records[0, ..., 0, :] = u
     records[0, ..., 1, :] = v
-
-    def views():
-        """Each record's x, x', x'', state and slope, then two slope-shaped scratch arrays."""
-        stages = [r[..., k, :] for r in records for k in (0, 1, 2, slice(None, 2), slice(1, None))]
-        return (*stages, np.empty_like(stages[4]), np.empty_like(stages[4]))
+    x1, v1, a1, X, D1, x2, v2, a2, X2, D2, x3, v3, a3, X3, D3, x4, v4, a4, X4, D4 = (
+        r[..., k, :] for r in records for k in (0, 1, 2, slice(None, 2), slice(1, None))
+    )
+    d, e = np.empty_like(D1), np.empty_like(D1)
+    xs, vs, accs = (np.moveaxis(a, -2, 0) for a in (xs, vs, accs))  # sample i is [i] of each
 
     def field(x, v, acc):
         """Write the acceleration T(x) - gamma*v - x into ``acc``."""
@@ -189,11 +190,10 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
         # twice an allocating call when the arrays hold a single element
         np.subtract(prox_grad_map(obj, lam, x) - gamma * v, x, out=acc)
 
-    x1, v1, a1, X, D1, x2, v2, a2, X2, D2, x3, v3, a3, X3, D3, x4, v4, a4, X4, D4, d, e = views()
     field(x1, v1, a1)
-    xs[rows, 0] = x1
-    vs[rows, 0] = v1
-    accs[rows, 0] = a1
+    xs[0] = x1
+    vs[0] = v1
+    accs[0] = a1
 
     half = 0.5 * h
     sixth = h / 6.0
@@ -220,19 +220,16 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
         if step_i % sample_every == 0:
             finite = np.isfinite(X)
             if not finite.all():
-                if u.ndim == 1:
-                    raise IntegrationAborted(t=step_i * h, step_index=step_i)
-                ok = finite.all(axis=(1, 2))
-                for row in live[~ok]:
-                    aborted[int(row)] = IntegrationAborted(t=step_i * h, step_index=step_i)
-                if not ok.any():
+                ok = finite.all(axis=(-2, -1))
+                for row in set(np.flatnonzero(~ok).tolist()) - aborted.keys():
+                    aborted[row] = IntegrationAborted(t=step_i * h, step_index=step_i)
+                if len(aborted) == ok.size:
                     break
-                live = rows = live[ok]
-                records, gamma, lam = records[:, ok], gamma[ok], lam[ok]
-                x1, v1, a1, X, D1, x2, v2, a2, X2, D2, x3, v3, a3, X3, D3, x4, v4, a4, X4, D4, d, e = views()
-            xs[rows, idx] = x1
-            vs[rows, idx] = v1
-            accs[rows, idx] = a1
+                # restarted from zero, an aborted row comes back here only if it overflows again
+                records[0][~ok] = 0.0
+            xs[idx] = x1
+            vs[idx] = v1
+            accs[idx] = a1
             idx += 1
     return aborted
 
@@ -276,9 +273,11 @@ def integrate(obj, params, u0, v0, t_end, h, sample_every=None):
     u, v, n_steps, sample_every, n_samples = _check_run(
         obj, [params], u0, v0, t_end, h, sample_every
     )
-    xs, vs, accs = (np.empty((1, n_samples, obj.dim)) for _ in range(3))
-    _rk4(obj, params.gamma, params.lam, u, v, h, n_steps, sample_every, xs, vs, accs)
-    return _trajectory(params, h, sample_every, xs[0], vs[0], accs[0])
+    xs, vs, accs = (np.empty((n_samples, obj.dim)) for _ in range(3))
+    aborted = _rk4(obj, params.gamma, params.lam, u, v, h, n_steps, sample_every, xs, vs, accs)
+    if aborted:
+        raise aborted[0]
+    return _trajectory(params, h, sample_every, xs, vs, accs)
 
 
 def integrate_ensemble(obj, params_seq, u0, v0, t_end, h, sample_every=None):

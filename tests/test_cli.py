@@ -228,8 +228,9 @@ def _integer_key_argv(tmp_path, key, value):
     return ["sweep", "--config", _write_json(tmp_path / "config.json", cfg)] + out
 
 
-_INTEGER_KEYS = {"seed": "a nonnegative integer", "dim": "a positive integer", "max_iter": "an integer",
-                 "gamma_count": "a positive integer", "lambda_count": "a positive integer"}
+_INTEGER_KEYS = {"seed": "a nonnegative integer", "dim": "a positive integer",
+                 "max_iter": "a positive integer", "gamma_count": "a positive integer",
+                 "lambda_count": "a positive integer"}
 
 
 @pytest.mark.parametrize("key", sorted(_INTEGER_KEYS))
@@ -400,7 +401,7 @@ def test_discrete_zero_max_iter_is_rejected(tmp_path, capsys):
                    "--gamma", "2", "--x0", "0", "--max-iter", "0",
                    "--out-dir", str(tmp_path)])
     assert rc == 1
-    assert "max_iter must be at least 1" in capsys.readouterr().err
+    assert "max_iter must be a positive integer, got 0" in capsys.readouterr().err
 
 
 def test_discrete_zero_tol_is_honoured(tmp_path, capsys):
@@ -448,6 +449,14 @@ def test_discrete_problem_flag_is_relative_to_the_working_directory(tmp_path, ca
     assert (tmp_path / "o" / "history.csv").is_file()
 
 
+def test_an_absolute_out_name_makes_no_out_dir(tmp_path, capsys):
+    rc = cli.main(["discrete", "--problem", json.dumps(LASSO), "--lambda", "0.5", "--gamma", "2",
+                   "--x0", "0", "--out", str(tmp_path / "h.csv"), "--out-dir", str(tmp_path / "sub")])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "h.csv").is_file()
+    assert not (tmp_path / "sub").exists()
+
+
 def test_paths_in_a_config_file_are_relative_to_it(tmp_path, capsys, monkeypatch):
     # sweep's run_config and rates' traj, named inside a config file in another directory
     (tmp_path / "sub").mkdir()
@@ -468,6 +477,20 @@ def test_paths_in_a_config_file_are_relative_to_it(tmp_path, capsys, monkeypatch
     assert cli.main(["rates", "--config", rates_cfg, "--traj", "trajectory.csv"]) == 1
     assert cli.main(["sweep", "--config", sweep_cfg, "--run-config", "tmpl.json", "--out-dir", "o"]) == 1
     assert "No such file or directory: 'tmpl.json'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("check-params", {"gamma": [1], "lambda": 0.02, "beta": 1}, "gamma must be a number, got [1]"),
+    ("check-params", [1, 2], "check-params config must be a JSON object: {config}"),
+    ("rates", {"traj": 3}, "traj must be a file name, got 3"),
+    ("rates", {"traj": "wide.csv"}, "trajectory CSV has inconsistent column count"),
+])
+def test_malformed_inputs_exit_one_with_one_error_line(tmp_path, capsys, command, config, message):
+    # every row of wide.csv has one column more than its header names
+    (tmp_path / "wide.csv").write_text("t,x_0,v_0,a_0\n0,1,0,0,9\n0.1,1,0,0,9\n")
+    path = _write_json(tmp_path / "config.json", config)
+    assert cli.main([command, "--config", path]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message.format(config=path))
 
 
 def test_invalid_problem_data_exits_one_not_two(tmp_path, capsys):

@@ -186,7 +186,7 @@ def test_run_inertial_validation():
     (lambda obj: run_inertial(obj, 0.1, lambda k: math.nan, np.zeros(1), np.ones(1), 10, 1e-8),
      "gamma_k must be a positive finite real, got nan"),
     (lambda obj: run_inertial(obj, 0.1, 1.0, np.zeros(1), np.ones(1), 2.5, 1e-8),
-     "max_iter must be an integer, got 2.5"),
+     "max_iter must be a positive integer, got 2.5"),
 ])
 def test_discrete_rejects_non_finite_reals(call, message):
     obj = make_problem("zero_quad", Q=[[1.0]], b=[0.0])

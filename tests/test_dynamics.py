@@ -233,6 +233,22 @@ def test_ensemble_stops_once_every_row_aborted(count_grad):
     assert len(calls) == 1 + 4 * max(entry.step_index for entry in got)
 
 
+def test_an_aborted_row_that_overflows_again_keeps_its_first_abort():
+    # b != 0 moves the critical point off zero, so the aborted row, restarted
+    # from zero, overflows again and again while the other row runs on
+    obj = make_problem("zero_quad", Q=[[2e6]], b=[1.0])
+    params_seq = [derive_params(1.0, 1e-9, 0.0), derive_params(1.0, 0.01, 0.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = list(integrate_ensemble(obj, params_seq, [1.0], [0.0], 400.0, 0.4, sample_every=1))
+        with pytest.raises(IntegrationAborted) as serial:
+            integrate(obj, params_seq[1], [1.0], [0.0], t_end=400.0, h=0.4, sample_every=1)
+    assert isinstance(got[1], IntegrationAborted)
+    assert (got[1].t, got[1].step_index) == (serial.value.t, serial.value.step_index)
+    want = integrate(obj, params_seq[0], [1.0], [0.0], t_end=400.0, h=0.4, sample_every=1)
+    for field in ("times", "xs", "vs", "accs"):
+        assert _same_bits(getattr(got[0], field), getattr(want, field)), field
+
+
 def test_ensemble_guard_reports_the_first_failing_row():
     obj = make_problem("zero_quad", Q=[[1.0]], b=[0.0])
     params_seq = [derive_params(1.0, 0.01, 1.0), derive_params(1.0, 0.5, 4.0),
