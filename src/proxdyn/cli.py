@@ -233,12 +233,10 @@ def _command_inputs(args):
 
 
 def _out_path(out_dir, name):
-    """``name`` in ``out_dir``, made if missing; an absolute ``name`` as it is."""
-    if os.path.isabs(name):
-        return name
-    out_dir = out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+    """``name`` in ``out_dir``, or an absolute ``name`` as it is; its directory is made if missing."""
+    path = os.path.join(out_dir or ".", name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +381,9 @@ def cmd_discrete(args):
     inputs = _command_inputs(args)
     x0 = inputs["x0"]
     x1 = x0 if inputs["x1"] is None else inputs["x1"]
+    path = _out_path(args.out_dir, inputs["out"])  # a path that cannot be made fails before the run
     history = discrete_mod.run_inertial(inputs["problem"], inputs["lambda"], inputs["gamma"], x0, x1,
                                         inputs["max_iter"], inputs["tol"])
-    path = _out_path(args.out_dir, inputs["out"])
     discrete_mod.write_history_csv(history, path)
     if args.json:
         _dump_json(_json_safe({

@@ -51,12 +51,14 @@ holds one or two blocks of samples, not all of them.
 
 ``_write_csv`` is the one CSV writer of the package (trajectories here,
 energy traces, iterate histories and the sweep map elsewhere).  It writes
-the bytes ``np.savetxt`` writes with ``%.17g``.  A value whose
-decimal exponent is in [-6, 16] gets its 17 digits from numpy arithmetic
-that is exact (Dekker's TwoProduct with an exact power of ten), laid out
-in fixed-width cells by table lookups; zeros are constant cells, and the
-rest (nan, +-inf, |x| < 1e-6 and |x| >= 1e17) go through one ``%`` per
-chunk of rows.  An integral value such as an iteration count or a 0/1 flag
+the bytes ``np.savetxt`` writes with ``%.17g``.  One digit kernel serves
+every normal double, of every decimal exponent in [-308, 308]: Dekker's
+TwoProduct with 10**(16 - X) held as a double-double, exact for X in
+[-6, 16], then table lookups lay the digits out in fixed-width cells.
+Zeros are constant cells.  The rest (nan, +-inf, subnormals, and the rare
+value whose digits the kernel cannot round for certain: a near-tie outside
+[-6, 16] or a carry into the next decade) goes through one ``%`` per chunk
+of rows.  An integral value such as an iteration count or a 0/1 flag
 is written like ``%d`` would write it, with no point.
 """
 
@@ -370,56 +372,89 @@ def third_derivative_check(traj, params):
     )
 
 
-# _write_csv formats this many values, about, at a time.  Its temporaries
-# take about 100 bytes a value, some 0.2 MB for a chunk.
+# _write_csv formats the fewest rows that hold this many values at a time.
+# Its temporaries take about 100 bytes a value, some 0.2 MB for a chunk of
+# narrow rows.  A chunk makes over 100 numpy calls whatever its size, so
+# rows as wide as a dim-400 trajectory's (1201 values) go two at a time.
 _CSV_CHUNK_VALUES = 2048
 
 
-def _least_double_from(k):
-    """The smallest double whose value is at least 10**k."""
-    d = 1 / 10**-k if k < 0 else float(10**k)  # int division rounds correctly
-    num, den = d.as_integer_ratio()
-    if num * 10 ** max(-k, 0) < den * 10 ** max(k, 0):
-        d = math.nextafter(d, math.inf)
-    return d
+def _double_double(num, den):
+    """The rational num / den as the nearest double and the double nearest the rest."""
+    # int division and float() both round correctly; float() is the faster
+    hi = num / den if den > 1 else float(num)
+    hi_num, hi_den = hi.as_integer_ratio()
+    rest = num * hi_den - hi_num * den
+    return hi, rest / (den * hi_den) if den * hi_den > 1 else float(rest)
 
 
-def _point_digit(x):
-    """The digit of the 17 that the point follows for exponent ``x`` (16: none)."""
-    return 0 if x < -4 else 16 if x < 0 else x
+def _decade_tables():
+    """_CSV_ROW and _CSV_NEXT, then 2**E, hi and lo for each X of _CSV_X.
+
+    hi + lo is 10**(16 - X) / 2**E as a double-double.  E is 0 where
+    10**(16 - X) is a double, so lo is 0 there; elsewhere 2**E <= 2**1023
+    brings 10**X as near [1, 2) as it can.  As 10**k = 5**k * 2**k, every
+    double here is a double-double of 5**k or 5**-k from Python integers,
+    scaled by an exact power of two.
+    """
+    powers = [1]  # 5**k
+    for _ in range(324):
+        powers.append(5 * powers[-1])
+    five = [_double_double(1, p) for p in powers[308:0:-1]] + [_double_double(p, 1) for p in powers]
+    five_hi, five_lo = np.array(five).T  # entry k + 308 is 5**k
+    x = _CSV_X
+    # the least double >= 10**x, since 5**x, and so 10**x, lies above its
+    # nearest double where the rest is positive; below x = -307 the scaling
+    # rounds, to a double at most 2**-1022, which is all those bounds need
+    bound = np.ldexp(five_hi[x + 308], x)
+    bound = np.append(np.where(five_lo[x + 308] > 0, np.nextafter(bound, math.inf), bound), math.inf)
+    binade_x = np.searchsorted(bound, np.ldexp(1.0, np.arange(-1022, 1024)), "right") - 1
+    row = np.concatenate(([0], binade_x + _CSV_X_ROW, [_CSV_SLOT])).astype(np.int64)
+    next_bound = np.concatenate(([5e-324], bound[binade_x + 1], [math.nan]))
+    bits = np.array([powers[abs(k)].bit_length() for k in _CSV_EXPONENTS])
+    s = 16 - x
+    e = np.where(x >= 0, 1 - x - bits, np.minimum(bits - x, 1023))
+    e[(0 <= s) & (s <= 22)] = 0
+    hi, lo = np.ldexp(five_hi[s + 308], s - e), np.ldexp(five_lo[s + 308], s - e)
+    return row, next_bound, np.ldexp(1.0, e), hi, lo
 
 
-# Tables of _write_csv's exact %.17g kernel (see its docstring), indexed by
-# X + 6 for the decimal exponent X in [-6, 16].  They are built from Python
-# numbers, and the integer ones are int64 whatever numpy's default integer.
-_CSV_EXPONENTS = range(-6, 17)
-# searchsorted(_CSV_BOUNDS, |x|, "right") is the row of x's cell template:
-# 0 for zero, 1 below the range, X + _CSV_X_ROW + 6 in it and 25 from 1e17
-# on (and for inf and nan).
-_CSV_BOUNDS = np.array([5e-324] + [_least_double_from(k) for k in range(-6, 18)])
+# Tables of _write_csv's %.17g kernel (see its docstring), indexed by X + 308
+# for the decimal exponent X of a normal double, in [-308, 308].  They are
+# built from Python numbers, and the integer ones are int64 whatever numpy's
+# default integer.
+_CSV_EXPONENTS = range(-308, 309)
+_CSV_X = np.array(_CSV_EXPONENTS, np.int64)
+# A value's row: 0 for zero, 1 for a subnormal, X + _CSV_X_ROW + 308 for a
+# normal double and _CSV_SLOT for inf and nan.  _CSV_ROW[b] is the row of the
+# least double of binary exponent field b, and the row of |x| is one more
+# from _CSV_NEXT[b] on: a binade holds at most one power of ten.
 _CSV_X_ROW = 2
-_CSV_SCALE = np.array([10.0 ** (16 - x) for x in _CSV_EXPONENTS])  # exact doubles
+_CSV_SLOT = len(_CSV_EXPONENTS) + _CSV_X_ROW
+_CSV_ROW, _CSV_NEXT, _CSV_POW2, _CSV_HI, _CSV_LO = _decade_tables()
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
-_CSV_SCALE_HI = np.array([p * _SPLIT - (p * _SPLIT - p) for p in _CSV_SCALE.tolist()])
-_CSV_SCALE_LO = _CSV_SCALE - _CSV_SCALE_HI
+_CSV_HI_HEAD = _CSV_HI * _SPLIT - (_CSV_HI * _SPLIT - _CSV_HI)
+_CSV_HI_TAIL = _CSV_HI - _CSV_HI_HEAD
+# A digit fraction farther than this from 1/2 rounds as the exact one does
+# (see _digits); where lo is 0 the fraction is exact and no bound is needed.
+_CSV_TIE_EDGE = np.where(_CSV_LO == 0, 0.5, 0.5 - 2.0**-47)
 # The point follows digit _CSV_POINT of the 17, so q // _CSV_UNIT is the
 # part of the digits q before the point.  _CSV_MARK is _CSV_UNIT where the
 # point is among the digits or there is an exponent suffix, else 0.
-_CSV_POINT = np.array([_point_digit(x) for x in _CSV_EXPONENTS], np.int64)
-_CSV_UNIT = np.array([10 ** (16 - _point_digit(x)) for x in _CSV_EXPONENTS], np.int64)
-_CSV_MARK = np.array(
-    [0 if -4 <= x < 0 else 10 ** (16 - _point_digit(x)) for x in _CSV_EXPONENTS], np.int64
-)
-# A cell: sign, a 5-byte "0.000" lead, 18 digit-and-point bytes, an "e-0X"
-# suffix and the separator; _write_csv drops its NUL bytes.  _CSV_TEMPLATE
-# holds the cell of each row above.  A value that % formats has its
-# conversion in its cell.
-_CELL = 29
+_CSV_LEAD_ROW = (-4 <= _CSV_X) & (_CSV_X < 0)  # the rows of a "0.000" lead
+_CSV_POINT = np.where(_CSV_LEAD_ROW, 16, np.where((0 <= _CSV_X) & (_CSV_X <= 16), _CSV_X, 0))
+_CSV_UNIT = np.array([10 ** (16 - p) for p in range(17)], np.int64)[_CSV_POINT]
+_CSV_MARK = np.where(_CSV_LEAD_ROW, 0, _CSV_UNIT)
+# A cell: sign, a 5-byte "0.000" lead, 18 digit-and-point bytes, an exponent
+# suffix of up to 5 bytes ("e-05", "e+308") and the separator; _write_csv
+# drops its NUL bytes.  _CSV_TEMPLATE holds the cell of each row above.  A
+# value that % formats has its conversion in its cell.
+_CELL = 30
 
 
 def _cell_template(x):
     lead = b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b""
-    suffix = b"e-%02d" % -x if x < -4 else b""
+    suffix = b"" if -4 <= x <= 16 else b"e%+03d" % x
     return lead.rjust(6, b"\0") + b"\0" * 18 + suffix
 
 
@@ -462,36 +497,53 @@ def _digit_words():
 _DIGITS2, _DIGITS4 = _digit_words()
 
 
-def _exact_digits(a, x):
-    """The 17 significant digits of values ``a`` in [1e-6, 1e17), rounded half to even.
+def _digits(a, x):
+    """The 17 significant digits of normal doubles ``a`` > 0, rounded half to even.
 
-    ``x`` is X + 6.  Returns them as int64 integers in [1e16, 1e17).  The
-    steps work in place, to keep the temporaries of a chunk few.
+    ``x`` is X + 308 for each value's decimal exponent X.  Returns (q,
+    to_format): the digits as int64 integers, and the mask of the values
+    whose q may be wrong and which go to ``%`` instead.  Elsewhere q is in
+    [1e16, 1e17).
+
+    With y = a * 2**E (exact) and hi + lo from the row's table, Dekker's
+    TwoProduct splits y * hi into an even integer h > 2**53 and an exact
+    rest r; r + y * lo is then within 3 * 2**-49 of the digits' exact
+    fraction past h (each rounding is at most 2**-49 at these magnitudes,
+    and so is the error of hi + lo), and h + rint of it is q.  A value goes
+    to ``%`` when that fraction is within 2**-47 of 1/2, where the rounding
+    could go either way, and when q reaches 1e17, a carry into X + 1.
+    Where lo is 0 the arithmetic is exact and rint rounds ties to even, as
+    CPython's ``%.17g`` does, so those rows never go to ``%``.  The steps
+    work in place, to keep the temporaries of a chunk few.
     """
-    # Dekker's TwoProduct: hi + lo == a * 10**(16 - X) exactly
-    hi = a * _CSV_SCALE[x]
-    a_hi = a * _SPLIT
-    a_hi -= a_hi - a
-    a_lo = a - a_hi
-    p_hi, p_lo = _CSV_SCALE_HI[x], _CSV_SCALE_LO[x]
-    lo = a_hi * p_hi
-    lo -= hi
-    lo += a_hi * p_lo
-    lo += a_lo * p_hi
-    lo += a_lo * p_lo
+    y = a * _CSV_POW2[x]
+    hi = y * _CSV_HI[x]
+    y_hi = y * _SPLIT
+    y_hi -= y_hi - y
+    y_lo = y - y_hi
+    p_hi, p_lo = _CSV_HI_HEAD[x], _CSV_HI_TAIL[x]
+    rest = y_hi * p_hi
+    rest -= hi
+    rest += y_hi * p_lo
+    rest += y_lo * p_hi
+    rest += y_lo * p_lo
+    rest += y * _CSV_LO[x]
+    up = np.rint(rest)
     q = hi.astype(np.int64)
-    q += np.rint(lo, out=lo).astype(np.int64)
-    return q
+    q += up.astype(np.int64)
+    rest -= up
+    to_format = np.abs(rest, out=rest) > _CSV_TIE_EDGE[x]
+    to_format |= q >= 10**17
+    return q, to_format
 
 
-def _digit_bytes(a, x):
-    """The 18 digit-and-point bytes of the cells of values ``a`` in [1e-6, 1e17).
+def _digit_bytes(q, x):
+    """The 18 digit-and-point bytes of the cells of 17-digit integers ``q``.
 
-    ``x`` is X + 6.  Returns a (len(a), 18) uint8 array: the 17 significant
-    digits of ``a``, with the point among them and the trailing zeros of
-    the fraction as NUL bytes.
+    ``x`` is X + 308.  Returns a (len(q), 18) uint8 array: the digits, with
+    the point among them and the trailing zeros of the fraction as NUL
+    bytes.
     """
-    q = _exact_digits(a, x)
     # z is q with one more digit after the point's place: a 1 that keeps the
     # integer part's zeros from being stripped and is then overwritten by the
     # point (or by NUL if no fraction digit is left), or a 0 where the point
@@ -501,9 +553,9 @@ def _digit_bytes(a, x):
     z *= 10
     z += _CSV_MARK[x]
     z += frac
-    words = np.empty((len(a), 5), np.uint32)
+    words = np.empty((len(q), 5), np.uint32)
     # 10000 while every digit after this word is a trailing zero, then 0
-    strip = np.full(len(a), 10000, np.int64)
+    strip = np.full(len(q), 10000, np.int64)
     for i in (4, 3, 2, 1):
         high = z // 10000
         z -= high * 10000
@@ -512,20 +564,39 @@ def _digit_bytes(a, x):
         z = high
     words[:, 0] = _DIGITS2[z + strip // 100]
     digits = words.view(np.uint8)[:, 2:]
-    digits[np.arange(len(a)), 1 + _CSV_POINT[x]] = (frac != 0).view(np.uint8) * _POINT
+    digits[np.arange(len(q)), 1 + _CSV_POINT[x]] = (frac != 0).view(np.uint8) * _POINT
     return digits
+
+
+def _csv_rows(mag):
+    """The template row of each value of ``mag``, a float64 array of |x|."""
+    binade = mag.view(np.int64) >> 52
+    row = _CSV_ROW[binade]
+    row += mag >= _CSV_NEXT[binade]
+    return row
 
 
 def _csv_text(chunk):
     """The text of the rows ``chunk``, as bytes or a uint8 array."""
     # each temporary is deleted once used, to keep the chunk's peak memory low
     flat = chunk.ravel()
-    row = np.searchsorted(_CSV_BOUNDS, np.abs(flat), side="right")
-    fast_at = np.flatnonzero((row >= _CSV_X_ROW) & (row < _CSV_X_ROW + len(_CSV_EXPONENTS)))
-    digits = _digit_bytes(np.abs(flat[fast_at]), row[fast_at] - _CSV_X_ROW)
+    mag = np.abs(flat)
+    row = _csv_rows(mag)
+    fast = (row >= _CSV_X_ROW) & (row < _CSV_SLOT)
+    # where every value gets digits, as in most chunks, a slice makes the
+    # lookups below views and the put of the digits a plain copy
+    fast_at = slice(None) if fast.all() else np.flatnonzero(fast)
+    x = row[fast_at] - _CSV_X_ROW
+    q, to_format = _digits(mag[fast_at], x)
+    del mag
+    if to_format.any():
+        fast_at = np.flatnonzero(fast)
+        row[fast_at[to_format]] = _CSV_SLOT
+        keep = ~to_format
+        fast_at, q, x = fast_at[keep], q[keep], x[keep]
     cells = _CSV_TEMPLATE[row]
-    cells[fast_at, 6:24] = digits
-    del digits, fast_at
+    cells[fast_at, 6:24] = _digit_bytes(q, x)
+    del q, x, fast_at
     slot = _CSV_SLOT_ROW[row]
     del row
     cells[:, 0] = (np.signbit(flat) & ~slot).view(np.uint8) * _MINUS
@@ -543,29 +614,27 @@ def _write_csv(path, header, table):
     exactly.  The file is byte for byte the one ``np.savetxt`` writes with
     that conversion.
 
-    The rows go out in chunks of about ``_CSV_CHUNK_VALUES`` values, each
-    value in a fixed-width cell whose NUL bytes are dropped on writing.  A
-    finite nonzero value whose decimal exponent X is in [-6, 16] gets its
-    digits from numpy arithmetic that is exact:
+    The rows, of a float64 ``table``, go out in chunks of at least
+    ``_CSV_CHUNK_VALUES`` values and as few rows as that takes, each value
+    in a fixed-width cell whose NUL bytes are dropped on writing.  A
+    normal double, of any decimal exponent X in [-308, 308], gets its 17
+    digits from :func:`_digits`, with X found from its binary exponent and
+    one comparison with the smallest double >= 10**(X + 1).  For X in
+    [-6, 16] that arithmetic is exact and sends no value to ``%``: a carry
+    into X + 1 would need |x| within 5e-18, relatively, below a power of
+    ten, and no double in this range is (the tests write the doubles
+    around each power of ten).  Elsewhere it sends a value to ``%`` when
+    its digits are within 2**-47 of a rounding tie or carry into X + 1.
 
-    * X is found by comparing |x| with the smallest double >= 10**k.
-    * With s = 16 - X <= 22, 10**s is an exact double, so Dekker's
-      TwoProduct splits |x| * 10**s into hi + lo with no error.  hi >= 1e16
-      > 2**53 is an even integer, so hi + rint(lo) is the 17-digit integer
-      rounded half to even, as CPython's ``%.17g`` rounds.
-    * The result is below 1e17: rounding up to 1e17, a carry into X + 1,
-      needs |x| within 5e-18, relatively, below a power of ten.  No double
-      in this range is (the tests write the doubles around each power of
-      ten).
-
-    The digits, the point, the "0.000" lead of X in [-4, -1] and the "e-0X"
-    of X in [-6, -5] then go into the cell as table lookups, with trailing
-    zeros of the fraction as NUL bytes.  Zeros are "0" and "-0".  Every
-    other value (nan, +-inf, |x| < 1e-6, |x| >= 1e17) gets a ``%.17g``
-    conversion in its cell instead, and the chunk's text is formatted with
-    one ``%`` on those values.
+    The digits, the point, the "0.000" lead of X in [-4, -1] and the
+    exponent suffix of X < -4 and X > 16 then go into the cell as table
+    lookups, with trailing zeros of the fraction as NUL bytes.  Zeros are
+    "0" and "-0".  The rest (nan, +-inf, subnormals, whose decade the
+    binary exponent does not tell, and the values :func:`_digits` sends to
+    ``%``) gets a ``%.17g`` conversion in its cell instead, and the chunk's
+    text is formatted with one ``%`` on those values.
     """
-    chunk_rows = max(1, _CSV_CHUNK_VALUES // table.shape[1])
+    chunk_rows = -(-_CSV_CHUNK_VALUES // table.shape[1])
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(table), chunk_rows):

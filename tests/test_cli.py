@@ -457,6 +457,21 @@ def test_an_absolute_out_name_makes_no_out_dir(tmp_path, capsys):
     assert not (tmp_path / "sub").exists()
 
 
+def test_a_nested_out_name_gets_its_directory_before_the_run(tmp_path, capsys, monkeypatch):
+    argv = ["discrete", "--problem", json.dumps(LASSO), "--lambda", "0.5", "--gamma", "2", "--x0", "0",
+            "--out", os.path.join("sub2", "h.csv"), "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert (tmp_path / "o" / "sub2" / "h.csv").is_file()
+    # a directory that cannot be made fails the command before the iteration runs
+    (tmp_path / "file").write_text("")
+    runs = []
+    monkeypatch.setattr(cli.discrete_mod, "run_inertial", lambda *args: runs.append(args))
+    capsys.readouterr()
+    assert cli.main(argv[:-1] + [str(tmp_path / "file")]) == 1
+    assert capsys.readouterr().err.count("error: ") == 1
+    assert runs == []
+
+
 def test_paths_in_a_config_file_are_relative_to_it(tmp_path, capsys, monkeypatch):
     # sweep's run_config and rates' traj, named inside a config file in another directory
     (tmp_path / "sub").mkdir()

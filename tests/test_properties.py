@@ -22,8 +22,10 @@
   array with the message a loop of scalar calls would stop at.
 - Every CSV writer's output reads back bit for bit, and is byte for byte
   what ``np.savetxt`` writes: on arbitrary doubles, and on doubles around
-  every power of ten and on exact rounding ties, where the writer's exact
-  digit arithmetic could go wrong.
+  every power of ten of the double range, at the subnormal edges and on
+  exact rounding ties, where the writer's digit arithmetic could go wrong.
+  That arithmetic leaves no random double of any decade to ``%``, and no
+  tie of a decade where it is exact.
 """
 
 import math
@@ -61,7 +63,8 @@ from proxdyn import (
     write_history_csv,
     write_trajectory_csv,
 )
-from proxdyn.dynamics import _CSV_CHUNK_VALUES, _CSV_MARK, _CSV_POINT, _CSV_UNIT, _check_run, _write_csv
+from proxdyn.dynamics import (_CSV_CHUNK_VALUES, _CSV_LO, _CSV_MARK, _CSV_POINT, _CSV_UNIT, _CSV_X_ROW,
+                              _check_run, _csv_rows, _digits, _write_csv)
 from proxdyn.problems import _CATALOG
 from oracles import derive_params_scalar, rk4_reference, savetxt_csv
 
@@ -622,11 +625,15 @@ def _tie_values(rng, n):
 
 
 def _writer_values(rng):
-    """Values concentrated in ``_write_csv``'s exact-digit range [1e-6, 1e17) and at its edges."""
-    near_powers = [10.0**k + np.arange(-200, 201) * np.spacing(10.0**k) for k in range(-8, 20)]
+    """Values around every power of ten of the double range, the subnormal edges and the largest double."""
+    powers = 10.0 ** np.arange(-323, 309)  # 10**-324 rounds to 0
+    near_powers = (powers[:, None] + np.arange(-200, 201) * np.spacing(powers)[:, None]).ravel()
+    tiny, huge = 2.0**-1022, np.finfo(np.float64).max
+    edges = np.concatenate([np.arange(1, 201) * 5e-324, tiny + np.arange(-200, 201) * 5e-324,
+                            huge - np.arange(201) * 2.0**971])  # 2**971: the spacing below huge
     bit_patterns = rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)
     log_uniform = np.exp(rng.uniform(math.log(1e-7), math.log(1e18), 4000))
-    values = np.concatenate(near_powers + [_tie_values(rng, 2000), log_uniform])
+    values = np.concatenate([near_powers, edges, _tie_values(rng, 2000), log_uniform])
     values *= rng.choice([-1.0, 1.0], len(values))
     specials = np.repeat([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324], 50)
     values = np.concatenate([values, bit_patterns, specials])
@@ -637,7 +644,7 @@ def _writer_values(rng):
 @pytest.mark.parametrize(
     "n_columns, int_columns",
     [
-        (1, ()),  # about 23 000 rows, so the table spans several chunks
+        (1, ()),  # about 264 000 rows, so the table spans many chunks
         (3, (1,)),
         (7, (0, 5)),
         (1201, ()),  # the width of a dim-400 trajectory
@@ -660,11 +667,43 @@ def test_write_csv_matches_savetxt_in_and_around_the_exact_range(tmp_path, n_col
 def test_write_csv_integer_tables_are_int64():
     # 10**16 does not fit in 32 bits: a table of numpy's default integer type
     # would wrap around silently where that type is int32
-    exponents = range(-6, 17)
+    exponents = range(-308, 309)
     assert [table.dtype for table in (_CSV_POINT, _CSV_UNIT, _CSV_MARK)] == [np.dtype(np.int64)] * 3
-    assert _CSV_POINT.tolist() == [0 if x < -4 else 16 if x < 0 else x for x in exponents]
-    assert _CSV_UNIT.tolist() == [10**16 if x < -4 else 1 if x < 0 else 10 ** (16 - x) for x in exponents]
+    assert _CSV_POINT.tolist() == [16 if -4 <= x < 0 else x if 0 <= x <= 16 else 0 for x in exponents]
+    assert _CSV_UNIT.tolist() == [1 if -4 <= x < 0 else 10 ** (16 - x) if 0 <= x <= 16 else 10**16
+                                  for x in exponents]
     assert _CSV_MARK.tolist() == [0 if -4 <= x < 0 else u for x, u in zip(exponents, _CSV_UNIT.tolist())]
+
+
+def test_digit_kernel_sends_no_random_double_and_no_exact_row_tie_to_percent(tmp_path):
+    # the kernel's digits against CPython's on normal doubles of every binade,
+    # so of every decade; the mask it returns names the values written by %
+    rng = np.random.default_rng(14)
+    bits = rng.integers(1, 2047, 10**5, dtype=np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2**52, 10**5, dtype=np.uint64)
+    values = bits.view(np.float64)
+    rows = _csv_rows(values)
+    assert set(range(_CSV_X_ROW, _CSV_X_ROW + 617)) == set(rows.tolist())
+    q, to_format = _digits(values, rows - _CSV_X_ROW)
+    assert not to_format.any()
+    assert q.tolist() == [int(s[0] + s[2:18]) for s in ("%.16e" % v for v in values.tolist())]
+    # a tie rounds to even exactly where lo is 0; elsewhere the kernel cannot
+    # tell a tie from a near-tie and leaves it to %
+    ties = np.abs(_tie_values(rng, 2000))
+    rows = _csv_rows(ties)
+    q, to_format = _digits(ties, rows - _CSV_X_ROW)
+    exact = _CSV_LO[rows - _CSV_X_ROW] == 0
+    assert exact.any() and not exact.all()
+    assert to_format.tolist() == (~exact).tolist()
+    assert q[exact].tolist() == [int(s[0] + s[2:18]) for s in ("%.16e" % v for v in ties[exact].tolist())]
+    # a chunk whose every value gets digits, some of them from %: ties, and
+    # doubles just below 1e-14 and 1e98 whose digits carry into the next decade
+    table = np.array([np.concatenate((ties[~exact][:5], [1e-14, 1e98, 1.5]))])
+    rows = _csv_rows(table[0])
+    assert _digits(table[0], rows - _CSV_X_ROW)[1].tolist() == [True] * 7 + [False]
+    _write_csv(tmp_path / "written.csv", ["c"] * table.shape[1], table)
+    savetxt_csv(tmp_path / "savetxt.csv", ["c"] * table.shape[1], table)
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 @settings(max_examples=200, **_SETTINGS)
