@@ -33,9 +33,11 @@ flag and config value are made from that table.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -239,6 +241,20 @@ def _out_path(out_dir, name):
     return path
 
 
+@contextlib.contextmanager
+def _out_path_for(out_dir, name):
+    """:func:`_out_path`, made before a run; the directories it made go again if the run fails."""
+    made, parent = None, os.path.dirname(os.path.join(out_dir or ".", name))
+    while parent and not os.path.exists(parent):
+        made, parent = parent, os.path.dirname(parent)
+    try:
+        yield _out_path(out_dir, name)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -381,10 +397,11 @@ def cmd_discrete(args):
     inputs = _command_inputs(args)
     x0 = inputs["x0"]
     x1 = x0 if inputs["x1"] is None else inputs["x1"]
-    path = _out_path(args.out_dir, inputs["out"])  # a path that cannot be made fails before the run
-    history = discrete_mod.run_inertial(inputs["problem"], inputs["lambda"], inputs["gamma"], x0, x1,
-                                        inputs["max_iter"], inputs["tol"])
-    discrete_mod.write_history_csv(history, path)
+    # a path that cannot be made fails before the run, and a failed run leaves no directory behind
+    with _out_path_for(args.out_dir, inputs["out"]) as path:
+        history = discrete_mod.run_inertial(inputs["problem"], inputs["lambda"], inputs["gamma"], x0, x1,
+                                            inputs["max_iter"], inputs["tol"])
+        discrete_mod.write_history_csv(history, path)
     if args.json:
         _dump_json(_json_safe({
             "converged": history.converged,

@@ -582,15 +582,11 @@ def _csv_text(chunk):
     flat = chunk.ravel()
     mag = np.abs(flat)
     row = _csv_rows(mag)
-    fast = (row >= _CSV_X_ROW) & (row < _CSV_SLOT)
-    # where every value gets digits, as in most chunks, a slice makes the
-    # lookups below views and the put of the digits a plain copy
-    fast_at = slice(None) if fast.all() else np.flatnonzero(fast)
+    fast_at = np.flatnonzero((row >= _CSV_X_ROW) & (row < _CSV_SLOT))
     x = row[fast_at] - _CSV_X_ROW
     q, to_format = _digits(mag[fast_at], x)
     del mag
     if to_format.any():
-        fast_at = np.flatnonzero(fast)
         row[fast_at[to_format]] = _CSV_SLOT
         keep = ~to_format
         fast_at, q, x = fast_at[keep], q[keep], x[keep]
