@@ -462,6 +462,18 @@ def test_a_nested_out_name_gets_its_directory_before_the_run(tmp_path, capsys, m
             "--out", os.path.join("sub2", "h.csv"), "--out-dir", str(tmp_path / "o")]
     assert cli.main(argv) == 0, capsys.readouterr().err
     assert (tmp_path / "o" / "sub2" / "h.csv").is_file()
+    # a run that fails on a wrong x0 shape, or diverges, leaves no directory that was made for it,
+    # under a new --out-dir or for a new absolute --out name
+    written = sorted(tmp_path.rglob("*"))
+    diverges = ["discrete", "--problem", json.dumps({"name": "zero_quad", "Q": [[10.0]], "b": [0.0]}),
+                "--lambda", "1.0", "--gamma", "1.0", "--x0", "1"]
+    for command, code in ((argv[:9] + ["0"], 1), (diverges, 2)):
+        for out in (["--out", os.path.join("a", "h.csv"), "--out-dir", str(tmp_path / "o2")],
+                    ["--out", str(tmp_path / "c" / "h.csv")]):
+            capsys.readouterr()
+            assert cli.main(command + out) == code
+            assert capsys.readouterr().err.count("error: " if code == 1 else "numerical abort: ") == 1
+            assert sorted(tmp_path.rglob("*")) == written
     # a directory that cannot be made fails the command before the iteration runs
     (tmp_path / "file").write_text("")
     runs = []
@@ -470,20 +482,6 @@ def test_a_nested_out_name_gets_its_directory_before_the_run(tmp_path, capsys, m
     assert cli.main(argv[:-1] + [str(tmp_path / "file")]) == 1
     assert capsys.readouterr().err.count("error: ") == 1
     assert runs == []
-
-
-def test_a_failed_discrete_run_leaves_no_directory(tmp_path, capsys):
-    # a wrong x0 shape and a divergence, into a new nested --out name and a new absolute one
-    bad_x0 = ["--problem", json.dumps(LASSO), "--lambda", "0.5", "--gamma", "2", "--x0", "0", "0"]
-    diverges = ["--problem", json.dumps({"name": "zero_quad", "Q": [[10.0]], "b": [0.0]}),
-                "--lambda", "1.0", "--gamma", "1.0", "--x0", "1"]
-    (tmp_path / "kept").mkdir()
-    for flags, code in ((bad_x0, 1), (diverges, 2)):
-        for out in (["--out", os.path.join("a", "b", "h.csv"), "--out-dir", str(tmp_path / "kept" / "o")],
-                    ["--out", str(tmp_path / "c" / "h.csv")]):
-            assert cli.main(["discrete"] + flags + out) == code
-            assert capsys.readouterr().err.count("error: " if code == 1 else "numerical abort: ") == 1
-            assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
 
 
 def test_paths_in_a_config_file_are_relative_to_it(tmp_path, capsys, monkeypatch):
