@@ -139,6 +139,8 @@ def _problem(value, key, base_dir):
 
 
 def _outputs(value, key, base_dir):
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ValueError("%s must be a list of names, got %r" % (key, value))
     unknown = set(value) - set(_OUTPUT_KINDS)
     if unknown:
         raise ValueError("unknown outputs %s; choose from %s" % (sorted(unknown), list(_OUTPUT_KINDS)))

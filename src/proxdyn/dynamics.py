@@ -49,17 +49,8 @@ in ``_BLOCK_BYTES`` (32 MB), integrating the next block only once the
 previous block's entries have been taken; a sweep of many long runs thus
 holds one or two blocks of samples, not all of them.
 
-``_write_csv`` is the one CSV writer of the package (trajectories here,
-energy traces, iterate histories and the sweep map elsewhere).  It writes
-the bytes ``np.savetxt`` writes with ``%.17g``.  One digit kernel serves
-every normal double, of every decimal exponent in [-308, 308]: Dekker's
-TwoProduct with 10**(16 - X) held as a double-double, exact for X in
-[-6, 16], then table lookups lay the digits out in fixed-width cells.
-Zeros are constant cells.  The rest (nan, +-inf, subnormals, and the rare
-value whose digits the kernel cannot round for certain: a near-tie outside
-[-6, 16] or a carry into the next decade) goes through one ``%`` per chunk
-of rows.  An integral value such as an iteration count or a 0/1 flag
-is written like ``%d`` would write it, with no point.
+``_write_csv`` is the one CSV writer of the package: trajectories here,
+energy traces, iterate histories and the sweep map elsewhere.
 """
 
 from __future__ import annotations
@@ -150,6 +141,10 @@ def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
         sample_every = max(1, math.ceil((n_steps + 1) / 100_000))
     else:
         sample_every = _as_int(sample_every, "sample_every", least=1)
+        if sample_every > n_steps:
+            raise ValueError(
+                "sample_every=%d exceeds the run's %d steps" % (sample_every, n_steps)
+            )
     if n_steps % sample_every:
         n_steps += sample_every - (n_steps % sample_every)
     return u, v, n_steps, sample_every, n_steps // sample_every + 1
@@ -265,8 +260,8 @@ def integrate(obj, params, u0, v0, t_end, h, sample_every=None):
     h : float
         Fixed integrator step; must satisfy h <= 1/L1.
     sample_every : int, optional
-        Record every this-many steps.  Defaults to the smallest value
-        keeping at most 10^5 samples.
+        Record every this-many steps, at most round(t_end/h).  Defaults to
+        the smallest value keeping at most 10^5 samples.
 
     Returns
     -------
@@ -391,9 +386,9 @@ def _double_double(num, den):
 def _decade_tables():
     """_CSV_ROW and _CSV_NEXT, then 2**E, hi and lo for each X of _CSV_X.
 
-    hi + lo is 10**(16 - X) / 2**E as a double-double.  E is 0 where
-    10**(16 - X) is a double, so lo is 0 there; elsewhere 2**E <= 2**1023
-    brings 10**X as near [1, 2) as it can.  As 10**k = 5**k * 2**k, every
+    hi + lo is 10**(16 - X) / 2**E as a double-double, 2**E <= 2**1023
+    bringing 10**X as near [1, 2) as it can; lo is 0 where 10**(16 - X) is
+    a double.  As 10**k = 5**k * 2**k, every
     double here is a double-double of 5**k or 5**-k from Python integers,
     scaled by an exact power of two.
     """
@@ -411,10 +406,8 @@ def _decade_tables():
     binade_x = np.searchsorted(bound, np.ldexp(1.0, np.arange(-1022, 1024)), "right") - 1
     row = np.concatenate(([0], binade_x + _CSV_X_ROW, [_CSV_SLOT])).astype(np.int64)
     next_bound = np.concatenate(([5e-324], bound[binade_x + 1], [math.nan]))
-    bits = np.array([powers[abs(k)].bit_length() for k in _CSV_EXPONENTS])
+    e = np.minimum(1 - x - np.frexp(five_hi[x + 308])[1], 1023)
     s = 16 - x
-    e = np.where(x >= 0, 1 - x - bits, np.minimum(bits - x, 1023))
-    e[(0 <= s) & (s <= 22)] = 0
     hi, lo = np.ldexp(five_hi[s + 308], s - e), np.ldexp(five_lo[s + 308], s - e)
     return row, next_bound, np.ldexp(1.0, e), hi, lo
 
@@ -423,14 +416,13 @@ def _decade_tables():
 # for the decimal exponent X of a normal double, in [-308, 308].  They are
 # built from Python numbers, and the integer ones are int64 whatever numpy's
 # default integer.
-_CSV_EXPONENTS = range(-308, 309)
-_CSV_X = np.array(_CSV_EXPONENTS, np.int64)
-# A value's row: 0 for zero, 1 for a subnormal, X + _CSV_X_ROW + 308 for a
-# normal double and _CSV_SLOT for inf and nan.  _CSV_ROW[b] is the row of the
-# least double of binary exponent field b, and the row of |x| is one more
-# from _CSV_NEXT[b] on: a binade holds at most one power of ten.
-_CSV_X_ROW = 2
-_CSV_SLOT = len(_CSV_EXPONENTS) + _CSV_X_ROW
+_CSV_X = np.arange(-308, 309, dtype=np.int64)
+# A value's row: 0 for zero, _CSV_SLOT for a value that % formats (a
+# subnormal, inf or nan), and X + _CSV_X_ROW + 308 for a normal double.
+# _CSV_ROW[b] is the row of the least double of binary exponent field b, and
+# the row of |x| is one more from _CSV_NEXT[b] on: a binade holds at most one
+# power of ten.
+_CSV_SLOT, _CSV_X_ROW = 1, 2
 _CSV_ROW, _CSV_NEXT, _CSV_POW2, _CSV_HI, _CSV_LO = _decade_tables()
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
 _CSV_HI_HEAD = _CSV_HI * _SPLIT - (_CSV_HI * _SPLIT - _CSV_HI)
@@ -461,40 +453,33 @@ def _cell_template(x):
 _CSV_TEMPLATE = np.frombuffer(
     b"".join(
         cell.ljust(_CELL - 1, b"\0") + b","
-        for cell in [b"\0" * 6 + b"0", b"\0%.17g"]
-        + [_cell_template(x) for x in _CSV_EXPONENTS]
-        + [b"\0%.17g"]
+        for cell in [b"\0" * 6 + b"0", b"\0%.17g"] + [_cell_template(x) for x in _CSV_X.tolist()]
     ),
     np.uint8,
 ).reshape(-1, _CELL)
-_CSV_SLOT_ROW = np.array([False, True] + [False] * len(_CSV_EXPONENTS) + [True])
 # uint8 bytes, so that a 0/1 byte times one of them is a uint8, not an int64
 _POINT, _MINUS = np.uint8(ord(".")), np.uint8(ord("-"))
 
 
 def _digit_words():
-    """The ASCII digits of 0 .. 99 and of 0 .. 9999, right-aligned in 4-byte words.
+    """The ASCII digits of 0 .. 9999 in 4-byte words.
 
-    Entry 100 + i of the first table and 10000 + i of the second are entry
-    i with its trailing zeros as NUL bytes.  Both are copied together from
-    the 100 digit pairs, with no wider temporaries than the tables.
+    Entry 10000 + i is entry i with its trailing zeros as NUL bytes.  The
+    table is copied from the 100 digit pairs, with no wider temporaries.
     """
     pairs = [b"%02d" % i for i in range(100)]
     full = np.frombuffer(b"".join(pairs), np.uint8).reshape(100, 2)
     stripped = np.frombuffer(b"".join(p.rstrip(b"0").ljust(2, b"\0") for p in pairs), np.uint8)
     stripped = stripped.reshape(100, 2)
-    words2 = np.zeros((2, 100, 4), np.uint8)
-    words2[0, :, 2:] = full
-    words2[1, :, 2:] = stripped
-    words4 = np.empty((2, 100, 100, 4), np.uint8)
-    words4[:, :, :, :2] = full[:, None]
-    words4[1, :, 0, :2] = stripped  # a zero low pair strips the high pair too
-    words4[0, :, :, 2:] = full
-    words4[1, :, :, 2:] = stripped
-    return words2.view(np.uint32).ravel(), words4.view(np.uint32).ravel()
+    words = np.empty((2, 100, 100, 4), np.uint8)
+    words[:, :, :, :2] = full[:, None]
+    words[1, :, 0, :2] = stripped  # a zero low pair strips the high pair too
+    words[0, :, :, 2:] = full
+    words[1, :, :, 2:] = stripped
+    return words.view(np.uint32).ravel()
 
 
-_DIGITS2, _DIGITS4 = _digit_words()
+_DIGITS4 = _digit_words()
 
 
 def _digits(a, x):
@@ -512,9 +497,12 @@ def _digits(a, x):
     and so is the error of hi + lo), and h + rint of it is q.  A value goes
     to ``%`` when that fraction is within 2**-47 of 1/2, where the rounding
     could go either way, and when q reaches 1e17, a carry into X + 1.
-    Where lo is 0 the arithmetic is exact and rint rounds ties to even, as
-    CPython's ``%.17g`` does, so those rows never go to ``%``.  The steps
-    work in place, to keep the temporaries of a chunk few.
+    For X in [-6, 16] lo is 0, so the arithmetic is exact and rint rounds
+    ties to even, as CPython's ``%.17g`` does, and a carry would need |x|
+    within 5e-18, relatively, below a power of ten, which no double there
+    is (the tests write the doubles around each power of ten); those rows
+    never go to ``%``.  The steps work in place, to keep the temporaries of
+    a chunk few.
     """
     y = a * _CSV_POW2[x]
     hi = y * _CSV_HI[x]
@@ -562,7 +550,7 @@ def _digit_bytes(q, x):
         words[:, i] = _DIGITS4[z + strip]
         strip[z != 0] = 0
         z = high
-    words[:, 0] = _DIGITS2[z + strip // 100]
+    words[:, 0] = _DIGITS4[z + strip]  # z < 100, so this word begins "00"
     digits = words.view(np.uint8)[:, 2:]
     digits[np.arange(len(q)), 1 + _CSV_POINT[x]] = (frac != 0).view(np.uint8) * _POINT
     return digits
@@ -582,7 +570,7 @@ def _csv_text(chunk):
     flat = chunk.ravel()
     mag = np.abs(flat)
     row = _csv_rows(mag)
-    fast_at = np.flatnonzero((row >= _CSV_X_ROW) & (row < _CSV_SLOT))
+    fast_at = np.flatnonzero(row >= _CSV_X_ROW)
     x = row[fast_at] - _CSV_X_ROW
     q, to_format = _digits(mag[fast_at], x)
     del mag
@@ -593,7 +581,7 @@ def _csv_text(chunk):
     cells = _CSV_TEMPLATE[row]
     cells[fast_at, 6:24] = _digit_bytes(q, x)
     del q, x, fast_at
-    slot = _CSV_SLOT_ROW[row]
+    slot = row == _CSV_SLOT
     del row
     cells[:, 0] = (np.signbit(flat) & ~slot).view(np.uint8) * _MINUS
     cells.reshape(chunk.shape + (_CELL,))[:, -1, -1] = ord("\n")
@@ -613,22 +601,16 @@ def _write_csv(path, header, table):
     The rows, of a float64 ``table``, go out in chunks of at least
     ``_CSV_CHUNK_VALUES`` values and as few rows as that takes, each value
     in a fixed-width cell whose NUL bytes are dropped on writing.  A
-    normal double, of any decimal exponent X in [-308, 308], gets its 17
-    digits from :func:`_digits`, with X found from its binary exponent and
-    one comparison with the smallest double >= 10**(X + 1).  For X in
-    [-6, 16] that arithmetic is exact and sends no value to ``%``: a carry
-    into X + 1 would need |x| within 5e-18, relatively, below a power of
-    ten, and no double in this range is (the tests write the doubles
-    around each power of ten).  Elsewhere it sends a value to ``%`` when
-    its digits are within 2**-47 of a rounding tie or carry into X + 1.
-
-    The digits, the point, the "0.000" lead of X in [-4, -1] and the
-    exponent suffix of X < -4 and X > 16 then go into the cell as table
-    lookups, with trailing zeros of the fraction as NUL bytes.  Zeros are
-    "0" and "-0".  The rest (nan, +-inf, subnormals, whose decade the
-    binary exponent does not tell, and the values :func:`_digits` sends to
-    ``%``) gets a ``%.17g`` conversion in its cell instead, and the chunk's
-    text is formatted with one ``%`` on those values.
+    normal double's decimal exponent X, in [-308, 308], comes from its
+    binary exponent and one comparison with the smallest double >=
+    10**(X + 1), and its digits from :func:`_digits`.  The digits, the
+    point, the "0.000" lead of X in [-4, -1] and the exponent suffix of
+    X < -4 and X > 16 then go into the cell as table lookups, with trailing
+    zeros of the fraction as NUL bytes.  Zeros are "0" and "-0".  The rest
+    (nan, +-inf, subnormals, whose decade the binary exponent does not
+    tell, and the values :func:`_digits` sends to ``%``) gets a ``%.17g``
+    conversion in its cell instead, and the chunk's text is formatted with
+    one ``%`` on those values.
     """
     chunk_rows = -(-_CSV_CHUNK_VALUES // table.shape[1])
     with open(path, "wb") as fh:

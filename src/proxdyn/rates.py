@@ -131,10 +131,9 @@ def _linear_fit(xv, yv):
     pred = slope * xv + intercept
     ss_res = float(np.sum((yv - pred) ** 2))
     ss_tot = float(np.sum((yv - yv.mean()) ** 2))
-    if ss_tot > 0.0:
-        r2 = 1.0 - ss_res / ss_tot
-    else:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
+    # a flat series has nothing to explain: its ss_tot is the rounding of its mean
+    flat = np.ptp(yv) <= 4.0 * np.spacing(np.max(np.abs(yv)))
+    r2 = 0.0 if flat else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
 
 

@@ -181,11 +181,21 @@ def test_run_missing_config_key(tmp_path, capsys):
     assert "missing config key" in capsys.readouterr().err
 
 
-def test_run_rejects_unknown_outputs(tmp_path, capsys):
-    cfg = _run_config(tmp_path, outputs=["trajectory", "bogus"])
+@pytest.mark.parametrize("outputs, message", [
+    (["trajectory", "bogus"],
+     "unknown outputs ['bogus']; choose from ['trajectory', 'energy', 'rates', 'summary']"),
+    # an object was taken as its keys, a string as its letters
+    ({"trajectory": 1}, "outputs must be a list of names, got {'trajectory': 1}"),
+    ("trajectory", "outputs must be a list of names, got 'trajectory'"),
+    (5, "outputs must be a list of names, got 5"),
+    (["trajectory", 1], "outputs must be a list of names, got ['trajectory', 1]"),
+], ids=["unknown", "object", "string", "number", "number_in_list"])
+def test_run_rejects_unknown_outputs(tmp_path, capsys, outputs, message):
+    cfg = _run_config(tmp_path, outputs=outputs)
     rc = cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
-    assert "unknown outputs" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_step_beyond_guard(tmp_path, capsys):
@@ -210,6 +220,14 @@ def test_run_rejects_a_sample_every_that_is_not_a_count(tmp_path, capsys, value,
     rc = cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == "error: sample_every must be a positive integer, got %s\n" % shown
+
+
+def test_run_rejects_a_sample_every_beyond_the_step_count(tmp_path, capsys):
+    # it used to run 1000 steps for the 100 of t_end / h
+    cfg = _run_config(tmp_path, t_end=0.1, sample_every=1000)
+    rc = cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: sample_every=1000 exceeds the run's 100 steps\n"
 
 
 def _integer_key_argv(tmp_path, key, value):

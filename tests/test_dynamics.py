@@ -167,6 +167,19 @@ def test_integrate_rejects_a_sample_every_that_is_not_a_count(sample_every):
         integrate(obj, params, [1.0], [0.0], t_end=1.0, h=0.01, sample_every=sample_every)
 
 
+@pytest.mark.parametrize("sample_every", [11, 1000])
+def test_integrate_rejects_a_sample_every_beyond_the_step_count(sample_every):
+    # it used to round the 10-step run up to sample_every steps
+    obj, params = _critically_damped()
+    message = "^sample_every=%d exceeds the run's 10 steps$" % sample_every
+    with pytest.raises(ValueError, match=message):
+        integrate(obj, params, [1.0], [0.0], t_end=1.0, h=0.1, sample_every=sample_every)
+    with pytest.raises(ValueError, match=message):
+        integrate_ensemble(obj, [params], [1.0], [0.0], 1.0, 0.1, sample_every=sample_every)
+    traj = integrate(obj, params, [1.0], [0.0], t_end=1.0, h=0.1, sample_every=10)
+    np.testing.assert_allclose(traj.times, [0.0, 1.0], rtol=0, atol=1e-15)
+
+
 def test_integrate_takes_an_integral_float_sample_every():
     obj, params = _critically_damped()
     got = integrate(obj, params, [1.0], [0.0], t_end=1.0, h=0.1, sample_every=2.0)

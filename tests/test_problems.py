@@ -331,8 +331,17 @@ def test_make_problem_validation():
         make_problem("zero_quad", Q=[[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="empty"):
         make_problem("box_quad", Q=[[1.0]], b=[0.0], lower=[1.0], upper=[-1.0])
+    with pytest.raises(ValueError, match="^Q must be a square matrix$"):
+        make_problem("zero_quad", Q=[[1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^b has shape \(2,\), expected \(1,\)$"):
+        make_problem("zero_quad", Q=[[1.0]], b=[0.0, 1.0])
     with pytest.raises(ValueError, match="shape"):
         make_problem("lasso", M=[[1.0, 0.0]], y=[1.0, 2.0], mu=0.1)
+    with pytest.raises(ValueError, match="^M must be a matrix$"):
+        make_problem("lasso", M=[1.0], y=[1.0], mu=0.1)
+    obj = make_problem("zero_quad", Q=[[1.0]])
+    with pytest.raises(ValueError, match="^dimension mismatch: f.dim=1, g.dim=1, dim=2$"):
+        proxdyn.Objective(f=obj.f, g=obj.g, dim=2)
     with pytest.raises(ValueError, match="nonnegative"):
         make_problem("lasso", M=[[1.0]], y=[1.0], mu=-0.1)
     with pytest.raises(ValueError, match="positive"):

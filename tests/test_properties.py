@@ -706,6 +706,23 @@ def test_digit_kernel_sends_no_random_double_and_no_exact_row_tie_to_percent(tmp
     assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
+def test_digit_kernel_raises_no_floating_point_exception_on_any_normal_double():
+    # the 2**E scale keeps Veltkamp's split and TwoProduct's products in
+    # range: unscaled, the split overflows for |x| near 1e300, and
+    # 10**(16 - X) overflows for |x| below 1e-292
+    rng = np.random.default_rng(15)
+    binades = np.arange(-1022, 1024)
+    values = np.concatenate((np.ldexp(rng.uniform(1.0, 2.0, len(binades)), binades),
+                             np.ldexp(1.0, binades), [np.finfo(np.float64).max]))
+    with np.errstate(all="raise"):
+        rows = _csv_rows(values)
+        q, to_format = _digits(values, rows - _CSV_X_ROW)
+    # 2**-25 ends in a 5 at its 18th digit, a tie left to %
+    assert values[to_format].tolist() == [2.0**-25]
+    kept = values[~to_format].tolist()
+    assert q[~to_format].tolist() == [int(s[0] + s[2:18]) for s in ("%.16e" % v for v in kept)]
+
+
 @settings(max_examples=200, **_SETTINGS)
 @given(
     table=hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4)),

@@ -16,6 +16,7 @@ from proxdyn import (
     sigma_estimate,
     sigma_ode_check,
 )
+from proxdyn.rates import _linear_fit
 
 
 def _traj(times, xs, vs, accs):
@@ -123,6 +124,25 @@ def test_constant_distance_is_not_classified_as_decay():
     assert report.fit_quality["polynomial"] is None
 
 
+@pytest.mark.parametrize("value", [math.log(0.3), math.log(7.0)], ids=["log0.3", "log7"])
+@pytest.mark.parametrize("jitter", [0, 1], ids=["exact", "one_ulp"])
+def test_a_flat_series_has_r_squared_zero(value, jitter):
+    # its total sum of squares is only the rounding of its mean: r-squared
+    # read 0.0 for log(0.3) and -22.6 for log(7)
+    y = np.full(50, value)
+    y[7] = np.nextafter(value, math.inf) if jitter else value
+    assert _linear_fit(np.arange(50.0), y)[2] == 0.0
+
+
+def test_a_stationary_trajectory_is_not_classified_as_decay():
+    # it was "exponential" with a2 = 1.2e-17 and fit quality 1.0
+    t = np.arange(20) * 0.1
+    traj = _traj(t, np.full(20, 9.128), np.zeros(20), np.zeros(20))
+    report = classify_rate(traj, x_limit=[0.0])
+    assert report.regime == "undetermined"
+    assert report.a2 is None and report.fit_quality["exponential"] == 0.0
+
+
 # -- polynomial fit -----------------------------------------------------
 
 
@@ -169,6 +189,14 @@ def test_fit_polynomial_rejects_a_constant_that_overflows():
     report = classify_rate(traj, x_limit=[0.5])
     assert report.fit_quality["polynomial"] is None
     assert report.regime == "exponential"
+
+
+def test_fit_polynomial_rejects_an_a4_that_overflows():
+    # d = (a3 * t)**-0.01 with a3 = 1e299, so a4 = a3 * t_ref with t_ref = 1e10
+    t = np.linspace(1e10, 2e10, 20)
+    traj = _traj(t, 10.0**-2.99 * t**-0.01, np.zeros(20), np.zeros(20))
+    with pytest.raises(ValueError, match="^the fitted a4 = .* is not finite$"):
+        fit_polynomial(traj, [0.0])
 
 
 def test_fit_polynomial_too_few_samples():
@@ -263,6 +291,14 @@ def test_classify_rejects_non_finite_trajectories(xs, vs, x_limit):
         classify_rate(traj, x_limit=x_limit)
 
 
+def test_classify_is_undetermined_when_neither_fit_has_samples_enough():
+    t = np.linspace(0.0, 3.0, 4)
+    traj = _traj(t, np.exp(-t), np.zeros(4), np.zeros(4))
+    report = classify_rate(traj, x_limit=[0.0])
+    assert report.regime == "undetermined"
+    assert report.fit_quality == {"exponential": None, "polynomial": None}
+
+
 def test_classify_needs_two_samples():
     traj = _traj([0.0], [1.0], [0.0], [0.0])
     with pytest.raises(ValueError):
@@ -311,6 +347,14 @@ def test_sigma_ode_validation():
     short = SigmaTrace(times=t[:2], sigma=np.ones(2))
     with pytest.raises(ValueError, match="at least 3"):
         sigma_ode_check(short, theta=0.5, alpha=1.0)
+
+
+def test_sigma_ode_on_three_samples_allows_only_rounding():
+    # no third difference: the allowance is 1e-12 of the largest sigma
+    t = np.array([0.0, 1.0, 2.0])
+    report = sigma_ode_check(SigmaTrace(times=t, sigma=4.0 * np.exp(-t)), theta=0.5, alpha=1.0)
+    assert report.tol == 4e-12
+    assert report.violations.size == 0
 
 
 def test_sigma_ode_rejects_a_nan_alpha():
