@@ -30,8 +30,6 @@ __all__ = [
     "DivergenceError",
     "inertial_step_unit",
     "run_inertial",
-    "constant_gamma",
-    "inverse_k_gamma",
     "write_history_csv",
 ]
 
@@ -56,27 +54,6 @@ class IterateHistory:
     objective_values: np.ndarray
     converged: bool
     iterations: int
-
-
-def constant_gamma(value):
-    """Schedule k -> value."""
-    _check_real(value, "gamma")
-
-    def schedule(k):
-        return value
-
-    return schedule
-
-
-def inverse_k_gamma(base, floor=1e-3):
-    """Schedule k -> max(base / k, floor)."""
-    _check_real(base, "base")
-    _check_real(floor, "floor")
-
-    def schedule(k):
-        return max(base / k, floor)
-
-    return schedule
 
 
 def inertial_step_unit(obj, lam, gk, xk, xkm1):
@@ -107,7 +84,8 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     max_iter = _as_int(max_iter, "max_iter", least=1)
     _check_real(tol, "tol", "nonnegative")
     if not callable(gamma_schedule):
-        gamma_schedule = constant_gamma(float(gamma_schedule))
+        gamma = float(_check_real(gamma_schedule, "gamma"))
+        gamma_schedule = lambda k: gamma
     x_prev = np.array(_check_real(x0, "each entry of x0", "finite"))
     x_cur = np.array(_check_real(x1, "each entry of x1", "finite"))
     if x_prev.shape != (obj.dim,) or x_cur.shape != (obj.dim,):

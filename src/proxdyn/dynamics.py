@@ -106,7 +106,6 @@ class Trajectory:
     accs: np.ndarray
     params: Optional[SystemParams]
     step: float
-    method: str = "rk4"
 
 
 def _check_run(obj, params_seq, u0, v0, t_end, h, sample_every):
@@ -239,7 +238,6 @@ def _trajectory(params, h, sample_every, xs, vs, accs):
         accs=accs,
         params=params,
         step=h,
-        method="rk4",
     )
 
 
@@ -619,24 +617,28 @@ def _write_csv(path, header, table):
             fh.write(_csv_text(table[start : start + chunk_rows]))
 
 
+def _trajectory_header(n):
+    return ["t"] + ["%s_%d" % (name, i) for name in "xva" for i in range(n)]
+
+
 def write_trajectory_csv(traj, path):
     """Write `t,x_0..x_{n-1},v_0..v_{n-1},a_0..a_{n-1}` with 17 significant digits."""
-    n = traj.xs.shape[1]
-    header = ["t"] + ["%s_%d" % (name, i) for name in "xva" for i in range(n)]
+    header = _trajectory_header(traj.xs.shape[1])
     _write_csv(path, header, np.column_stack((traj.times, traj.xs, traj.vs, traj.accs)))
 
 
 def read_trajectory_csv(path):
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
-    The file carries no system parameters, so ``params`` is None on the
-    result; rate estimation does not need them.
+    The header must be the one that function writes, with at least one
+    coordinate.  The file carries no system parameters, so ``params`` is
+    None on the result; rate estimation does not need them.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-    if not header or header[0] != "t" or (len(header) - 1) % 3 != 0:
-        raise ValueError("not a trajectory CSV: header %r" % (",".join(header),))
     n = (len(header) - 1) // 3
+    if n < 1 or header != _trajectory_header(n):
+        raise ValueError("not a trajectory CSV: header %r" % (",".join(header),))
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 1 + 3 * n:
         raise ValueError("trajectory CSV has inconsistent column count")
@@ -649,5 +651,4 @@ def read_trajectory_csv(path):
         accs=data[:, 1 + 2 * n :],
         params=None,
         step=step,
-        method="from-csv",
     )

@@ -27,7 +27,6 @@ from .problems import _check_real, _map_residual, _rowwise_sqnorm, prox_grad_map
 __all__ = [
     "EnergyTrace",
     "Violation",
-    "energy_at",
     "h_value",
     "w_bound",
     "subgradient_witness",
@@ -64,21 +63,6 @@ def _energy(params, fg, v, acc, vv):
         + inv2lam * _rowwise_sqnorm(acc + (params.c * params.gamma) * v)
         - (params.C * inv2lam) * vv
     )
-
-
-def energy_at(obj, params, x, v, acc):
-    """Energy at one state (batched over leading axes).
-
-    E = (f+g)(acc + gamma*v + x) + (1/(2 lam)) ||acc + c*gamma*v||^2
-        - (C/(2 lam)) ||v||^2
-
-    The first argument is reconstructed as acc + gamma*v + x; states that do
-    not come from the system identity may place it outside dom f, in which
-    case the value is +inf.
-    """
-    x, v, acc = (np.asarray(a, dtype=float) for a in (x, v, acc))
-    z = acc + params.gamma * v + x
-    return _energy(params, obj.value(z), v, acc, _rowwise_sqnorm(v))
 
 
 def _h(params, fg, u, v, ww):

@@ -14,7 +14,7 @@ every constant in that analysis:
 * ``s``, ``p``: the subgradient-bound coefficients entering the rate
   envelope, with ``s = beta + 1/lam``;
 * ``m``, ``r0``: the negative envelope constant and its maximizer, see
-  :func:`envelope_constants`.
+  :func:`derive_params`.
 
 Every function broadcasts over numpy arrays, so a whole (gamma, lam) grid is
 derived in one call.  A scalar call runs the same code on ``np.float64``
@@ -32,15 +32,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .problems import _check_real
-
 __all__ = [
     "SystemParams",
-    "lipschitz_l1",
-    "lipschitz_l2",
     "derive_params",
-    "rate_envelope_constants",
-    "envelope_constants",
     "params_report",
 ]
 
@@ -101,78 +95,25 @@ def _float_arrays(*values):
     return [np.array(v) for v in np.broadcast_arrays(*arrays)]
 
 
-def _scalar_or_array(x):
-    """A Python scalar for a 0-d result, else the array itself."""
-    return x.item() if np.ndim(x) == 0 else x
+def _check_inputs(gamma, lam, beta):
+    """Raise ValueError at the first point, in C order, with a bad value.
 
-
-def _raise_first_failure(checks):
-    """Raise ValueError at the first point, in C order, that fails a check.
-
-    ``checks`` holds (ok, message, values) triples whose arrays share one
-    shape.  At the failing point the first failing check is reported, its
-    message formatted with that point's values, so an array call names the
-    value a loop of scalar calls would have stopped at.
+    At that point the first bad one of gamma, lambda and beta is named, so
+    an array call names the value a loop of scalar calls would have
+    stopped at.
     """
+    checks = [
+        (np.isfinite(gamma) & (gamma > 0), "gamma must be a positive finite real, got %r", gamma),
+        (np.isfinite(lam) & (lam > 0), "lambda must be a positive finite real, got %r", lam),
+        (np.isfinite(beta) & (beta >= 0), "beta must be a nonnegative finite real, got %r", beta),
+    ]
     if all(bool(ok) if isinstance(ok, np.bool_) else ok.all() for ok, _, _ in checks):
         return  # a scalar call's checks are numpy bools, whose truth is cheaper than .all()
     failed = [~np.ravel(ok) for ok, _, _ in checks]
     i = int(np.argmax(np.logical_or.reduce(failed)))
-    for bad, (_, message, values) in zip(failed, checks):
+    for bad, (_, message, value) in zip(failed, checks):
         if bad[i]:
-            raise ValueError(message % tuple(float(np.ravel(v)[i]) for v in values))
-
-
-def _check_inputs(gamma, lam, beta):
-    _raise_first_failure([
-        (np.isfinite(gamma) & (gamma > 0), "gamma must be a positive finite real, got %r", (gamma,)),
-        (np.isfinite(lam) & (lam > 0), "lambda must be a positive finite real, got %r", (lam,)),
-        (np.isfinite(beta) & (beta >= 0), "beta must be a nonnegative finite real, got %r", (beta,)),
-    ])
-
-
-def _check_lipschitz_inputs(gamma, lambda_beta):
-    _check_real(gamma, "gamma")
-    _check_real(lambda_beta, "lambda_beta", "nonnegative")
-
-
-def _l1(gamma, lambda_beta):
-    g1 = gamma + 1.0
-    one = 1.0 + lambda_beta
-    return np.sqrt(np.maximum(g1 * g1, (gamma + 2.0) * (one * one + 1.0)))
-
-
-def _l2(gamma, lambda_beta):
-    g1 = gamma + 1.0
-    two = 2.0 + lambda_beta
-    return np.sqrt(np.maximum(g1 * g1 + gamma * lambda_beta, two * two + gamma * two))
-
-
-def lipschitz_l1(gamma, lambda_beta):
-    """First Lipschitz constant of the vector field.
-
-    L1 = sqrt(max((gamma+1)^2, (gamma+2)*((1+lambda_beta)^2 + 1))).
-
-    ``lambda_beta`` is the product lam*beta; the constant depends on the two
-    factors only through it.
-    """
-    gamma, lambda_beta = _float_arrays(gamma, lambda_beta)
-    _check_lipschitz_inputs(gamma, lambda_beta)
-    return _scalar_or_array(_l1(gamma, lambda_beta))
-
-
-def lipschitz_l2(gamma, lambda_beta):
-    """Second Lipschitz constant of the vector field.
-
-    L2 = sqrt(max((gamma+1)^2 + gamma*lambda_beta,
-                  (2+lambda_beta)^2 + gamma*(2+lambda_beta))).
-
-    For gamma <= sqrt(3) the second branch dominates, so
-    L2 = sqrt((2+lambda_beta)^2 + gamma*(2+lambda_beta)) there.
-    """
-    gamma, lambda_beta = _float_arrays(gamma, lambda_beta)
-    _check_lipschitz_inputs(gamma, lambda_beta)
-    return _scalar_or_array(_l2(gamma, lambda_beta))
+            raise ValueError(message % float(np.ravel(value)[i]))
 
 
 def _corollary(gamma, lam, beta):  # the paper's one-inequality sufficient test for rho_feasible
@@ -199,7 +140,14 @@ def derive_params(gamma, lam, beta):
     Returns
     -------
     SystemParams
-        With L = min(L1, L2) and, writing Lsq = L^2:
+        With the two Lipschitz constants of the first-order vector field,
+        which depend on lam and beta only through lb = lam*beta,
+
+        L1 = sqrt(max((gamma+1)^2, (gamma+2) ((1+lb)^2 + 1)))
+        L2 = sqrt(max((gamma+1)^2 + gamma lb, (2+lb)^2 + gamma (2+lb)))
+
+        (for gamma <= sqrt(3) the second branch of L2 dominates), with
+        L = min(L1, L2) and, writing Lsq = L^2:
 
         A = -gamma/(2 lam) + (beta/2) (Lsq + 2 gamma^2 + 1)
         B = -gamma/(2 lam Lsq) + (beta/2) (Lsq + gamma^2 + 1)
@@ -210,17 +158,27 @@ def derive_params(gamma, lam, beta):
         s = beta + 1/lam
         p = (beta lam gamma + (3 - 2c) gamma - C) / lam
 
-    and (m, r0) from :func:`envelope_constants` where ``rho_feasible``
-    holds, nan elsewhere.  ``rho_feasible`` is True iff all of A, B, C are
-    strictly negative.
+    ``rho_feasible`` is True iff all of A, B, C are strictly negative.
+    Where it holds, m is the negative envelope constant and r0 its
+    maximizer: with q(r) = (A + B r^2) / (p + (s+p) r + s r^2) on r >= 0,
+
+        r0 = ((s A - p B) - sqrt((s A - p B)^2 + (s+p)^2 A B)) / ((s+p) B)
+        m  = max(B/s, q(r0))
+
+    so that A v^2 + B w^2 <= m (s w + p v)(v + w) for every v, w >= 0.
+    Elsewhere m and r0 are nan.
     """
     gamma, lam, beta = _float_arrays(gamma, lam, beta)
     _check_inputs(gamma, lam, beta)
     # extreme inputs overflow to inf and compare as infeasible, without a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lb = lam * beta
-        L1 = _l1(gamma, lb)
-        L2 = _l2(gamma, lb)
+        g1 = gamma + 1.0
+        one = 1.0 + lb
+        two = 2.0 + lb
+        L1 = np.sqrt(np.maximum(g1 * g1, (gamma + 2.0) * (one * one + 1.0)))
+        L2 = np.sqrt(np.maximum(g1 * g1 + gamma * lb, two * two + gamma * two))
+        del g1, one, two  # a grid call's peak memory holds no more arrays than it must
         L = np.minimum(L1, L2)
         Lsq = L * L
         Lsq1 = Lsq + 1.0
@@ -245,39 +203,6 @@ def derive_params(gamma, lam, beta):
     if gamma.ndim == 0:  # a scalar call returns Python floats and bools
         values = {name: value.item() for name, value in values.items()}
     return SystemParams(**values)
-
-
-def envelope_constants(A, B, s, p):
-    """Negative envelope constant m and maximizer r0 from raw coefficients.
-
-    With g(r) = (A + B*r^2) / (p + (s+p)*r + s*r^2) on r >= 0:
-
-        r0 = ((s*A - p*B) - sqrt((s*A - p*B)^2 + (s+p)^2*A*B)) / ((s+p)*B)
-        m  = max(B/s, g(r0))
-
-    Requires A < 0 and B < 0 (so the discriminant is nonnegative and m < 0),
-    and s, p > 0, at every point of the broadcast arguments.  The returned m
-    satisfies A*v^2 + B*w^2 <= m*(s*w + p*v)*(v + w) for every v, w >= 0.
-    :func:`derive_params` computes the same formula at every point and
-    keeps it where the point is feasible.
-    """
-    A, B, s, p = _float_arrays(A, B, s, p)
-    _raise_first_failure([
-        ((A < 0.0) & (B < 0.0), "envelope needs A < 0 and B < 0, got A=%g, B=%g", (A, B)),
-        ((s > 0.0) & (p > 0.0), "envelope needs s > 0 and p > 0, got s=%g, p=%g", (s, p)),
-    ])
-    m, r0 = _envelope(A, B, s, p)
-    return _scalar_or_array(m), _scalar_or_array(r0)
-
-
-def rate_envelope_constants(params):
-    """Envelope constants (m, r0) for a feasible parameter set.
-
-    Raises ValueError if ``params.rho_feasible`` is False anywhere.
-    """
-    if not np.all(params.rho_feasible):
-        raise ValueError("rate envelope requires rho-feasible parameters")
-    return params.m, params.r0
 
 
 def params_report(params):

@@ -39,6 +39,7 @@ __all__ = [
 _FINITE_TIME_FACTOR = 1e-12
 _DISTANCE_FLOOR = 1e-14
 _R2_ACCEPT = 0.9
+_TINY = np.finfo(float).tiny
 
 
 class NotConvergedError(ValueError):
@@ -88,8 +89,27 @@ class RateReport:
         return out
 
 
+def _rownorm(x):
+    """Euclidean norm of each row of a 2-D array.
+
+    A row whose sum of squares overflows or underflows is divided by its
+    largest magnitude before squaring; every other row keeps the bits of
+    sqrt(_rowwise_sqnorm(row)).
+    """
+    with np.errstate(over="ignore"):
+        sq = _rowwise_sqnorm(x)
+        norm = np.sqrt(sq)
+        redo = np.flatnonzero(~(np.isfinite(sq) & (sq >= _TINY)))
+        if redo.size:
+            scale = np.max(np.abs(x[redo]), axis=1)
+            ok = (scale > 0.0) & (scale < np.inf)  # a zero, inf or nan row is already right
+            rows, scale = redo[ok], scale[ok]
+            norm[rows] = scale * np.sqrt(_rowwise_sqnorm(x[rows] / scale[:, None]))
+    return norm
+
+
 def _speed(traj):
-    return np.sqrt(_rowwise_sqnorm(traj.vs)) + np.sqrt(_rowwise_sqnorm(traj.accs))
+    return _rownorm(traj.vs) + _rownorm(traj.accs)
 
 
 def sigma_estimate(traj):
@@ -116,7 +136,7 @@ def sigma_estimate(traj):
 
 
 def _distance(traj, x_limit):
-    return np.sqrt(_rowwise_sqnorm(traj.xs - np.asarray(x_limit, dtype=float)))
+    return _rownorm(traj.xs - np.asarray(x_limit, dtype=float))
 
 
 def _window_mask(times, d, t0, t_max):
@@ -357,7 +377,7 @@ def check_sigma_dominance(traj, sigma_trace=None):
         sigma_trace = sigma_estimate(traj)
     sigma = sigma_trace.sigma
     d = _distance(traj, traj.xs[-1])
-    v_norm = np.sqrt(_rowwise_sqnorm(traj.vs))
+    v_norm = _rownorm(traj.vs)
     tol_d = 1e-12 * float(d.max(initial=0.0))
     tol_v = float(v_norm[-1]) + 1e-12 * float(v_norm.max(initial=0.0))
     excess_d = float(np.max(d - sigma, initial=-np.inf))

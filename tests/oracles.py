@@ -13,7 +13,7 @@ from proxdyn import IntegrationAborted, prox_grad_map
 
 
 def energy_at_expanded(obj, params, x, v, acc):
-    """The energy of :func:`proxdyn.energy_at` with its squares multiplied out.
+    """The energy that :func:`proxdyn.monitor` reports, with its squares multiplied out.
 
     E = (1/(2 lam)) ||acc||^2 + ((c^2 gamma^2 - C)/(2 lam)) ||v||^2
         + (c gamma / lam) <acc, v> + (f+g)(acc + gamma*v + x)

@@ -21,12 +21,9 @@ from proxdyn import (
     fit_exponential,
     inertial_step_unit,
     integrate,
-    lipschitz_l1,
-    lipschitz_l2,
     make_problem,
     monitor,
     prox_grad_residual,
-    rate_envelope_constants,
     run_inertial,
     subgradient_witness,
     third_derivative_check,
@@ -38,10 +35,11 @@ COS_ROOT = 1.8954942670339809
 
 
 def test_criterion_01_lipschitz_reference_values():
-    assert abs(lipschitz_l1(2.0, 0.1) - 3.0) <= 1e-12
-    assert abs(lipschitz_l2(2.0, 0.1) - math.sqrt(9.2)) <= 1e-12
-    assert abs(lipschitz_l1(2.0, 1.0) - math.sqrt(20.0)) <= 1e-12
-    assert abs(lipschitz_l2(2.0, 1.0) - math.sqrt(15.0)) <= 1e-12
+    # at lam = 1 the product lam*beta is beta exactly
+    assert abs(derive_params(2.0, 1.0, 0.1).L1 - 3.0) <= 1e-12
+    assert abs(derive_params(2.0, 1.0, 0.1).L2 - math.sqrt(9.2)) <= 1e-12
+    assert abs(derive_params(2.0, 1.0, 1.0).L1 - math.sqrt(20.0)) <= 1e-12
+    assert abs(derive_params(2.0, 1.0, 1.0).L2 - math.sqrt(15.0)) <= 1e-12
     print("PASS criterion 1: Lipschitz constants match reference values to 1e-12")
 
 
@@ -165,7 +163,7 @@ def test_criterion_07_bound_suite(canonical_runs):
         )
 
         assert params.rho_feasible, name
-        m, r0 = rate_envelope_constants(params)
+        m, r0 = params.m, params.r0
         assert m < 0.0 and r0 > 0.0
         vn = np.linalg.norm(traj.vs, axis=-1)
         wn = np.linalg.norm(traj.accs, axis=-1)
@@ -197,7 +195,6 @@ def test_criterion_08_rate_fits(spectral_run):
     synth = Trajectory(
         times=t, xs=d.reshape(-1, 1), vs=(-2.0 * d).reshape(-1, 1),
         accs=(4.0 * d).reshape(-1, 1), params=None, step=0.01,
-        method="synthetic",
     )
     a1, a2, r2 = fit_exponential(synth, [0.0])
     assert abs(a1 - 3.0) <= 1e-10
@@ -215,7 +212,6 @@ def test_criterion_08_rate_fits(spectral_run):
             accs=(q * (q + 1.0) * (tt + 5.0) ** (-q - 2.0)).reshape(-1, 1),
             params=None,
             step=float(tt[1] - tt[0]),
-            method="synthetic",
         )
         report = classify_rate(poly, x_limit=[0.0], t0=60.0)
         assert report.regime == "polynomial", theta_true

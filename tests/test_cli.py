@@ -529,10 +529,15 @@ def test_paths_in_a_config_file_are_relative_to_it(tmp_path, capsys, monkeypatch
     ("check-params", [1, 2], "check-params config must be a JSON object: {config}"),
     ("rates", {"traj": 3}, "traj must be a file name, got 3"),
     ("rates", {"traj": "wide.csv"}, "trajectory CSV has inconsistent column count"),
+    ("rates", {"traj": "t_only.csv"}, "not a trajectory CSV: header 't'"),
+    ("rates", {"traj": "abc.csv"}, "not a trajectory CSV: header 't,a,b,c'"),
 ])
 def test_malformed_inputs_exit_one_with_one_error_line(tmp_path, capsys, command, config, message):
-    # every row of wide.csv has one column more than its header names
+    # every row of wide.csv has one column more than its header names; a t-only file
+    # would read as a trajectory with no coordinates, and t,a,b,c as one of dim 1
     (tmp_path / "wide.csv").write_text("t,x_0,v_0,a_0\n0,1,0,0,9\n0.1,1,0,0,9\n")
+    (tmp_path / "t_only.csv").write_text("t\n0\n0.1\n")
+    (tmp_path / "abc.csv").write_text("t,a,b,c\n0,1,0,0\n0.1,1,0,0\n")
     path = _write_json(tmp_path / "config.json", config)
     assert cli.main([command, "--config", path]) == 1
     assert capsys.readouterr() == ("", "error: %s\n" % message.format(config=path))
@@ -888,6 +893,13 @@ def test_outputs_keep_their_golden_bytes(tmp_path):
 OVERFLOW_RUN = {"problem": ZERO_QUAD, "u0": [0.0], "v0": [2.9962e307], "t_end": 1.0, "h": 0.01,
                 "lambda": 0.01}
 
+# every entry of this run is finite, but its speed ||x'|| + ||x''|| overflows from the
+# first sample on: ||x'(0)|| is sqrt(40) * 2.9962e307, above the largest double
+NORM_OVERFLOW_RUN = dict(OVERFLOW_RUN, gamma=1.0, u0=[0.0] * 40, v0=[2.9962e307] * 40,
+                         problem={"name": "zero_quad", "Q": np.eye(40).tolist(), "b": [0.0] * 40})
+_OVERFLOW_RATE_ERROR = ("trajectory is not finite at t=0: a sample or its distance to the limit "
+                        "overflows, so no rate can be classified")
+
 
 def test_overflowing_sweep_warns_once_per_abort(tmp_path):
     template = _write_json(tmp_path / "template.json", OVERFLOW_RUN)
@@ -910,7 +922,7 @@ def test_overflowing_run_reports_only_the_abort(tmp_path):
 
 
 def test_run_with_non_finite_summary_values_succeeds(tmp_path):
-    cfg = _write_json(tmp_path / "config.json", dict(OVERFLOW_RUN, gamma=1.0))
+    cfg = _write_json(tmp_path / "config.json", NORM_OVERFLOW_RUN)
     done = _python_m_proxdyn("run", "--config", cfg, "--out-dir", str(tmp_path / "o"))
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
@@ -935,13 +947,8 @@ def test_run_whose_polynomial_fit_overflows_succeeds(tmp_path):
     assert rates["fit_quality"]["polynomial"] is None
 
 
-# the norms of the gamma 1.0 run overflow from its first sample on
-_OVERFLOW_RATE_ERROR = ("trajectory is not finite at t=0: a sample or its distance to the limit "
-                        "overflows, so no rate can be classified")
-
-
 def test_run_with_non_finite_energy_is_not_monotone(tmp_path, capsys):
-    cfg = _write_json(tmp_path / "config.json", dict(OVERFLOW_RUN, gamma=1.0))
+    cfg = _write_json(tmp_path / "config.json", NORM_OVERFLOW_RUN)
     assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o"), "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["energy_monotone"] is False
@@ -952,8 +959,19 @@ def test_run_with_non_finite_energy_is_not_monotone(tmp_path, capsys):
     assert rates == summary["rate_report"]
 
 
-def test_rates_of_an_overflowing_trajectory_exits_one(tmp_path, capsys):
+def test_rates_of_a_trajectory_whose_squares_overflow_exits_zero(tmp_path, capsys):
+    # at dim 1 the squared speed overflows but the speed itself does not, so there is a rate
     cfg = _write_json(tmp_path / "config.json", dict(OVERFLOW_RUN, gamma=1.0))
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert cli.main(["rates", "--traj", str(tmp_path / "o" / "trajectory.csv"), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["regime"] == "exponential"
+
+
+def test_rates_of_an_overflowing_trajectory_exits_one(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "config.json", NORM_OVERFLOW_RUN)
     assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
     capsys.readouterr()
     rc = cli.main(["rates", "--traj", str(tmp_path / "o" / "trajectory.csv"), "--json"])

@@ -7,9 +7,7 @@ import pytest
 
 from proxdyn import (
     DivergenceError,
-    constant_gamma,
     inertial_step_unit,
-    inverse_k_gamma,
     make_problem,
     run_inertial,
     write_history_csv,
@@ -119,24 +117,27 @@ def test_divergence_guard_raises():
 
 
 def test_schedules():
-    const = constant_gamma(2.0)
-    assert [const(k) for k in (1, 5, 100)] == [2.0, 2.0, 2.0]
-    inv = inverse_k_gamma(1.0, floor=0.01)
-    assert inv(1) == 1.0
-    assert inv(10) == pytest.approx(0.1)
-    assert inv(1000) == 0.01
-    with pytest.raises(ValueError):
-        constant_gamma(0.0)
-    with pytest.raises(ValueError):
-        inverse_k_gamma(-1.0)
-    with pytest.raises(ValueError):
-        inverse_k_gamma(1.0, floor=0.0)
+    # a callable schedule is asked for gamma_k at k = 1, 2, ... and drives one unit step each
+    obj = make_problem("zero_quad", Q=[[1.0]], b=[0.0])
+    asked = []
+
+    def schedule(k):
+        asked.append(k)
+        return max(1.0 / k, 0.01)
+
+    hist = run_inertial(obj, 0.5, schedule, np.zeros(1), np.array([0.3]), max_iter=6, tol=0.0)
+    assert asked == [1, 2, 3, 4, 5]
+    for k in range(1, 6):
+        step = inertial_step_unit(obj, 0.5, max(1.0 / k, 0.01), hist.xs[k], hist.xs[k - 1])
+        assert np.array_equal(hist.xs[k + 1], step)
+    with pytest.raises(ValueError, match="^gamma must be a positive finite real, got 0.0$"):
+        run_inertial(obj, 0.5, 0.0, np.zeros(1), np.zeros(1), max_iter=5, tol=0.0)
 
 
 def test_number_schedule_matches_callable():
     obj = make_problem("lasso", M=[[1.0]], y=[1.0], mu=0.5)
     a = run_inertial(obj, 0.5, 2.0, np.zeros(1), np.zeros(1), max_iter=30, tol=0.0)
-    b = run_inertial(obj, 0.5, constant_gamma(2.0), np.zeros(1), np.zeros(1),
+    b = run_inertial(obj, 0.5, lambda k: 2.0, np.zeros(1), np.zeros(1),
                      max_iter=30, tol=0.0)
     assert np.array_equal(a.xs, b.xs)
     assert np.array_equal(a.residuals, b.residuals)
@@ -174,9 +175,13 @@ def test_run_inertial_validation():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda obj: constant_gamma(math.nan), "gamma must be a positive finite real, got nan"),
-    (lambda obj: inverse_k_gamma(math.inf), "base must be a positive finite real, got inf"),
-    (lambda obj: inverse_k_gamma(1.0, floor=math.nan), "floor must be a positive finite real, got nan"),
+    (lambda obj: run_inertial(obj, 0.1, math.nan, np.zeros(1), np.ones(1), 10, 1e-8),
+     "gamma must be a positive finite real, got nan"),
+    # a number schedule is not coerced: True would run as gamma 1, and so would "1"
+    (lambda obj: run_inertial(obj, 0.1, True, np.zeros(1), np.ones(1), 10, 1e-8),
+     "gamma must be a positive finite real, got True"),
+    (lambda obj: run_inertial(obj, 0.1, "1", np.zeros(1), np.ones(1), 10, 1e-8),
+     "gamma must be a positive finite real, got '1'"),
     (lambda obj: inertial_step_unit(obj, math.nan, 1.0, np.zeros(1), np.zeros(1)),
      "lambda must be a positive finite real, got nan"),
     (lambda obj: run_inertial(obj, math.inf, 1.0, np.zeros(1), np.zeros(1), 10, 1e-8),

@@ -302,7 +302,6 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(back.vs, traj.vs)
     assert np.array_equal(back.accs, traj.accs)
     assert back.params is None
-    assert back.method == "from-csv"
     assert back.step == pytest.approx(traj.step * 1)
 
 
@@ -310,6 +309,15 @@ def test_read_trajectory_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="not a trajectory CSV"):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("header", ["t", "t,a,b,c", "t,x_0,v_0", "t,x_0,v_0,a_0,x_1", "t,x_1,v_1,a_1",
+                                    "t,x_0,x_1,v_0,a_0,v_1,a_1"])
+def test_read_trajectory_csv_needs_the_written_header(tmp_path, header):
+    path = tmp_path / "traj.csv"
+    path.write_text(header + "\n" + ",".join(["0"] * len(header.split(","))) + "\n")
+    with pytest.raises(ValueError, match="^not a trajectory CSV: header '%s'$" % header):
         read_trajectory_csv(path)
 
 

@@ -2,7 +2,8 @@
 
 The scalar hand case is exact in binary floating point: with g(x) = x^2/2,
 f = 0, gamma = 1, lam = 1/4 and the state x = 2, v = 0, the system
-acceleration is -1/2 and the energy is 1.5^2/2 + 2 * 0.25 = 1.625.
+acceleration is -1/2 and the energy is 1.5^2/2 + 2 * 0.25 = 1.625, which is
+H at (u, v, w) = (1.5, 2, 0).
 """
 
 import dataclasses
@@ -15,7 +16,6 @@ from proxdyn import (
     EnergyTrace,
     check_monotone,
     derive_params,
-    energy_at,
     h_value,
     integrate,
     make_problem,
@@ -31,21 +31,17 @@ from oracles import energy_at_expanded
 def test_energy_hand_value_exact():
     obj = make_problem("zero_quad", Q=[[1.0]], b=[0.0])
     params = derive_params(1.0, 0.25, obj.g.beta)
-    e = energy_at(obj, params, np.array([2.0]), np.array([0.0]), np.array([-0.5]))
+    e = h_value(obj, params, np.array([1.5]), np.array([2.0]), np.array([0.0]))
     assert e == 1.625
 
 
 def test_energy_expanded_route_agrees():
     obj = make_problem("lasso", M=[[1.0, 0.2], [0.0, 1.0]], y=[1.0, -1.0], mu=0.3)
     params = derive_params(1.2, 0.05, obj.g.beta)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        x = rng.standard_normal(2)
-        v = rng.standard_normal(2)
-        acc = rng.standard_normal(2)
-        direct = energy_at(obj, params, x, v, acc)
-        expanded = energy_at_expanded(obj, params, x, v, acc)
-        assert abs(direct - expanded) <= 1e-10 * (1.0 + abs(direct))
+    traj = integrate(obj, params, [1.5, -2.0], [0.4, 0.3], t_end=5.0, h=0.01)
+    energy = monitor(obj, params, traj).energy
+    expanded = energy_at_expanded(obj, params, traj.xs, traj.vs, traj.accs)
+    assert np.all(np.abs(energy - expanded) <= 1e-10 * (1.0 + np.abs(energy)))
 
 
 def test_h_hand_value_exact():
@@ -87,9 +83,11 @@ def test_monitor_columns_match_definitions():
 def test_monitor_energy_agrees_with_pointwise_routes():
     obj, params, traj = _short_run()
     trace = monitor(obj, params, traj)
-    batched = energy_at(obj, params, traj.xs, traj.vs, traj.accs)
+    x, v, acc = traj.xs, traj.vs, traj.accs
+    u = acc + params.gamma * v + x  # the system identity's z, from the stored acceleration
+    pointwise = h_value(obj, params, u, (1.0 - params.c) * params.gamma * v + x, v)
     scale = 1.0 + np.abs(trace.energy)
-    assert np.all(np.abs(trace.energy - batched) <= 1e-10 * scale)
+    assert np.all(np.abs(trace.energy - pointwise) <= 1e-10 * scale)
     # the H column is the same quantity through the H code path
     assert np.all(np.abs(trace.energy - trace.h_value) <= 1e-10 * scale)
 

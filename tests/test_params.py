@@ -12,46 +12,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from proxdyn import (
-    derive_params,
-    envelope_constants,
-    lipschitz_l1,
-    lipschitz_l2,
-    params_report,
-    rate_envelope_constants,
-)
+from proxdyn import derive_params, params_report
+from proxdyn.params import _envelope
 
 
 def test_lipschitz_known_values():
-    assert abs(lipschitz_l1(2.0, 0.1) - 3.0) <= 1e-12
-    assert abs(lipschitz_l2(2.0, 0.1) - math.sqrt(9.2)) <= 1e-12
-    assert abs(lipschitz_l1(2.0, 1.0) - math.sqrt(20.0)) <= 1e-12
-    assert abs(lipschitz_l2(2.0, 1.0) - math.sqrt(15.0)) <= 1e-12
+    # at lam*beta = 0 both constants are sqrt(max(9, 8)) = 3 at gamma = 2
+    p = derive_params(2.0, 1.0, 0.0)
+    assert p.L1 == 3.0 and p.L2 == 3.0
+    # lam and beta enter only through their product: 0.5 * 0.2 is the double 0.1
+    q, r = derive_params(2.0, 0.5, 0.2), derive_params(2.0, 1.0, 0.1)
+    assert (q.L1, q.L2) == (r.L1, r.L2)
+    # for gamma <= sqrt(3) the second branch of L2 dominates
+    gammas = np.linspace(0.01, math.sqrt(3.0), 40)[:, None]
+    lbs = np.linspace(0.0, 3.0, 40)
+    two = 2.0 + lbs
+    np.testing.assert_allclose(derive_params(gammas, 1.0, lbs).L2, np.sqrt(two * two + gammas * two),
+                               rtol=1e-15, atol=0)
 
 
 def test_lipschitz_monotone_in_both_arguments():
     gammas = np.linspace(0.2, 3.0, 15)
     lbs = np.linspace(0.0, 2.0, 15)
-    for fn in (lipschitz_l1, lipschitz_l2):
-        grid = np.array([[fn(g, lb) for lb in lbs] for g in gammas])
+    p = derive_params(gammas[:, None], 1.0, lbs)
+    for grid in (p.L1, p.L2):
         assert np.all(np.diff(grid, axis=0) >= -1e-14)
         assert np.all(np.diff(grid, axis=1) >= -1e-14)
-
-
-def test_lipschitz_validation():
-    with pytest.raises(ValueError):
-        lipschitz_l1(0.0, 0.1)
-    with pytest.raises(ValueError):
-        lipschitz_l2(1.0, -0.1)
-
-
-def test_lipschitz_rejects_non_finite_inputs():
-    with pytest.raises(ValueError, match=r"^gamma must be a positive finite real, got nan$"):
-        lipschitz_l1(math.nan, 0.1)
-    with pytest.raises(ValueError, match=r"^gamma must be a positive finite real, got inf$"):
-        lipschitz_l2(math.inf, 0.1)
-    with pytest.raises(ValueError, match=r"^lambda_beta must be a nonnegative finite real, got nan$"):
-        lipschitz_l1([1.0, 2.0], [0.1, math.nan])
 
 
 def _exact_constants():
@@ -137,7 +123,7 @@ def test_grid_implications():
 
 
 def test_envelope_hand_example():
-    m, r0 = envelope_constants(-1.0, -1.0, 1.0, 1.0)
+    m, r0 = _envelope(-1.0, -1.0, 1.0, 1.0)
     assert r0 == 1.0
     assert m == -0.5
     r = np.arange(0.0, 10.0 + 1e-9, 1e-3)
@@ -147,7 +133,8 @@ def test_envelope_hand_example():
 
 def test_envelope_guarantee_random_pairs():
     p = derive_params(1.0, 0.005, 3.0)
-    m, r0 = rate_envelope_constants(p)
+    assert p.rho_feasible
+    m, r0 = p.m, p.r0
     assert m < 0.0
     assert r0 > 0.0
     rng = np.random.default_rng(77)
@@ -170,14 +157,15 @@ def test_envelope_discriminant_nonnegative_for_worked_example():
 
 
 def test_envelope_validation():
-    with pytest.raises(ValueError):
-        envelope_constants(1.0, -1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        envelope_constants(-1.0, -1.0, 0.0, 1.0)
+    # m and r0 are nan exactly where the point is infeasible, and negative and positive elsewhere
     infeasible = derive_params(2.0, 0.1, 3.0)
     assert not infeasible.rho_feasible
-    with pytest.raises(ValueError):
-        rate_envelope_constants(infeasible)
+    assert math.isnan(infeasible.m) and math.isnan(infeasible.r0)
+    grid = derive_params(np.linspace(0.1, 3.0, 30)[:, None], np.logspace(-4, 0, 30), 3.0)
+    assert grid.rho_feasible.any() and not grid.rho_feasible.all()
+    assert np.array_equal(np.isnan(grid.m), ~grid.rho_feasible)
+    assert np.array_equal(np.isnan(grid.r0), ~grid.rho_feasible)
+    assert np.all(grid.m[grid.rho_feasible] < 0.0) and np.all(grid.r0[grid.rho_feasible] > 0.0)
 
 
 def test_params_report_keys_and_nulls():

@@ -46,14 +46,12 @@ from proxdyn import (
     Trajectory,
     classify_rate,
     derive_params,
-    energy_at,
     h_value,
     integrate,
     integrate_ensemble,
     make_problem,
     monitor,
     prox_grad_map,
-    rate_envelope_constants,
     read_trajectory_csv,
     sigma_estimate,
     subgradient_witness,
@@ -276,7 +274,7 @@ def test_energy_and_bounds_of_a_stack_equal_single_calls(name, rows, dim, seed, 
     params = derive_params(1.0, 0.05, obj.g.beta)
     x, v, acc = (_LAYOUTS[layout](rng.standard_normal((rows, dim))) for _ in range(3))
     batched = {
-        "energy_at": energy_at(obj, params, x, v, acc),
+        "energy": monitor(obj, params, _trajectory(x, v, acc)).energy,
         "h_value": h_value(obj, params, x, v, acc),
         "w_bound": w_bound(params, v, acc, a),
         "subgradient_witness": subgradient_witness(obj, params, _trajectory(x, v, acc), a),
@@ -284,7 +282,7 @@ def test_energy_and_bounds_of_a_stack_equal_single_calls(name, rows, dim, seed, 
     for i in range(rows):
         xi, vi, ai = x[i].copy(), v[i].copy(), acc[i].copy()
         single = {
-            "energy_at": energy_at(obj, params, xi, vi, ai),
+            "energy": monitor(obj, params, _trajectory(xi[None], vi[None], ai[None])).energy[0],
             "h_value": h_value(obj, params, xi, vi, ai),
             "w_bound": w_bound(params, vi, ai, a),
             "subgradient_witness": subgradient_witness(obj, params, _trajectory(xi, vi, ai), a),
@@ -465,8 +463,7 @@ def test_corollary_feasible_implies_rho_feasible(gamma, lam, lam_beta):
 def test_rho_feasible_implies_negative_envelope(gamma, lam, lam_beta):
     params = derive_params(gamma, lam, lam_beta / lam)
     assume(params.rho_feasible)
-    m, r0 = rate_envelope_constants(params)
-    assert m < 0.0 and r0 >= 0.0
+    assert params.m < 0.0 and params.r0 >= 0.0
 
 
 def _same_value(a, b):

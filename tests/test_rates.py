@@ -1,6 +1,7 @@
 """Rate estimation tests on synthetic trajectories with known decay laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from proxdyn import (
     sigma_estimate,
     sigma_ode_check,
 )
-from proxdyn.rates import _linear_fit
+from proxdyn.problems import _rowwise_sqnorm
+from proxdyn.rates import _linear_fit, _rownorm
 
 
 def _traj(times, xs, vs, accs):
@@ -29,7 +31,6 @@ def _traj(times, xs, vs, accs):
         accs=col(accs),
         params=None,
         step=float(times[1] - times[0]) if len(times) > 1 else 0.0,
-        method="synthetic",
     )
 
 
@@ -105,6 +106,18 @@ def test_fit_exponential_rejects_a_constant_that_overflows():
     d = np.exp(870.0 - t)
     with pytest.raises(ValueError, match="a1"):
         fit_exponential(_traj(t, d, -d, d), [0.0])
+
+
+def test_fit_exponential_of_a_distance_whose_square_overflows():
+    # 1e300/t squares to inf; the fit must be the one of 1/t, shifted by log 1e300
+    t = np.linspace(1e10, 2e10, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a1, a2, r2 = fit_exponential(_traj(t, 1e300 / t, -1e300 / t**2, 2e300 / t**3), [0.0])
+    b1, b2, s2 = fit_exponential(_traj(t, 1.0 / t, -1.0 / t**2, 2.0 / t**3), [0.0])
+    assert a1 == pytest.approx(1e300 * b1, rel=1e-9)
+    assert a2 == pytest.approx(b2, rel=1e-9) and a2 > 0.0
+    assert r2 == pytest.approx(s2, rel=1e-9)
 
 
 def test_fit_exponential_too_few_samples():
@@ -283,12 +296,41 @@ def test_classify_rejects_a_nan_convergence_tolerance():
     ([1.0, math.inf, 0.0], [0.0, 0.0, 0.0], [0.0]),  # a non-finite sample
     ([1.0, 0.5, 0.0], [math.nan, 0.0, 0.0], [0.0]),
     ([1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [math.inf]),  # a non-finite anchor
-    ([0.0, 1e308, 1.7e308], [1e308, 1e308, 1e308], None),  # finite samples whose norms overflow
+    ([0.0, 1e308, -1.7e308], [1e308, 1e308, 1e308], None),  # finite samples whose distance overflows
 ])
 def test_classify_rejects_non_finite_trajectories(xs, vs, x_limit):
     traj = _traj([0.0, 1.0, 2.0], xs, vs, [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="not finite"):
         classify_rate(traj, x_limit=x_limit)
+
+
+def test_classify_a_trajectory_whose_squares_overflow():
+    # the speed and distance of 1e200*e^-t square to inf; the rate is that of e^-t
+    t = np.arange(0.0, 20.0, 0.01)
+    d = np.exp(-t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = classify_rate(_traj(t, 1e200 * d, -1e200 * d, 1e200 * d))
+    ref = classify_rate(_traj(t, d, -d, d))
+    assert report.regime == ref.regime == "exponential"
+    assert report.t0 == ref.t0
+    assert report.a2 == pytest.approx(ref.a2, rel=1e-9)
+    assert report.a1 == pytest.approx(1e200 * ref.a1, rel=1e-9)
+
+
+def test_row_norms_rescale_only_the_rows_whose_squares_leave_the_normal_range():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((400, 5)) * np.logspace(-250.0, 250.0, 400)[:, None]
+    with np.errstate(over="ignore"):
+        sq = _rowwise_sqnorm(x)
+    normal = np.isfinite(sq) & (sq >= np.finfo(float).tiny)
+    assert 0 < normal.sum() < len(x)
+    norm = _rownorm(x)
+    assert np.array_equal(norm[normal], np.sqrt(sq[normal]))
+    exact = np.array([math.hypot(*row) for row in x])
+    np.testing.assert_allclose(norm, exact, rtol=4e-16, atol=0)
+    edge = _rownorm(np.array([[0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0], [1e-170, 0.0]]))
+    assert edge[0] == 0.0 and edge[1] == math.inf and math.isnan(edge[2]) and edge[3] == 1e-170
 
 
 def test_classify_is_undetermined_when_neither_fit_has_samples_enough():
