@@ -46,7 +46,7 @@ from . import discrete as discrete_mod
 from . import dynamics, lyapunov
 from . import params as params_mod
 from . import rates as rates_mod
-from .problems import _as_int, _check_keys, _check_real, problem_from_json
+from .problems import _as_int, _check_keys, _check_real, _rownorm, problem_from_json
 
 __all__ = ["main"]
 
@@ -107,7 +107,7 @@ def _real(kind):
     return read, {"type": float}
 
 
-def _integer(least=None):
+def _integer(least):
     return (lambda value, key, base_dir: _as_int(value, key, least)), {"type": int}
 
 
@@ -322,7 +322,7 @@ def _finish_run(inputs, obj, params, traj, warning_list, out_dir):
     summary, dropped = _json_safe({
         "params": params_mod.params_report(params),
         "final_residual": float(trace.residual[-1]),
-        "final_velocity_norm": float(np.linalg.norm(traj.vs[-1])),
+        "final_velocity_norm": float(_rownorm(traj.vs[-1])),
         "energy_monotone": not violations,
         "rate_report": rate_dict,
         "warnings": warning_list,

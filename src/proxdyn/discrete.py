@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import _as_int, _check_real, _map_residual, prox_grad_map
+from .problems import _as_int, _check_real, _map_residual, _rownorm, prox_grad_map
 
 __all__ = [
     "IterateHistory",
@@ -104,7 +104,7 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
             break
         if k >= max_iter:
             break
-        norm = float(np.linalg.norm(x_cur))
+        norm = float(_rownorm(x_cur))
         if norm > _DIVERGENCE_LIMIT:
             raise DivergenceError(index=k, norm=norm)
         x_next = _relaxed_step(gamma_schedule(k), x_cur, x_prev, z_cur)

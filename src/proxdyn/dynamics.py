@@ -62,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .params import SystemParams
-from .problems import _as_int, _check_real, _rowwise_sqnorm, prox_grad_map
+from .problems import _as_int, _check_real, _rownorm, _rowwise_sqnorm, prox_grad_map
 
 __all__ = [
     "Trajectory",
@@ -352,8 +352,7 @@ def third_derivative_check(traj, params):
     l2_sq = params.L2 * params.L2
     rhs_l1 = l1_sq * v_sq + (l1_sq - 1.0) * a_sq
     rhs_l2 = l2_sq * v_sq + (l2_sq - 1.0) * a_sq
-    acc_norms = np.sqrt(_rowwise_sqnorm(traj.accs))
-    tol = 10.0 * dt * dt * float(acc_norms.max(initial=0.0))
+    tol = 10.0 * dt * dt * float(_rownorm(traj.accs).max(initial=0.0))
     return ThirdDerivativeReport(
         times=traj.times[1:-1],
         lhs=lhs,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import _check_real, _map_residual, _rowwise_sqnorm, prox_grad_map
+from .problems import _check_real, _map_residual, _rownorm, _rowwise_sqnorm, prox_grad_map
 
 __all__ = [
     "EnergyTrace",
@@ -80,10 +80,6 @@ def h_value(obj, params, u, v, w):
     return _h(params, obj.value(u), u, np.asarray(v, dtype=float), _rowwise_sqnorm(w))
 
 
-def _bound(coef_acc, coef_v, vv, aa):
-    return coef_acc * np.sqrt(aa) + coef_v * np.sqrt(vv)
-
-
 def w_bound(params, v, acc, a):
     """Norm bound for the subgradient element of H at mixing weight a >= 0.
 
@@ -99,7 +95,7 @@ def w_bound(params, v, acc, a):
         + (2.0 * a + 1.0) * params.gamma
         - params.C
     ) / params.lam
-    return _bound(coef_acc, coef_v, _rowwise_sqnorm(v), _rowwise_sqnorm(acc))
+    return coef_acc * _rownorm(acc) + coef_v * _rownorm(v)
 
 
 def subgradient_witness(obj, params, traj, a):
@@ -123,7 +119,7 @@ def subgradient_witness(obj, params, traj, a):
     g1 = obj.g.grad(z) - obj.g.grad(x) - (a * gamma / lam) * v
     g2 = -(acc + (1.0 - a) * gamma * v) / lam
     g3 = -(params.C / lam) * v
-    return np.sqrt(_rowwise_sqnorm(g1) + _rowwise_sqnorm(g2) + _rowwise_sqnorm(g3))
+    return _rownorm(np.concatenate((g1, g2, g3), axis=-1))
 
 
 def monitor(obj, params, traj):
@@ -148,7 +144,7 @@ def monitor(obj, params, traj):
         energy=np.asarray(energy, dtype=float),
         fg_shifted=np.asarray(fg_z, dtype=float),
         h_value=np.asarray(h_vals, dtype=float),
-        w_bound=_bound(params.s, params.p, vv, aa),
+        w_bound=params.s * _rownorm(acc, aa) + params.p * _rownorm(v, vv),
         residual=residual,
         dissipation=dissipation,
     )

@@ -13,10 +13,12 @@ Fortran-ordered, transposed, strided).  Matrix contractions therefore go
 through ``_rowwise_matmul``, which runs each row through the same
 vector-matrix kernel as a single point, and sums over coordinates go through
 ``_rowwise_sum``, which reduces each row of a C-ordered array the same way as
-a lone row.  ``_rowwise_sqnorm`` is the package's one per-row sum of squares:
-every squared norm and norm of a row, here and in the energy, bound, rate
-and third-derivative functions, goes through it, so those too give a row of
-a stack in any layout the bits of the row alone.
+a lone row.  ``_rowwise_sqnorm`` is the package's one per-row sum of squares
+and ``_rownorm`` its one Euclidean norm, which rescales a row whose squares
+overflow or underflow.  Every squared norm and norm of a row, here and in
+the energy, bound, rate, third-derivative, summary and iteration code, goes
+through them, so those too give a row of a stack in any layout the bits of
+the row alone.
 
 ``beta`` of the quadratic entries bounds the top eigenvalue of the Hessian
 H (Q for zero_quad and box_quad, M^T M for lasso) from above, from one
@@ -66,6 +68,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def soft_threshold(x, thresh):
@@ -101,6 +104,28 @@ def _rowwise_sqnorm(x):
     """Squared Euclidean norm over the last axis, through :func:`_rowwise_sum`."""
     x = np.asarray(x, dtype=float)
     return _rowwise_sum(x * x)
+
+
+def _rownorm(x, sq=None):
+    """Euclidean norm over the last axis of a point or a stack of any rank.
+
+    ``sq`` may hold ``_rowwise_sqnorm(x)`` when the caller has it already.  A
+    row whose sum of squares overflows or underflows is divided by its
+    largest magnitude before squaring; every other row keeps the bits of
+    sqrt(_rowwise_sqnorm(row)).
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        if sq is None:
+            sq = _rowwise_sqnorm(x)
+        norm = np.sqrt(sq)
+        redo = ~((sq >= _TINY) & (sq < np.inf))  # nan fails both
+        if redo.any():
+            norm, rows = np.array(norm), x[redo]  # a lone point's 0-d redo adds a row axis
+            scale = np.max(np.abs(rows), axis=-1, initial=0.0)
+            scale[~(scale > 0.0) | (scale == np.inf)] = 1.0  # a zero, inf or nan row is already right
+            norm[redo] = scale * np.sqrt(_rowwise_sqnorm(rows / scale[:, None]))
+    return norm[()]
 
 
 def _top_eigenvalue_bound(eigenvalues, extra=0.0):
@@ -338,11 +363,11 @@ def problem_from_json(source):
     return obj
 
 
-_INTEGER_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+_INTEGER_KINDS = {0: "a nonnegative integer", 1: "a positive integer"}
 
 
-def _as_int(value, what, least=None):
-    """``value`` as an int, which must be at least ``least`` when that is given.
+def _as_int(value, what, least):
+    """``value`` as an int, which must be at least ``least``, 0 or 1.
 
     An integer spelled as a float (2.0) is taken; a bool, a string, a
     fraction (2.5), nan and inf are rejected with ValueError.
@@ -351,7 +376,7 @@ def _as_int(value, what, least=None):
         isinstance(value, numbers.Integral)
         or isinstance(value, numbers.Real) and float(value).is_integer()
     )
-    if not integral or least is not None and value < least:
+    if not integral or value < least:
         raise ValueError("%s must be %s, got %r" % (what, _INTEGER_KINDS[least], value))
     return int(value)
 
@@ -425,4 +450,4 @@ def prox_grad_residual(obj, lam, x):
 
 def _map_residual(x, mapped, lam):
     """||x - mapped|| / lam over the last axis, given mapped = T(x)."""
-    return np.sqrt(_rowwise_sqnorm(x - mapped)) / lam
+    return _rownorm(x - mapped) / lam

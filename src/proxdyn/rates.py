@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import _check_real, _rowwise_sqnorm
+from .problems import _check_real, _rownorm
 
 __all__ = [
     "SigmaTrace",
@@ -39,7 +39,6 @@ __all__ = [
 _FINITE_TIME_FACTOR = 1e-12
 _DISTANCE_FLOOR = 1e-14
 _R2_ACCEPT = 0.9
-_TINY = np.finfo(float).tiny
 
 
 class NotConvergedError(ValueError):
@@ -89,25 +88,6 @@ class RateReport:
         return out
 
 
-def _rownorm(x):
-    """Euclidean norm of each row of a 2-D array.
-
-    A row whose sum of squares overflows or underflows is divided by its
-    largest magnitude before squaring; every other row keeps the bits of
-    sqrt(_rowwise_sqnorm(row)).
-    """
-    with np.errstate(over="ignore"):
-        sq = _rowwise_sqnorm(x)
-        norm = np.sqrt(sq)
-        redo = np.flatnonzero(~(np.isfinite(sq) & (sq >= _TINY)))
-        if redo.size:
-            scale = np.max(np.abs(x[redo]), axis=1)
-            ok = (scale > 0.0) & (scale < np.inf)  # a zero, inf or nan row is already right
-            rows, scale = redo[ok], scale[ok]
-            norm[rows] = scale * np.sqrt(_rowwise_sqnorm(x[rows] / scale[:, None]))
-    return norm
-
-
 def _speed(traj):
     return _rownorm(traj.vs) + _rownorm(traj.accs)
 
@@ -140,7 +120,7 @@ def _distance(traj, x_limit):
 
 
 def _window_mask(times, d, t0, t_max):
-    mask = (times >= t0) & (d > _DISTANCE_FLOOR)
+    mask = (times >= t0) & (d > _DISTANCE_FLOOR * d.max(initial=0.0))
     if t_max is not None:
         mask &= times <= t_max
     return mask

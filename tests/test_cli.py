@@ -893,10 +893,11 @@ def test_outputs_keep_their_golden_bytes(tmp_path):
 OVERFLOW_RUN = {"problem": ZERO_QUAD, "u0": [0.0], "v0": [2.9962e307], "t_end": 1.0, "h": 0.01,
                 "lambda": 0.01}
 
-# every entry of this run is finite, but its speed ||x'|| + ||x''|| overflows from the
-# first sample on: ||x'(0)|| is sqrt(40) * 2.9962e307, above the largest double
-NORM_OVERFLOW_RUN = dict(OVERFLOW_RUN, gamma=1.0, u0=[0.0] * 40, v0=[2.9962e307] * 40,
-                         problem={"name": "zero_quad", "Q": np.eye(40).tolist(), "b": [0.0] * 40})
+# every entry of this run is finite, but its norms overflow: ||x'(0)|| is
+# sqrt(300) * 2.9962e307 and ||x'(t_end)|| about sqrt(300) * 1.09e307, both above
+# the largest double
+NORM_OVERFLOW_RUN = dict(OVERFLOW_RUN, gamma=1.0, u0=[0.0] * 300, v0=[2.9962e307] * 300,
+                         problem={"name": "zero_quad", "Q": np.eye(300).tolist(), "b": [0.0] * 300})
 _OVERFLOW_RATE_ERROR = ("trajectory is not finite at t=0: a sample or its distance to the limit "
                         "overflows, so no rate can be classified")
 
@@ -934,6 +935,18 @@ def test_run_with_non_finite_summary_values_succeeds(tmp_path):
         "rate classification failed: " + _OVERFLOW_RATE_ERROR,
         "2 non-finite values serialized as null",
     ]
+
+
+def test_run_whose_squares_overflow_has_a_finite_summary(tmp_path, capsys):
+    # at dim 1 the final x and x' are finite, though their squares are not
+    cfg = _write_json(tmp_path / "config.json", dict(OVERFLOW_RUN, gamma=1.0))
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o"), "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["final_velocity_norm"] == 1.0943301791842143e+307
+    assert summary["final_residual"] == pytest.approx(1.891e307, rel=1e-3)
+    assert not any("serialized as null" in warning for warning in summary["warnings"])
+    energy = np.loadtxt(tmp_path / "o" / "energy.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(energy[:, 5]))  # the residual column
 
 
 def test_run_whose_polynomial_fit_overflows_succeeds(tmp_path):

@@ -17,8 +17,8 @@ from proxdyn import (
     sigma_estimate,
     sigma_ode_check,
 )
-from proxdyn.problems import _rowwise_sqnorm
-from proxdyn.rates import _linear_fit, _rownorm
+from proxdyn.problems import _rownorm, _rowwise_sqnorm
+from proxdyn.rates import _linear_fit
 
 
 def _traj(times, xs, vs, accs):
@@ -305,17 +305,19 @@ def test_classify_rejects_non_finite_trajectories(xs, vs, x_limit):
 
 
 def test_classify_a_trajectory_whose_squares_overflow():
-    # the speed and distance of 1e200*e^-t square to inf; the rate is that of e^-t
+    # the speed and distance of 1e200*e^-t square to inf, and those of 1e-200*e^-t
+    # to subnormals or 0; the rate of either is that of e^-t
     t = np.arange(0.0, 20.0, 0.01)
     d = np.exp(-t)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = classify_rate(_traj(t, 1e200 * d, -1e200 * d, 1e200 * d))
     ref = classify_rate(_traj(t, d, -d, d))
-    assert report.regime == ref.regime == "exponential"
-    assert report.t0 == ref.t0
-    assert report.a2 == pytest.approx(ref.a2, rel=1e-9)
-    assert report.a1 == pytest.approx(1e200 * ref.a1, rel=1e-9)
+    for scale in (1e200, 1e-200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify_rate(_traj(t, scale * d, -scale * d, scale * d))
+        assert report.regime == ref.regime == "exponential"
+        assert report.t0 == ref.t0
+        assert report.a2 == pytest.approx(ref.a2, rel=1e-9)
+        assert report.a1 == pytest.approx(scale * ref.a1, rel=1e-9)
 
 
 def test_row_norms_rescale_only_the_rows_whose_squares_leave_the_normal_range():
@@ -329,6 +331,9 @@ def test_row_norms_rescale_only_the_rows_whose_squares_leave_the_normal_range():
     assert np.array_equal(norm[normal], np.sqrt(sq[normal]))
     exact = np.array([math.hypot(*row) for row in x])
     np.testing.assert_allclose(norm, exact, rtol=4e-16, atol=0)
+    # a lone point, and a 3-D stack, get the bits of the same rows of the 2-D stack
+    assert all(_rownorm(row) == n for row, n in zip(x, norm))
+    assert np.array_equal(_rownorm(x.reshape(20, 20, 5)), norm.reshape(20, 20))
     edge = _rownorm(np.array([[0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0], [1e-170, 0.0]]))
     assert edge[0] == 0.0 and edge[1] == math.inf and math.isnan(edge[2]) and edge[3] == 1e-170
 
