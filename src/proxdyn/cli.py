@@ -273,12 +273,17 @@ def _feasibility_warnings(params):
     return [message]
 
 
-def _initial_state(inputs, obj):
-    """u0, drawn from the seeded generator when not given, and v0, zero when not given."""
-    u0, v0 = inputs["u0"], inputs["v0"]
+def _run_setup(inputs):
+    """The problem and initial state of a run, once its x_limit fits the problem's dim.
+
+    u0 is drawn from the seeded generator when not given, and v0 is zero.
+    """
+    obj, u0, v0 = inputs["problem"], inputs["u0"], inputs["v0"]
+    if inputs["x_limit"] is not None:
+        rates_mod._limit_point(inputs["x_limit"], obj.dim)
     if u0 is None:
         u0 = np.random.default_rng(inputs["seed"]).standard_normal(obj.dim)
-    return u0, np.zeros(obj.dim) if v0 is None else v0
+    return obj, u0, np.zeros(obj.dim) if v0 is None else v0
 
 
 def _classify(traj, inputs):
@@ -339,12 +344,17 @@ def cmd_run(args):
     if args.config is None:
         raise ValueError("run requires --config FILE with the experiment description")
     inputs = _command_inputs(args)
-    obj = inputs["problem"]
+    obj, u0, v0 = _run_setup(inputs)
     params = params_mod.derive_params(inputs["gamma"], inputs["lambda"], obj.g.beta)
+    # warned once the run is accepted, as a sweep warns each point: a step beyond the guard is
+    # an error, not "integrating anyway"; an aborted run is warned about before its abort
+    try:
+        traj = dynamics.integrate(obj, params, u0, v0, inputs["t_end"], inputs["h"],
+                                  sample_every=inputs["sample_every"])
+    except dynamics.IntegrationAborted:
+        _feasibility_warnings(params)
+        raise
     warning_list = _feasibility_warnings(params)
-    u0, v0 = _initial_state(inputs, obj)
-    traj = dynamics.integrate(obj, params, u0, v0, inputs["t_end"], inputs["h"],
-                              sample_every=inputs["sample_every"])
     summary, written = _finish_run(inputs, obj, params, traj, warning_list, args.out_dir)
     if args.json:
         _dump_json(summary)
@@ -485,8 +495,7 @@ def _sweep_runs(run_config, gammas, lambdas, parent_out):
     that point's gamma and lambda, in grid order.
     """
     inputs = _read_inputs(_INPUTS["run"], run_config, "run config template", supplied=("gamma", "lambda"))
-    obj = inputs["problem"]
-    u0, v0 = _initial_state(inputs, obj)
+    obj, u0, v0 = _run_setup(inputs)
     derived = params_mod.derive_params(gammas, lambdas, obj.g.beta)
     params_seq = [derived.at(i) for i in range(len(gammas))]
     outcomes = dynamics.integrate_ensemble(

@@ -19,16 +19,17 @@ differencing.  A step evaluates the field four times: its first stage is
 the acceleration at the step's start, which the previous step computed
 (and recorded, at a sample), so n steps cost 4n + 1 field evaluations.
 
-One loop, ``_rk4``, steps a state with leading axes: u and v of shape
-(dim,) for one trajectory (:func:`integrate`), or (B, dim) for B
-trajectories with gamma and lam as (B, 1) columns
-(:func:`integrate_ensemble`).  A lone point keeps the oracles'
-single-point route; a stack evaluates every row as that route would, so
-each ensemble row is bitwise the trajectory :func:`integrate` gives it.
-Finiteness is checked per row at each sample.  A row that fails aborts
-there and keeps its place, stepping on from zero with values that nothing
-reads, until every row has aborted or the run ends; :func:`integrate` then
-raises its one row's abort.
+One driver, :func:`integrate_ensemble`, runs one loop, ``_rk4``, for
+every trajectory; :func:`integrate` is its ensemble of one set.  The loop
+steps a state with leading axes: a block of one set steps as a lone
+(dim,) state with float gamma and lam, the oracles' single-point route,
+and a block of B sets as a (B, dim) stack with gamma and lam as (B, 1)
+columns.  A stack evaluates every row as the lone route would, so each
+row is bitwise the trajectory its set gives alone.  Finiteness is checked
+per row at each sample.  A row that fails aborts there and keeps its
+place, stepping on from zero with values that nothing reads, until every
+row has aborted or the run ends; :func:`integrate` raises its one set's
+abort.
 
 The loop keeps each RK4 stage in a preallocated *stage record* of shape
 (..., 3, dim) holding (x, x', x'').  Its [..., :2, :] block is the stage
@@ -42,12 +43,12 @@ of a loop that allocates every stage.  Outside the oracles a step makes
 25 numpy calls instead of 38, and at small dim those calls are most of
 its cost.
 
-Samples are stored as (n_samples, dim) arrays for one trajectory and
-(B, n_samples, dim) for B, so each row's x, x' and x'' are C-contiguous
-blocks.  An ensemble runs its rows in blocks whose three sample arrays fit
-in ``_BLOCK_BYTES`` (32 MB), integrating the next block only once the
-previous block's entries have been taken; a sweep of many long runs thus
-holds one or two blocks of samples, not all of them.
+Samples are stored as (B, n_samples, dim) arrays for a block of B sets,
+so each row's x, x' and x'' are C-contiguous blocks.  An ensemble runs
+its rows in blocks whose three sample arrays fit in ``_BLOCK_BYTES``
+(32 MB), integrating the next block only once the previous block's
+entries have been taken; a sweep of many long runs thus holds one or two
+blocks of samples, not all of them.
 
 ``_write_csv`` is the one CSV writer of the package: trajectories here,
 energy traces, iterate histories and the sweep map elsewhere.
@@ -230,19 +231,10 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
     return aborted
 
 
-def _trajectory(params, h, sample_every, xs, vs, accs):
-    return Trajectory(
-        times=np.arange(len(xs)) * (sample_every * h),
-        xs=xs,
-        vs=vs,
-        accs=accs,
-        params=params,
-        step=h,
-    )
-
-
 def integrate(obj, params, u0, v0, t_end, h, sample_every=None):
     """Integrate the flow from (u0, v0) to t_end with step h.
+
+    This is :func:`integrate_ensemble` for the one set ``params``.
 
     Parameters
     ----------
@@ -264,15 +256,13 @@ def integrate(obj, params, u0, v0, t_end, h, sample_every=None):
     Returns
     -------
     Trajectory
+
+    Raises IntegrationAborted when the state stops being finite.
     """
-    u, v, n_steps, sample_every, n_samples = _check_run(
-        obj, [params], u0, v0, t_end, h, sample_every
-    )
-    xs, vs, accs = (np.empty((n_samples, obj.dim)) for _ in range(3))
-    aborted = _rk4(obj, params.gamma, params.lam, u, v, h, n_steps, sample_every, xs, vs, accs)
-    if aborted:
-        raise aborted[0]
-    return _trajectory(params, h, sample_every, xs, vs, accs)
+    (entry,) = integrate_ensemble(obj, [params], u0, v0, t_end, h, sample_every)
+    if isinstance(entry, IntegrationAborted):
+        raise entry
+    return entry
 
 
 def integrate_ensemble(obj, params_seq, u0, v0, t_end, h, sample_every=None):
@@ -281,14 +271,13 @@ def integrate_ensemble(obj, params_seq, u0, v0, t_end, h, sample_every=None):
     Every set starts from the same (u0, v0) and shares ``t_end``, ``h`` and
     ``sample_every``; each brings its own gamma and lam.  The arguments are
     those of :func:`integrate` and are checked when this is called, before
-    any step: the first set whose stability guard rejects ``h`` raises
-    :func:`integrate`'s ValueError.
+    any step: the first set whose stability guard rejects ``h`` raises a
+    ValueError.
 
     Returns an iterator with one entry per parameter set, in order: the
-    Trajectory :func:`integrate` returns for that set, bitwise, or the
-    IntegrationAborted it raises, with the same ``t`` and ``step_index``.
-    Sets are integrated a block at a time as the iterator is consumed; see
-    the module docstring.
+    set's Trajectory, or the IntegrationAborted of its row.  Sets are
+    integrated a block at a time as the iterator is consumed; a block of one
+    set steps as a lone point.  See the module docstring.
     """
     params_seq = list(params_seq)
     u, v, n_steps, sample_every, n_samples = _check_run(
@@ -300,18 +289,25 @@ def integrate_ensemble(obj, params_seq, u0, v0, t_end, h, sample_every=None):
         for start in range(0, len(params_seq), block):
             chunk = params_seq[start : start + block]
             b = len(chunk)
-            gamma = np.array([[params.gamma] for params in chunk])
-            lam = np.array([[params.lam] for params in chunk])
             xs, vs, accs = (np.empty((b, n_samples, obj.dim)) for _ in range(3))
-            aborted = _rk4(
-                obj, gamma, lam, np.tile(u, (b, 1)), np.tile(v, (b, 1)),
-                h, n_steps, sample_every, xs, vs, accs,
-            )
+            if b == 1:
+                # a lone (dim,) state with float gamma and lam: the oracles' single-point route
+                gamma, lam = chunk[0].gamma, chunk[0].lam
+                state, samples = (u, v), (xs[0], vs[0], accs[0])
+            else:
+                gamma = np.array([[params.gamma] for params in chunk])
+                lam = np.array([[params.lam] for params in chunk])
+                state, samples = (np.tile(u, (b, 1)), np.tile(v, (b, 1))), (xs, vs, accs)
+            aborted = _rk4(obj, gamma, lam, *state, h, n_steps, sample_every, *samples)
             for row, params in enumerate(chunk):
-                if row in aborted:
-                    yield aborted[row]
-                else:
-                    yield _trajectory(params, h, sample_every, xs[row], vs[row], accs[row])
+                yield aborted[row] if row in aborted else Trajectory(
+                    times=np.arange(n_samples) * (sample_every * h),
+                    xs=xs[row],
+                    vs=vs[row],
+                    accs=accs[row],
+                    params=params,
+                    step=h,
+                )
 
     return entries()
 

@@ -106,6 +106,7 @@ def _rowwise_sqnorm(x):
     return _rowwise_sum(x * x)
 
 
+@np.errstate(over="ignore")  # a row whose squares overflow is rescaled, not warned about
 def _rownorm(x, sq=None):
     """Euclidean norm over the last axis of a point or a stack of any rank.
 
@@ -115,16 +116,15 @@ def _rownorm(x, sq=None):
     sqrt(_rowwise_sqnorm(row)).
     """
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        if sq is None:
-            sq = _rowwise_sqnorm(x)
-        norm = np.sqrt(sq)
-        redo = ~((sq >= _TINY) & (sq < np.inf))  # nan fails both
-        if redo.any():
-            norm, rows = np.array(norm), x[redo]  # a lone point's 0-d redo adds a row axis
-            scale = np.max(np.abs(rows), axis=-1, initial=0.0)
-            scale[~(scale > 0.0) | (scale == np.inf)] = 1.0  # a zero, inf or nan row is already right
-            norm[redo] = scale * np.sqrt(_rowwise_sqnorm(rows / scale[:, None]))
+    if sq is None:
+        sq = _rowwise_sqnorm(x)
+    norm = np.sqrt(sq)
+    redo = ~((sq >= _TINY) & (sq < np.inf))  # nan fails both
+    if redo.any():
+        norm, rows = np.array(norm), x[redo]  # a lone point's 0-d redo adds a row axis
+        scale = np.max(np.abs(rows), axis=-1, initial=0.0)
+        scale[~(scale > 0.0) | (scale == np.inf)] = 1.0  # a zero, inf or nan row is already right
+        norm[redo] = scale * np.sqrt(_rowwise_sqnorm(rows / scale[:, None]))
     return norm[()]
 
 

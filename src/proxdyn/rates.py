@@ -115,8 +115,17 @@ def sigma_estimate(traj):
     return SigmaTrace(times=traj.times.copy(), sigma=sigma, approximate=approximate)
 
 
+def _limit_point(x_limit, dim):
+    """``x_limit`` as a float array of 1 or ``dim`` entries, else ValueError."""
+    x_limit = np.atleast_1d(np.asarray(x_limit, dtype=float))
+    if x_limit.shape not in ((1,), (dim,)):
+        got = x_limit.size if x_limit.ndim == 1 else "shape %s" % (x_limit.shape,)
+        raise ValueError("x_limit must have 1 or dim=%d entries, got %s" % (dim, got))
+    return x_limit
+
+
 def _distance(traj, x_limit):
-    return _rownorm(traj.xs - np.asarray(x_limit, dtype=float))
+    return _rownorm(traj.xs - _limit_point(x_limit, traj.xs.shape[-1]))
 
 
 def _window_mask(times, d, t0, t_max):
@@ -194,9 +203,11 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
     ----------
     traj : Trajectory
     x_limit : array_like, optional
-        Defaults to the final sample; the fit window then ends at 90% of
-        t_end so the self-referencing tail does not contaminate the fit
-        (the cap is applied in all cases for uniformity).
+        One number, the value of every coordinate, or one entry per
+        coordinate.  Defaults to the final sample; the fit window then
+        ends at 90% of t_end so the self-referencing tail does not
+        contaminate the fit (the cap is applied in all cases for
+        uniformity).
     t0 : float, optional
         Fit-window start.  Defaults to the first time the settling speed
         ||x'|| + ||x''|| drops below 1e-2 of its initial value.
@@ -206,7 +217,8 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
         convergence check is made.  nan is rejected with ValueError, since
         no speed compares above it.
 
-    Raises ValueError when the limit point is not finite, or when a sample,
+    Raises ValueError when ``x_limit`` has neither 1 entry nor one per
+    coordinate, when the limit point is not finite, or when a sample,
     its speed ||x'|| + ||x''|| or its distance to the limit is not finite:
     an overflowing run has no rate, and its inf distances would otherwise
     all sit "below" an inf scale and read as finite-time convergence.
@@ -226,7 +238,7 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
         _check_real(converged_tol, "converged_tol", "nonnegative")
     if x_limit is None:
         x_limit = traj.xs[-1].copy()
-    x_limit = np.atleast_1d(np.asarray(x_limit, dtype=float))
+    x_limit = np.atleast_1d(np.asarray(x_limit, dtype=float))  # its length is checked by _distance
     if not np.all(np.isfinite(x_limit)):
         raise ValueError("the limit point is not finite, so no rate can be classified")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -203,6 +203,12 @@ def test_run_rejects_step_beyond_guard(tmp_path, capsys):
     rc = cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert "stability guard" in capsys.readouterr().err
+    # infeasible parameters too: the guard is checked before the feasibility warning, which is not given
+    cfg = _run_config(tmp_path, problem=LASSO, gamma=0.1, t_end=1.0, h=1.0, **{"lambda": 1.0})
+    rc = cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: step h=1 exceeds the stability guard 1/L1=0.308607\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, value", [("t_end", math.inf), ("t_end", math.nan), ("h", math.nan)])
@@ -365,6 +371,11 @@ def test_run_numerical_abort_exits_two(tmp_path, capsys, monkeypatch):
     rc = cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 2
     assert "numerical abort" in capsys.readouterr().err
+    # infeasible parameters are warned about before the abort is reported
+    cfg = _run_config(tmp_path, gamma=2.0, t_end=1.0, **{"lambda": 0.5})
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["warning", "numerical abort"]
 
 
 # -- discrete -----------------------------------------------------------
@@ -592,6 +603,11 @@ def test_rates_config_takes_x_limit_in_every_form(traj_csv, tmp_path, capsys, x_
     assert from_config == json.loads(capsys.readouterr().out)
     if x_limit != "auto":
         assert from_config["x_limit"] == [0.5]
+        # two entries for the dim-1 trajectory: numpy would broadcast them, and scale each distance by sqrt(2)
+        _write_json(tmp_path / "rates.json", {"traj": traj_csv, "x_limit": [0.5, 0.5]})
+        assert cli.main(["rates", "--config", cfg]) == 1
+        assert cli.main(["rates", "--traj", traj_csv, "--x-limit", "0.5", "0.5"]) == 1
+        assert capsys.readouterr().err == "error: x_limit must have 1 or dim=1 entries, got 2\n" * 2
 
 
 def test_run_config_takes_auto_as_t0(tmp_path):
@@ -601,12 +617,20 @@ def test_run_config_takes_auto_as_t0(tmp_path):
     assert (tmp_path / "auto" / "rates.json").read_bytes() == (tmp_path / "omitted" / "rates.json").read_bytes()
 
 
-def test_run_config_takes_a_number_as_x_limit(tmp_path):
+def test_run_config_takes_a_number_as_x_limit(tmp_path, capsys):
     for x_limit in (0.5, [0.5]):
         cfg = _run_config(tmp_path, t_end=2.0, x_limit=x_limit)
         assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / str(x_limit))]) == 0
     rates = [json.loads((tmp_path / name / "rates.json").read_text()) for name in ("0.5", "[0.5]")]
     assert rates[0] == rates[1] and rates[0]["x_limit"] == [0.5]
+    # neither a number nor one per coordinate: rejected before any step, by run and by a sweep's template
+    cfg = _run_config(tmp_path, t_end=2.0, x_limit=[0.5] * 3)
+    sweep = ["sweep", "--beta", "0", "--gamma-count", "2", "--lambda-count", "2", "--run-config", cfg]
+    for argv in (["run", "--config", cfg], sweep):
+        capsys.readouterr()
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "bad")]) == 1
+        assert capsys.readouterr().err == "error: x_limit must have 1 or dim=1 entries, got 3\n"
+    assert not list((tmp_path / "bad").glob("run_*"))
 
 
 def test_rates_convergence_rejection(tmp_path, capsys):
@@ -711,13 +735,14 @@ def test_sweep_runs_all_points_as_one_ensemble(tmp_path, capsys, monkeypatch):
                    "--out-dir", str(tmp_path / "sweep")])
     assert rc == 0
     assert calls == {"integrate": 0, "integrate_ensemble": 1}
-    # each point's files are those of a separate run at that point
-    monkeypatch.undo()
+    # each point's files are those of a separate run at that point, which is an ensemble of one
     for gamma in (0.5, 1.0):
         for lam in (0.01, 0.02):
             sub = "run_g%.6g_l%.6g" % (gamma, lam)
             cfg = _write_json(tmp_path / "point.json", dict(template_cfg, gamma=gamma, **{"lambda": lam}))
+            calls.update(integrate=0, integrate_ensemble=0)
             assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "alone" / sub)]) == 0
+            assert calls == {"integrate": 1, "integrate_ensemble": 1}
             names = sorted(os.listdir(tmp_path / "alone" / sub))
             assert sorted(os.listdir(tmp_path / "sweep" / sub)) == names
             assert names == ["energy.csv", "rates.json", "summary.json", "trajectory.csv"]

@@ -304,6 +304,18 @@ def test_classify_rejects_non_finite_trajectories(xs, vs, x_limit):
         classify_rate(traj, x_limit=x_limit)
 
 
+@pytest.mark.parametrize("x_limit, got", [([0.0, 0.0], "2"), ([], "0"), ([[0.0]], r"shape \(1, 1\)")])
+def test_an_x_limit_of_neither_one_entry_nor_dim_is_rejected(x_limit, got):
+    # numpy would broadcast these against the (n, 1) samples instead
+    t = np.arange(0.0, 10.0, 0.01)
+    d = np.exp(-t)
+    traj = _traj(t, d, -d, d)
+    message = r"^x_limit must have 1 or dim=1 entries, got %s$" % got
+    for fit in (classify_rate, fit_exponential, fit_polynomial):
+        with pytest.raises(ValueError, match=message):
+            fit(traj, x_limit)
+
+
 def test_classify_a_trajectory_whose_squares_overflow():
     # the speed and distance of 1e200*e^-t square to inf, and those of 1e-200*e^-t
     # to subnormals or 0; the rate of either is that of e^-t
