@@ -59,28 +59,19 @@ def _json_safe(value):
     Returns (converted, number_of_nonfinite_floats).
     """
     if isinstance(value, dict):
-        count = 0
-        out = {}
-        for key, item in value.items():
-            out[key], sub = _json_safe(item)
-            count += sub
-        return out, count
+        pairs = {key: _json_safe(item) for key, item in value.items()}
+        return {key: safe for key, (safe, _) in pairs.items()}, sum(n for _, n in pairs.values())
     if isinstance(value, (list, tuple)):
-        count = 0
-        out = []
-        for item in value:
-            safe, sub = _json_safe(item)
-            out.append(safe)
-            count += sub
-        return out, count
+        pairs = [_json_safe(item) for item in value]
+        return [safe for safe, _ in pairs], sum(n for _, n in pairs)
     if isinstance(value, float) and not math.isfinite(value):
         return None, 1
     return value, 0
 
 
-def _dump_json(safe, path=None):
-    """Print ``safe``, a payload made strict by :func:`_json_safe`, or write it to ``path``."""
-    text = json.dumps(safe, indent=2)
+def _dump_json(payload, path=None):
+    """Print ``payload``, made strict by :func:`_json_safe`, or write it to ``path``."""
+    text = json.dumps(_json_safe(payload)[0], indent=2)
     if path is None:
         print(text)
     else:
@@ -321,7 +312,7 @@ def _finish_run(inputs, obj, params, traj, warning_list, out_dir):
         written.append(path)
     if "rates" in outputs:
         path = _out_path(out_dir, "rates.json")
-        _dump_json(_json_safe(rate_dict)[0], path)
+        _dump_json(rate_dict, path)
         written.append(path)
 
     summary, dropped = _json_safe({
@@ -394,7 +385,7 @@ def cmd_check_params(args):
         )
     report = params_mod.params_report(params)
     if args.json:
-        _dump_json(_json_safe(report)[0])
+        _dump_json(report)
     else:
         for key, value in report.items():
             print("%s = %r" % (key, value))
@@ -415,13 +406,13 @@ def cmd_discrete(args):
                                             inputs["max_iter"], inputs["tol"])
         discrete_mod.write_history_csv(history, path)
     if args.json:
-        _dump_json(_json_safe({
+        _dump_json({
             "converged": history.converged,
             "iterations": history.iterations,
             "final_residual": float(history.residuals[-1]),
             "final_objective": float(history.objective_values[-1]),
             "history": path,
-        })[0])
+        })
     else:
         print("wrote %s" % path)
         status = "converged" if history.converged else "stopped"
@@ -440,7 +431,7 @@ def cmd_rates(args):
     inputs = _command_inputs(args)
     report = _classify(dynamics.read_trajectory_csv(inputs["traj"]), inputs)
     if args.json:
-        _dump_json(_json_safe(report.to_dict())[0])
+        _dump_json(report.to_dict())
     else:
         for key, value in report.to_dict().items():
             print("%s = %r" % (key, value))
@@ -459,27 +450,28 @@ def cmd_sweep(args):
 
     grid_gamma, grid_lam = np.meshgrid(gammas, lambdas, indexing="ij")
     params = params_mod.derive_params(grid_gamma.ravel(), grid_lam.ravel(), inputs["beta"])
+    feasible = params.rho_feasible
+    run_config = inputs["run_config"]
+    # a template is read and checked at every point before the map is written: a failed sweep writes nothing
+    runs = None if run_config is None else _sweep_runs(
+        run_config, params.gamma[feasible], params.lam[feasible], args.out_dir or ".")
     report = params_mod.params_report(params)
     csv_path = _out_path(args.out_dir, "sweep.csv")
     table = np.column_stack(list(report.values()))  # the two flags become 1.0 and 0.0, written 1 and 0
     dynamics._write_csv(csv_path, list(report), table)
 
-    feasible = params.rho_feasible
     points = feasible.size
     n_feasible = int(np.count_nonzero(feasible))
-    aborted = []
-    run_config = inputs["run_config"]
-    if run_config is not None:
-        aborted = _sweep_runs(run_config, params.gamma[feasible], params.lam[feasible], args.out_dir or ".")
+    aborted = [] if runs is None else runs()
 
     if args.json:
-        _dump_json(_json_safe({
+        _dump_json({
             "points": points,
             "feasible": n_feasible,
             "sweep": csv_path,
             "runs": n_feasible if run_config is not None else 0,
             "aborted": aborted,
-        })[0])
+        })
     else:
         print("wrote %s" % csv_path)
         print("%d of %d grid points feasible" % (n_feasible, points))
@@ -489,32 +481,35 @@ def cmd_sweep(args):
 
 
 def _sweep_runs(run_config, gammas, lambdas, parent_out):
-    """Run the template at every (gamma, lambda) point as one ensemble; return the aborted runs.
+    """Check the template at every (gamma, lambda) point; return the function that runs them.
 
-    Each point's run directory gets what ``run`` writes for the template at
-    that point's gamma and lambda, in grid order.
+    That function steps the points as one ensemble and returns the aborted
+    runs.  Each point's run directory gets what ``run`` writes for the
+    template at that point's gamma and lambda, in grid order.
     """
     inputs = _read_inputs(_INPUTS["run"], run_config, "run config template", supplied=("gamma", "lambda"))
     obj, u0, v0 = _run_setup(inputs)
     derived = params_mod.derive_params(gammas, lambdas, obj.g.beta)
     params_seq = [derived.at(i) for i in range(len(gammas))]
+    # checks every point's arguments and guard now; the steps are taken as the entries are read
     outcomes = dynamics.integrate_ensemble(
         obj, params_seq, u0, v0, inputs["t_end"], inputs["h"], sample_every=inputs["sample_every"]
     )
-    aborted = []
-    for params, outcome in zip(params_seq, outcomes):
-        warning_list = _feasibility_warnings(params)
-        if isinstance(outcome, dynamics.IntegrationAborted):
-            aborted.append({"gamma": params.gamma, "lambda": params.lam, "error": str(outcome)})
-            print(
-                "warning: run at gamma=%.6g, lambda=%.6g aborted: %s"
-                % (params.gamma, params.lam, outcome),
-                file=sys.stderr,
-            )
-            continue
-        out_dir = os.path.join(parent_out, "run_g%.6g_l%.6g" % (params.gamma, params.lam))
-        _finish_run(inputs, obj, params, outcome, warning_list, out_dir)
-    return aborted
+
+    def run():
+        aborted = []
+        for params, outcome in zip(params_seq, outcomes):
+            warning_list = _feasibility_warnings(params)
+            if isinstance(outcome, dynamics.IntegrationAborted):
+                aborted.append({"gamma": params.gamma, "lambda": params.lam, "error": str(outcome)})
+                print("warning: run at gamma=%.6g, lambda=%.6g aborted: %s"
+                      % (params.gamma, params.lam, outcome), file=sys.stderr)
+                continue
+            out_dir = os.path.join(parent_out, "run_g%.6g_l%.6g" % (params.gamma, params.lam))
+            _finish_run(inputs, obj, params, outcome, warning_list, out_dir)
+        return aborted
+
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,6 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     if x_prev.shape != (obj.dim,) or x_cur.shape != (obj.dim,):
         raise ValueError("x0 and x1 must have shape (%d,)" % obj.dim)
     xs = [x_prev, x_cur]
-    values = [float(obj.value(x_prev)), float(obj.value(x_cur))]
     residuals = []
     converged = False
     k = 1
@@ -110,12 +109,12 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
         x_next = _relaxed_step(gamma_schedule(k), x_cur, x_prev, z_cur)
         x_prev, x_cur = x_cur, x_next
         xs.append(x_cur)
-        values.append(float(obj.value(x_cur)))
         k += 1
+    xs = np.array(xs)
     return IterateHistory(
-        xs=np.array(xs),
+        xs=xs,
         residuals=np.array(residuals),
-        objective_values=np.array(values),
+        objective_values=obj.value(xs),  # one call for the whole history
         converged=converged,
         iterations=len(xs) - 1,
     )

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .problems import _check_type
+
 __all__ = [
     "SystemParams",
     "derive_params",
@@ -134,8 +136,8 @@ def _envelope(A, B, s, p):
 def derive_params(gamma, lam, beta):
     """Compute every derived constant for (gamma, lam, beta).
 
-    The three arguments broadcast against each other.  Raises ValueError
-    naming the first bad value, in C order of the broadcast points.
+    The three arguments broadcast against each other.  Raises ValueError naming
+    a bool or a string in any of them, else the first bad value in C order of the points.
 
     Returns
     -------
@@ -168,6 +170,8 @@ def derive_params(gamma, lam, beta):
     so that A v^2 + B w^2 <= m (s w + p v)(v + w) for every v, w >= 0.
     Elsewhere m and r0 are nan.
     """
+    for value, what in ((gamma, "gamma"), (lam, "lambda"), (beta, "beta")):
+        _check_type(value, what, "nonnegative" if what == "beta" else "positive")  # before float() hides it
     gamma, lam, beta = _float_arrays(gamma, lam, beta)
     _check_inputs(gamma, lam, beta)
     # extreme inputs overflow to inf and compare as infeasible, without a warning

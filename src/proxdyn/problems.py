@@ -385,14 +385,11 @@ _REAL_KINDS = {"positive": "a positive finite real", "nonnegative": "a nonnegati
                "finite": "a finite real", "extended": "a real or an infinity"}
 
 
-def _check_real(value, what, kind="positive"):
-    """``value`` as a float array whose entries are reals of ``kind``, else ValueError.
+def _check_type(value, what, kind):
+    """``np.asarray(value)``, else :func:`_check_real`'s ValueError naming a bool, a string or a non-real.
 
-    ``kind`` is "positive" or "nonnegative" (and finite), "finite", or
-    "extended" (±inf too).  A bool, a string or nan anywhere is rejected,
-    naming the first bad entry.  ``np.asarray`` makes a bool among the
-    numbers of a list 0 or 1, so only entries equal to 0 or 1 have their
-    type looked at: a dense matrix costs two comparisons, and a 0/1 one a
+    ``np.asarray`` makes a bool among the numbers of a list 0 or 1, so only entries equal to
+    0 or 1 have their type looked at: a dense matrix costs two comparisons, and a 0/1 one a
     scan of its entries' types at C speed.
     """
     array = np.asarray(value)
@@ -407,7 +404,16 @@ def _check_real(value, what, kind="positive"):
     if types and not all(issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_)) for t in types):
         entry = next(e for e in entries if isinstance(e, (bool, np.bool_)) or not isinstance(e, numbers.Real))
         raise ValueError("%s must be %s, got %r" % (what, _REAL_KINDS[kind], entry))
-    array = array.astype(float, copy=False)
+    return array
+
+
+def _check_real(value, what, kind="positive"):
+    """``value`` as a float array whose entries are reals of ``kind``, else ValueError.
+
+    ``kind`` is "positive" or "nonnegative" (and finite), "finite", or "extended" (±inf
+    too).  A bool, a string or nan anywhere is rejected, naming the first bad entry.
+    """
+    array = _check_type(value, what, kind).astype(float, copy=False)
     ok = ~np.isnan(array) if kind == "extended" else np.isfinite(array)
     if kind in ("positive", "nonnegative"):
         ok &= array > 0 if kind == "positive" else array >= 0

@@ -6,6 +6,11 @@ finite time, theta = 1/2 gives an exponential envelope a1*exp(-a2*t), and
 theta in (1/2, 1) gives a polynomial envelope (a3*t + a4)^(-(1-theta)/(2*theta-1)).
 The exponent is estimated from data, never certified.
 
+Both envelopes are fitted to the distance d(t) = ||x(t) - x_limit|| over one
+window: the samples with t0 <= t <= t_max whose distance is above 1e-14 of
+its peak, and for the polynomial envelope only those with t > 0.  A fit
+needs at least 5 such samples.
+
 The tail quantity sigma(t) = integral over [t, inf) of ||x'(s)|| + ||x''(s)||
 dominates both ||x(t) - x_limit|| and ||x'(t)||; it is estimated by a
 trapezoid rule truncated at the final sample.
@@ -116,23 +121,18 @@ def sigma_estimate(traj):
 
 
 def _limit_point(x_limit, dim):
-    """``x_limit`` as a float array of 1 or ``dim`` entries, else ValueError."""
+    """``x_limit`` as a finite float array of 1 or ``dim`` entries, else ValueError."""
     x_limit = np.atleast_1d(np.asarray(x_limit, dtype=float))
     if x_limit.shape not in ((1,), (dim,)):
         got = x_limit.size if x_limit.ndim == 1 else "shape %s" % (x_limit.shape,)
         raise ValueError("x_limit must have 1 or dim=%d entries, got %s" % (dim, got))
+    if not np.all(np.isfinite(x_limit)):
+        raise ValueError("the limit point is not finite, so no rate can be classified")
     return x_limit
 
 
 def _distance(traj, x_limit):
     return _rownorm(traj.xs - _limit_point(x_limit, traj.xs.shape[-1]))
-
-
-def _window_mask(times, d, t0, t_max):
-    mask = (times >= t0) & (d > _DISTANCE_FLOOR * d.max(initial=0.0))
-    if t_max is not None:
-        mask &= times <= t_max
-    return mask
 
 
 def _linear_fit(xv, yv):
@@ -154,36 +154,22 @@ def _fitted_exp(x, what):
         raise ValueError("the fitted %s = exp(%g) overflows" % (what, x)) from None
 
 
-def fit_exponential(traj, x_limit, t0=0.0, t_max=None):
-    """Least-squares line on (t, log distance) for t >= t0.
+def _fit(times, d, t0, t_max, regime):
+    """Fit the "exponential" or "polynomial" envelope to the decaying series ``d``.
 
-    Returns (a1, a2, r_squared) for the model distance <= a1*exp(-a2*t).
-    Raises ValueError with fewer than 5 usable samples or when a1 overflows.
+    The window is the module docstring's; returns and raises as the public fit of ``regime``.
     """
-    d = _distance(traj, x_limit)
-    mask = _window_mask(traj.times, d, t0, t_max)
+    t_max = math.inf if t_max is None else t_max
+    mask = (times >= t0) & (times <= t_max) & (d > _DISTANCE_FLOOR * d.max(initial=0.0))
+    power = regime == "polynomial"
+    if power:
+        mask &= times > 0.0
     if int(mask.sum()) < 5:
-        raise ValueError("fewer than 5 usable samples beyond t0 for the exponential fit")
-    slope, intercept, r2 = _linear_fit(traj.times[mask], np.log(d[mask]))
-    return _fitted_exp(intercept, "a1"), -slope, r2
-
-
-def fit_polynomial(traj, x_limit, t0=0.0, t_max=None):
-    """Least-squares line on (log t, log distance) for t >= t0.
-
-    The slope -q gives theta = (1+q)/(1+2q), inverting
-    q = (1-theta)/(2*theta-1).  The pair (a3, a4) has a one-parameter
-    redundancy on a log scale; it is fixed by the convention a4 = a3 * t_ref
-    with t_ref the start of the fit window.  Returns (a3, a4, theta,
-    r_squared); raises ValueError when the data does not decay (q <= 0),
-    has fewer than 5 usable samples or gives a constant that is not finite.
-    """
-    d = _distance(traj, x_limit)
-    mask = _window_mask(traj.times, d, t0, t_max) & (traj.times > 0.0)
-    if int(mask.sum()) < 5:
-        raise ValueError("fewer than 5 usable samples beyond t0 for the polynomial fit")
-    tt = traj.times[mask]
-    slope, intercept, r2 = _linear_fit(np.log(tt), np.log(d[mask]))
+        raise ValueError("fewer than 5 usable samples beyond t0 for the %s fit" % regime)
+    tt = times[mask]
+    slope, intercept, r2 = _linear_fit(np.log(tt) if power else tt, np.log(d[mask]))
+    if not power:
+        return _fitted_exp(intercept, "a1"), -slope, r2
     q = -slope
     if q <= 0.0:
         raise ValueError("distance does not decay polynomially (fitted q = %g <= 0)" % q)
@@ -194,6 +180,30 @@ def fit_polynomial(traj, x_limit, t0=0.0, t_max=None):
     if not math.isfinite(a4):  # also when -intercept / q is inf, and exp of it too
         raise ValueError("the fitted a4 = %g * %g is not finite" % (a3, t_ref))
     return a3, a4, theta, r2
+
+
+def fit_exponential(traj, x_limit, t0=0.0, t_max=None):
+    """Least-squares line on (t, log distance) over the fit window.
+
+    Returns (a1, a2, r_squared) for the model distance <= a1*exp(-a2*t).
+    Raises ValueError when the limit point is not finite, with fewer than 5
+    usable samples or when a1 overflows.
+    """
+    return _fit(traj.times, _distance(traj, x_limit), t0, t_max, "exponential")
+
+
+def fit_polynomial(traj, x_limit, t0=0.0, t_max=None):
+    """Least-squares line on (log t, log distance) over the fit window.
+
+    The slope -q gives theta = (1+q)/(1+2q), inverting
+    q = (1-theta)/(2*theta-1).  The pair (a3, a4) has a one-parameter
+    redundancy on a log scale; it is fixed by the convention a4 = a3 * t_ref
+    with t_ref the start of the fit window.  Returns (a3, a4, theta,
+    r_squared); raises ValueError when the limit point is not finite, when
+    the data does not decay (q <= 0), has fewer than 5 usable samples or
+    gives a constant that is not finite.
+    """
+    return _fit(traj.times, _distance(traj, x_limit), t0, t_max, "polynomial")
 
 
 def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
@@ -236,61 +246,45 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
         raise ValueError("need at least 2 samples")
     if converged_tol is not None:
         _check_real(converged_tol, "converged_tol", "nonnegative")
-    if x_limit is None:
-        x_limit = traj.xs[-1].copy()
-    x_limit = np.atleast_1d(np.asarray(x_limit, dtype=float))  # its length is checked by _distance
-    if not np.all(np.isfinite(x_limit)):
-        raise ValueError("the limit point is not finite, so no rate can be classified")
+    x_limit = _limit_point(traj.xs[-1].copy() if x_limit is None else x_limit, traj.xs.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         speed = _speed(traj)
-        d = _distance(traj, x_limit)
+        d = _rownorm(traj.xs - x_limit)
     finite = np.isfinite(speed) & np.isfinite(d)
     if not finite.all():
-        i = int(np.argmin(finite))
         raise ValueError(
             "trajectory is not finite at t=%.6g: a sample or its distance to the limit "
-            "overflows, so no rate can be classified" % times[i]
+            "overflows, so no rate can be classified" % times[np.argmin(finite)]
         )
     if converged_tol is not None and speed[-1] > converged_tol:
         raise NotConvergedError(
             "final speed %.3g is above the convergence tolerance %.3g"
             % (speed[-1], converged_tol)
         )
-    scale = float(d.max(initial=0.0))
     window_end = 0.9 * float(times[-1])
     report = RateReport(regime="undetermined", window_end=window_end, x_limit=x_limit)
 
-    below = d <= _FINITE_TIME_FACTOR * scale
+    below = d <= _FINITE_TIME_FACTOR * float(d.max(initial=0.0))
     settled = np.logical_and.accumulate(below[::-1])[::-1]
     settled_idx = np.nonzero(settled)[0]
     if settled_idx.size and settled_idx[0] < len(times) - 1:
         return replace(report, regime="finite_time", t0=float(times[settled_idx[0]]))
 
-    if t0 is None:
-        if speed[0] > 0.0:
-            dropped = np.nonzero(speed <= 1e-2 * speed[0])[0]
-            t0 = float(times[dropped[0]]) if dropped.size else float(times[0])
-        else:
-            t0 = float(times[0])
+    if t0 is None:  # the first sample whose speed is at most 1e-2 of the first one's, else the first
+        dropped = np.nonzero(speed <= 1e-2 * speed[0])[0] if speed[0] > 0.0 else ()
+        t0 = times[dropped[0] if len(dropped) else 0]
     t0 = report.t0 = float(t0)
 
-    fit_quality = report.fit_quality
-    exp_fit = None
-    try:
-        a1, a2, r2e = fit_exponential(traj, x_limit, t0, t_max=window_end)
-        fit_quality["exponential"] = r2e
-        if a2 > 0.0:
-            exp_fit = (a1, a2, r2e)
-    except ValueError:
-        fit_quality["exponential"] = None
-    poly_fit = None
-    try:
-        poly_fit = fit_polynomial(traj, x_limit, t0, t_max=window_end)
-        fit_quality["polynomial"] = poly_fit[3]
-    except ValueError:
-        fit_quality["polynomial"] = None
-
-    best_exp = exp_fit[2] if exp_fit else -math.inf
+    fits = {}
+    for regime in ("exponential", "polynomial"):
+        try:
+            fits[regime] = _fit(times, d, t0, window_end, regime)
+            report.fit_quality[regime] = fits[regime][-1]
+        except ValueError:
+            fits[regime] = report.fit_quality[regime] = None
+    # an exponential fit counts only when it decays (a2 > 0); a tie goes to it
+    exp_fit, poly_fit = fits["exponential"], fits["polynomial"]
+    best_exp = exp_fit[2] if exp_fit and exp_fit[1] > 0.0 else -math.inf
     best_poly = poly_fit[3] if poly_fit else -math.inf
     if max(best_exp, best_poly) < _R2_ACCEPT:
         return report
@@ -368,7 +362,7 @@ def check_sigma_dominance(traj, sigma_trace=None):
     if sigma_trace is None:
         sigma_trace = sigma_estimate(traj)
     sigma = sigma_trace.sigma
-    d = _distance(traj, traj.xs[-1])
+    d = _rownorm(traj.xs - traj.xs[-1])
     v_norm = _rownorm(traj.vs)
     tol_d = 1e-12 * float(d.max(initial=0.0))
     tol_v = float(v_norm[-1]) + 1e-12 * float(v_norm.max(initial=0.0))

@@ -631,6 +631,7 @@ def test_run_config_takes_a_number_as_x_limit(tmp_path, capsys):
         assert cli.main(argv + ["--out-dir", str(tmp_path / "bad")]) == 1
         assert capsys.readouterr().err == "error: x_limit must have 1 or dim=1 entries, got 3\n"
     assert not list((tmp_path / "bad").glob("run_*"))
+    assert not (tmp_path / "bad" / "sweep.csv").exists()
 
 
 def test_rates_convergence_rejection(tmp_path, capsys):
@@ -763,7 +764,7 @@ def test_sweep_guard_failure_writes_no_run(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert "exceeds the stability guard" in capsys.readouterr().err
-    assert os.listdir(tmp_path / "o") == ["sweep.csv"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
@@ -784,7 +785,7 @@ def test_sweep_rejects_unknown_template_key(tmp_path, capsys):
                    "--run-config", template, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert "unknown key 'gama' in run config template; valid keys:" in capsys.readouterr().err
-    assert os.listdir(tmp_path / "o") == ["sweep.csv"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_problem_spec_with_unknown_key_exits_one(tmp_path, capsys):

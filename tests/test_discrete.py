@@ -1,5 +1,6 @@
 """Tests for the inertial proximal-gradient iteration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -224,6 +225,25 @@ def test_run_inertial_evaluates_the_map_once_per_iteration(count_grad):
     assert hist.converged
     assert hist.iterations > 10
     assert len(calls) == hist.iterations
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("lasso", dict(M=[[1.0, 0.3], [0.0, 1.0]], y=[1.0, -0.5], mu=0.4)),
+    ("box_quad", dict(Q=[[2.0, 0.5], [0.5, 1.0]], b=[3.0, -2.0], lower=-1.0, upper=1.0)),
+    ("cos_quad", dict(dim=2, mu=0.1)),
+])
+def test_objective_values_come_from_one_call_with_the_bits_of_each_iterate(name, spec):
+    obj = make_problem(name, **spec)
+    calls = []
+
+    def value(x):
+        calls.append(np.shape(x))
+        return obj.f.eval(x)
+
+    counted = dataclasses.replace(obj, f=dataclasses.replace(obj.f, eval=value))
+    hist = run_inertial(counted, 0.5, 2.0, np.zeros(2), np.array([0.3, -0.2]), max_iter=40, tol=0.0)
+    assert calls == [hist.xs.shape]
+    assert np.array_equal(hist.objective_values, [obj.value(x) for x in hist.xs])
 
 
 def test_history_csv_formats_special_values(tmp_path):

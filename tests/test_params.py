@@ -7,6 +7,7 @@ with the implementation under test.
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +196,16 @@ def test_derive_params_validation():
         derive_params(float("nan"), 0.1, 1.0)
     with pytest.raises(ValueError):
         derive_params(1.0, float("inf"), 1.0)
+    # a bool or a string, alone or in a list, is rejected before it is made a float
+    for args, message in [
+        ((True, 0.02, 1), "gamma must be a positive finite real, got True"),
+        ((1.0, "0.02", 1), "lambda must be a positive finite real, got '0.02'"),
+        ((1.0, 0.02, [1.0, False]), "beta must be a nonnegative finite real, got False"),
+        (([1.0, "1"], 0.02, 1), "gamma must be a positive finite real, got '1'"),
+        ((1.0, np.array([0.1, True], dtype=object), 1), "lambda must be a positive finite real, got True"),
+    ]:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            derive_params(*args)
 
 
 def test_array_validation_stops_where_a_scalar_loop_would():

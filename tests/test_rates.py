@@ -272,6 +272,47 @@ def test_classify_undetermined_on_noise():
         assert val is None or val < 0.9
 
 
+def _fit_or_none(fit, *args, **kwargs):
+    try:
+        return fit(*args, **kwargs)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("case", ["exponential", "polynomial", "noise"])
+def test_classify_reports_bit_for_bit_what_each_fit_returns(case):
+    if case == "exponential":
+        t = np.arange(0.0, 10.0, 0.01)
+        x = 3.0 * np.exp(-2.0 * t)
+    elif case == "polynomial":
+        t = np.arange(1.0, 1000.0, 0.05)
+        x = t**-2.0
+    else:
+        t = np.linspace(0.0, 10.0, 500)
+        x = 0.5 + 0.1 * np.random.default_rng(9).standard_normal(500)
+    traj = _traj(t, x, -x, x)
+    t0 = float(t[len(t) // 10])
+    report = classify_rate(traj, [0.0], t0)
+    exp_fit = _fit_or_none(fit_exponential, traj, [0.0], t0, t_max=0.9 * t[-1])
+    poly_fit = _fit_or_none(fit_polynomial, traj, [0.0], t0, t_max=0.9 * t[-1])
+    assert report.fit_quality == {"exponential": exp_fit and exp_fit[2], "polynomial": poly_fit and poly_fit[3]}
+    assert report.regime == {"noise": "undetermined"}.get(case, case)
+    if case == "exponential":
+        assert (report.a1, report.a2) == exp_fit[:2]
+    if case == "polynomial":
+        assert (report.a3, report.a4, report.theta) == poly_fit[:3]
+
+
+@pytest.mark.parametrize("x_limit", [[math.inf], [math.nan], -math.inf])
+def test_both_fits_reject_a_limit_point_that_is_not_finite(x_limit):
+    t = np.arange(0.0, 10.0, 0.01)
+    d = np.exp(-t)
+    traj = _traj(t, d, -d, d)
+    for fit in (fit_exponential, fit_polynomial):
+        with pytest.raises(ValueError, match="^the limit point is not finite"):
+            fit(traj, x_limit)
+
+
 def test_classify_convergence_gate():
     t = np.arange(0.0, 10.0, 0.01)
     d = np.exp(-0.1 * t)  # final speed ~ 0.7, far from settled
@@ -436,6 +477,18 @@ def test_sigma_dominates_distance_and_velocity_on_consistent_run():
     assert report.velocity_ok
     assert report.max_excess_distance <= report.tol_distance
     assert report.max_excess_velocity <= report.tol_velocity
+
+
+def test_sigma_dominance_reports_on_a_trajectory_whose_last_sample_is_inf():
+    # no limit point is taken from the last sample, so nothing rejects it as not finite
+    t = np.linspace(0.0, 1.0, 10)
+    x = np.where(t < 1.0, 1.0 - t, math.inf)
+    traj = _traj(t, x, -np.ones(10), np.zeros(10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = check_sigma_dominance(traj, sigma_estimate(traj))
+    assert not report.distance_ok and math.isnan(report.max_excess_distance)
+    assert report.velocity_ok and report.max_excess_velocity == 1.0
 
 
 def test_sigma_dominance_detects_inconsistent_jump():
