@@ -43,6 +43,18 @@ gamma_m = m u / (1 - m u) for the m rows of M.  Hence
 ||F||_2 <= gamma_m ||M||_F^2, and a second use of Weyl's inequality adds
 that to the allowance.  beta exceeds lambda_max by at most about
 n^2 eps lambda_max, plus m min(m, n) u lambda_max for lasso.
+
+Lasso's gradient M^T (Mx - y) is taken as Gx - M^T y, from the Gram matrix
+G = M^T M formed for beta and the vector M^T y formed once, so it costs one
+n x n product per point where the factored form costs two m x n ones: the
+"covariance update" of Friedman, Hastie and Tibshirani's coordinate-descent
+lasso.  Its value stays ||Mx - y||^2 / 2, since the terms of the expanded
+quadratic x^T G x / 2 - (M^T y)^T x + ||y||^2 / 2 cancel when the residual
+Mx - y is small against y.  For an M with fewer than n/2 rows the one n x n
+product costs more than the two m x n ones.  Timed on one point (numpy
+2.4.6, OpenBLAS 0.3.31 on one thread of an Intel Xeon with Haswell kernels,
+noisy), it took 27 us against 15 us at 100 x 400 and 340 us against 100 us
+at 250 x 1000, but 28 us against 36 us at 400 x 400.
 """
 
 from __future__ import annotations
@@ -211,6 +223,18 @@ def _box_prox_fn(lower, upper, dim):
     return ProxFn(eval=value, prox=prox, dim=dim)
 
 
+def _quadratic_grad(Q, b):
+    """The gradient x -> Qx - b of a quadratic with symmetric Hessian Q."""
+
+    def grad(x):
+        x = np.ascontiguousarray(x)
+        if x.ndim == 1:  # the integrator's per-step call skips the helper's overhead
+            return x @ Q - b
+        return _rowwise_matmul(x, Q) - b
+
+    return grad
+
+
 def _quadratic_smooth(Q, b):
     Q = _check_real(Q, "each entry of Q", "finite")
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -232,13 +256,7 @@ def _quadratic_smooth(Q, b):
         x = np.asarray(x)
         return _rowwise_sum(x * (0.5 * _rowwise_matmul(x, Q) - b))
 
-    def grad(x):
-        x = np.ascontiguousarray(x)
-        if x.ndim == 1:  # the integrator's per-step call skips the helper's overhead
-            return x @ Q - b
-        return _rowwise_matmul(x, Q) - b
-
-    return SmoothFn(eval=value, grad=grad, beta=beta, dim=n)
+    return SmoothFn(eval=value, grad=_quadratic_grad(Q, b), beta=beta, dim=n)
 
 
 def _make_zero_quad(Q, b=None):
@@ -261,16 +279,10 @@ def _make_lasso(M, y, mu):
     gram_error = m_u / (1.0 - m_u) * np.linalg.norm(M) ** 2  # gamma_m ||M||_F^2
     beta = _top_eigenvalue_bound(np.linalg.eigvalsh(gram), gram_error)
 
-    def value(x):
+    def value(x):  # not the expanded quadratic, whose terms cancel when the residual is small
         return 0.5 * _rowwise_sqnorm(_rowwise_matmul(x, Mt) - y)
 
-    def grad(x):
-        x = np.ascontiguousarray(x)
-        if x.ndim == 1:  # the integrator's per-step call skips the helper's overhead
-            return (x @ Mt - y) @ M
-        return _rowwise_matmul(_rowwise_matmul(x, Mt) - y, M)
-
-    g = SmoothFn(eval=value, grad=grad, beta=beta, dim=n)
+    g = SmoothFn(eval=value, grad=_quadratic_grad(gram, y @ M), beta=beta, dim=n)
     return Objective(f=_l1_prox_fn(mu, n), g=g, dim=n, name="lasso")
 
 

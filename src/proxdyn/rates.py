@@ -357,6 +357,7 @@ class SigmaDominanceReport:
     tol_velocity: float
 
 
+@np.errstate(invalid="ignore")  # an inf sample gives a nan distance and a failed verdict, not a warning
 def check_sigma_dominance(traj, sigma_trace=None):
     """Verify sigma(t) >= ||x(t) - x_final|| and sigma(t) >= ||x'(t)|| - allowance."""
     if sigma_trace is None:

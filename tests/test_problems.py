@@ -219,6 +219,8 @@ def test_batched_oracles_match_per_row_wide_stacks(dim):
     cases = [
         make_problem("zero_quad", Q=q, b=rng.standard_normal(dim)),
         make_problem("lasso", M=m, y=rng.standard_normal(dim + 4), mu=0.2),
+        # fewer rows than columns, so a singular Gram matrix
+        make_problem("lasso", M=m[: dim - 2], y=np.linspace(-1.0, 1.0, dim - 2), mu=0.2),
         make_problem("box_quad", Q=q, b=rng.standard_normal(dim), lower=-0.7, upper=0.7),
         make_problem("cos_quad", dim=dim, mu=0.1),
     ]
@@ -258,7 +260,7 @@ def test_single_point_gradient_is_plain_matmul():
     for _ in range(20):
         x = rng.standard_normal(dim)
         assert np.array_equal(quad.g.grad(x), x @ q - b)
-        assert np.array_equal(lasso.g.grad(x), (x @ m.T - y) @ m)
+        assert np.array_equal(lasso.g.grad(x), x @ (m.T @ m) - y @ m)
 
 
 def test_problem_from_json_dict_text_and_file(tmp_path):

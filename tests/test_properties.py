@@ -14,6 +14,9 @@
 - ``beta`` of a quadratic bounds every Rayleigh quotient of its Hessian,
   computed exactly in integers, and exceeds the computed top eigenvalue by
   a rounding allowance only.
+- Lasso's gradient, taken from the rounded Gram matrix, is within the
+  standard forward-error bound of M^T (Mx - y); the exact gradient and the
+  bound are computed in integers and fractions.
 - Every prox of the catalog satisfies its optimality condition: the
   residual (x - prox_{lam f}(x))/lam is a subgradient of f at the prox.
 - The feasibility verdicts imply each other as the paper states.
@@ -31,6 +34,7 @@
 import math
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -444,6 +448,49 @@ def test_beta_bounds_the_top_eigenvalue_of_lasso_gram(rows, cols, seed, scale):
     eigvec = np.linalg.eigh(m.T @ m)[1][:, -1]
     for v in (eigvec, rng.standard_normal(cols)):
         assert _beta_bounds_rayleigh_quotient(beta, gram_form, v)
+
+
+@settings(max_examples=30, **_SETTINGS)
+@given(rows=st.integers(1, 30), cols=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+@example(rows=4, cols=20, seed=0, scale=1.0)  # wide: a singular Gram matrix
+@example(rows=12, cols=12, seed=1, scale=1e-3)
+@example(rows=30, cols=5, seed=2, scale=1e3)
+def test_lasso_gradient_is_within_its_forward_error_bound(rows, cols, seed, scale):
+    # The gradient is fl(fl(x Ĝ) - b̂) with Ĝ = fl(MᵀM) and b̂ = fl(Mᵀy), against the
+    # exact r = MᵀMx - Mᵀy.  With u = 2**-53 and γ_k = ku / (1 - ku), a dot product
+    # of length k in any order is within γ_k of its exact value, times the same sum
+    # over absolute values, so elementwise:
+    #   |Ĝ - MᵀM| <= γ_m |M|ᵀ|M|,   |b̂ - Mᵀy| <= γ_m |M|ᵀ|y|,
+    #   |fl(x Ĝ) - Ĝᵀx| <= γ_n |Ĝ|ᵀ|x|,
+    # and Ĝᵀx - MᵀMx = (Ĝ - MᵀM)ᵀx is within γ_m |M|ᵀ|M||x|.  The subtraction adds one
+    # rounding, at most u times the computed result.  Summing the four terms:
+    #   |computed - r| <= γ_m |M|ᵀ|M||x| + γ_m |M|ᵀ|y| + γ_n |Ĝ|ᵀ|x| + u |computed|.
+    # Both sides are evaluated exactly, in integers and fractions.
+    rng = np.random.default_rng(seed)
+    m = scale * rng.standard_normal((rows, cols))
+    y = scale * rng.standard_normal(rows)
+    x = rng.standard_normal(cols)
+    got = make_problem("lasso", M=m, y=y, mu=0.1).g.grad(x)
+    nm, km = _exact_integers(m)
+    nx, kx = _exact_integers(x)
+    ny, ky = _exact_integers(y)
+    ng, kg = _exact_integers(np.abs(m.T @ m))  # |Ĝ|, formed as the problem forms it
+    am, ax, ay = abs(nm), abs(nx), abs(ny)
+    exact_gx, exact_b = nm.T @ (nm @ nx), nm.T @ ny
+    abs_gx, abs_b, abs_ghat_x = am.T @ (am @ ax), am.T @ ay, ng.T @ ax
+    u = Fraction(1, 2**53)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    for j in range(cols):
+        exact = Fraction(exact_gx[j], 2 ** (2 * km + kx)) - Fraction(exact_b[j], 2 ** (km + ky))
+        bound = (gamma(rows) * Fraction(abs_gx[j], 2 ** (2 * km + kx))
+                 + gamma(rows) * Fraction(abs_b[j], 2 ** (km + ky))
+                 + gamma(cols) * Fraction(abs_ghat_x[j], 2 ** (kg + kx))
+                 + u * abs(Fraction(got[j])))
+        assert abs(Fraction(got[j]) - exact) <= bound, (j, float(got[j]), float(exact), float(bound))
 
 
 _LAMBDA = st.floats(1e-4, 10.0)
