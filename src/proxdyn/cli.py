@@ -151,7 +151,7 @@ _GAMMA = ("gamma", _POSITIVE, _REQUIRED, "damping value")
 _LAMBDA = ("lambda", _POSITIVE, _REQUIRED, "proximal step")
 _BETA = ("beta", _NONNEGATIVE, _REQUIRED, "Lipschitz constant of grad g")
 _RATE_INPUTS = (
-    ("x_limit", _auto(_VECTOR), None, "'auto' or the limit coordinates"),
+    ("x_limit", _auto(_VECTOR), None, "'auto' (fit the speed) or the limit coordinates"),
     ("t0", _auto(_FINITE), None, "'auto' or the fit-window start time"),
     ("converged_tol", _NONNEGATIVE, None, "reject trajectories whose final speed exceeds this"),
 )

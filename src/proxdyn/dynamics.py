@@ -98,7 +98,10 @@ class Trajectory:
 
     ``accs[i]`` equals T(xs[i]) - gamma*vs[i] - xs[i] exactly, with T the
     prox-gradient map.  ``params`` is None for trajectories read back from CSV
-    (the file format carries no parameters).
+    (the file format carries no parameters).  ``step`` is the integration
+    step h in a trajectory from :func:`integrate`, but the sample spacing in
+    one read back from CSV, which is ``sample_every`` times h; nothing in
+    the package reads it.
     """
 
     times: np.ndarray
@@ -627,7 +630,8 @@ def read_trajectory_csv(path):
 
     The header must be the one that function writes, with at least one
     coordinate.  The file carries no system parameters, so ``params`` is
-    None on the result; rate estimation does not need them.
+    None on the result; rate estimation does not need them.  Nor does it
+    carry h: ``step`` is the spacing of the first two samples.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")

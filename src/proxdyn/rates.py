@@ -1,15 +1,21 @@
 """Empirical decay-rate estimation for converged trajectories.
 
-Three regimes are distinguished by the Lojasiewicz exponent theta of the
-underlying regularized function: theta in (0, 1/2) gives convergence in
-finite time, theta = 1/2 gives an exponential envelope a1*exp(-a2*t), and
-theta in (1/2, 1) gives a polynomial envelope (a3*t + a4)^(-(1-theta)/(2*theta-1)).
-The exponent is estimated from data, never certified.
+Two regimes are distinguished by the Lojasiewicz exponent theta of the
+underlying regularized function: theta = 1/2 gives an exponential envelope
+a1*exp(-a2*t), and theta in (1/2, 1) a polynomial envelope
+(a3*t + a4)^(-(1-theta)/(2*theta-1)).  theta in (0, 1/2) gives finite-time
+convergence for some gradient-like systems, but not for this flow: its field
+is globally Lipschitz, so by Picard-Lindelof its solutions are unique
+backward in time too, and no trajectory that moves reaches a rest point
+(x*, 0) in finite time.  The exponent is estimated from data, never certified.
 
-Both envelopes are fitted to the distance d(t) = ||x(t) - x_limit|| over one
-window: the samples with t0 <= t <= t_max whose distance is above 1e-14 of
-its peak, and for the polynomial envelope only those with t > 0.  A fit
-needs at least 5 such samples.
+Both envelopes are fitted to one decaying series over one window: the
+samples with t >= t0 whose value is above 1e-14 of the series' peak, and for
+the polynomial envelope only those with t > 0.  A fit needs at least 5 such
+samples.  Given a limit point x_limit, the series is the distance
+||x(t) - x_limit||.  Without one it is the speed ||x'|| + ||x''||, and the
+fitted envelope is integrated in closed form to one of sigma below, so the
+constants reported on either route bound the distance to the limit.
 
 The tail quantity sigma(t) = integral over [t, inf) of ||x'(s)|| + ||x''(s)||
 dominates both ||x(t) - x_limit|| and ||x'(t)||; it is estimated by a
@@ -41,8 +47,7 @@ __all__ = [
     "SigmaDominanceReport",
 ]
 
-_FINITE_TIME_FACTOR = 1e-12
-_DISTANCE_FLOOR = 1e-14
+_SERIES_FLOOR = 1e-14
 _R2_ACCEPT = 0.9
 
 
@@ -69,9 +74,10 @@ class RateReport:
 
     Exactly the fields of the chosen regime are populated: (a1, a2) for
     exponential (theta reported as 0.5), (a3, a4, theta) for polynomial,
-    none for finite_time or undetermined.  ``fit_quality`` maps each
-    attempted regime to its coefficient of determination on the fit window
-    [t0, window_end].
+    none for undetermined.  ``fit_quality`` maps each attempted regime to
+    its coefficient of determination on the fit window, from ``t0`` to the
+    last sample.  ``x_limit`` is the limit point whose distance was fitted,
+    or None when the speed was fitted instead.
     """
 
     regime: str
@@ -82,7 +88,6 @@ class RateReport:
     a4: Optional[float] = None
     fit_quality: dict = field(default_factory=dict)
     t0: float = 0.0
-    window_end: float = 0.0
     x_limit: Optional[np.ndarray] = None
 
     def to_dict(self):
@@ -154,13 +159,14 @@ def _fitted_exp(x, what):
         raise ValueError("the fitted %s = exp(%g) overflows" % (what, x)) from None
 
 
-def _fit(times, d, t0, t_max, regime):
+def _fit(times, d, t0, regime, integrate=False):
     """Fit the "exponential" or "polynomial" envelope to the decaying series ``d``.
 
     The window is the module docstring's; returns and raises as the public fit of ``regime``.
+    With ``integrate`` the constants are those of the envelope's integral from t to infinity:
+    a speed K*exp(-a2*t) gives a1 = K/a2, and a speed K*t^(-q-1) gives q with K/q as its scale.
     """
-    t_max = math.inf if t_max is None else t_max
-    mask = (times >= t0) & (times <= t_max) & (d > _DISTANCE_FLOOR * d.max(initial=0.0))
+    mask = (times >= t0) & (d > _SERIES_FLOOR * d.max(initial=0.0))
     power = regime == "polynomial"
     if power:
         mask &= times > 0.0
@@ -168,11 +174,14 @@ def _fit(times, d, t0, t_max, regime):
         raise ValueError("fewer than 5 usable samples beyond t0 for the %s fit" % regime)
     tt = times[mask]
     slope, intercept, r2 = _linear_fit(np.log(tt) if power else tt, np.log(d[mask]))
+    rate = -slope - 1.0 if integrate and power else -slope  # a2, or the power q
+    if integrate and rate > 0.0:  # at a2 <= 0 there is no tail integral, and no reported fit
+        intercept -= math.log(rate)
     if not power:
-        return _fitted_exp(intercept, "a1"), -slope, r2
-    q = -slope
+        return _fitted_exp(intercept, "a1"), rate, r2
+    q = rate
     if q <= 0.0:
-        raise ValueError("distance does not decay polynomially (fitted q = %g <= 0)" % q)
+        raise ValueError("the series does not decay polynomially (fitted q = %g <= 0)" % q)
     theta = (1.0 + q) / (1.0 + 2.0 * q)
     a3 = _fitted_exp(-intercept / q, "a3")
     t_ref = t0 if t0 > 0.0 else float(tt[0])
@@ -182,17 +191,17 @@ def _fit(times, d, t0, t_max, regime):
     return a3, a4, theta, r2
 
 
-def fit_exponential(traj, x_limit, t0=0.0, t_max=None):
+def fit_exponential(traj, x_limit, t0=0.0):
     """Least-squares line on (t, log distance) over the fit window.
 
     Returns (a1, a2, r_squared) for the model distance <= a1*exp(-a2*t).
     Raises ValueError when the limit point is not finite, with fewer than 5
     usable samples or when a1 overflows.
     """
-    return _fit(traj.times, _distance(traj, x_limit), t0, t_max, "exponential")
+    return _fit(traj.times, _distance(traj, x_limit), t0, "exponential")
 
 
-def fit_polynomial(traj, x_limit, t0=0.0, t_max=None):
+def fit_polynomial(traj, x_limit, t0=0.0):
     """Least-squares line on (log t, log distance) over the fit window.
 
     The slope -q gives theta = (1+q)/(1+2q), inverting
@@ -203,21 +212,20 @@ def fit_polynomial(traj, x_limit, t0=0.0, t_max=None):
     the data does not decay (q <= 0), has fewer than 5 usable samples or
     gives a constant that is not finite.
     """
-    return _fit(traj.times, _distance(traj, x_limit), t0, t_max, "polynomial")
+    return _fit(traj.times, _distance(traj, x_limit), t0, "polynomial")
 
 
 def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
-    """Classify the decay of ||x(t) - x_limit|| into one of the regimes.
+    """Classify the decay of a trajectory into one of the regimes.
 
     Parameters
     ----------
     traj : Trajectory
     x_limit : array_like, optional
         One number, the value of every coordinate, or one entry per
-        coordinate.  Defaults to the final sample; the fit window then
-        ends at 90% of t_end so the self-referencing tail does not
-        contaminate the fit (the cap is applied in all cases for
-        uniformity).
+        coordinate.  When given, the distance ||x(t) - x_limit|| is fitted;
+        when omitted, the speed, with its envelope integrated to one of
+        sigma(t) as the module docstring says.
     t0 : float, optional
         Fit-window start.  Defaults to the first time the settling speed
         ||x'|| + ||x''|| drops below 1e-2 of its initial value.
@@ -228,57 +236,47 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
         no speed compares above it.
 
     Raises ValueError when ``x_limit`` has neither 1 entry nor one per
-    coordinate, when the limit point is not finite, or when a sample,
-    its speed ||x'|| + ||x''|| or its distance to the limit is not finite:
-    an overflowing run has no rate, and its inf distances would otherwise
-    all sit "below" an inf scale and read as finite-time convergence.
+    coordinate, when the limit point is not finite, or when a sample, its
+    speed or its distance to ``x_limit`` is not finite: an overflowing run
+    has no rate.
 
     Returns
     -------
     RateReport
-        regime "finite_time" when the distance sits below 1e-12 of its peak
-        from some sample strictly before the end; otherwise the better of
-        the exponential and polynomial fits by r-squared, or "undetermined"
-        when both fits fail or stay below r-squared 0.9.
+        the better of the exponential and polynomial fits by r-squared, or
+        "undetermined" when both fits fail or stay below r-squared 0.9.
     """
     times = traj.times
     if len(times) < 2:
         raise ValueError("need at least 2 samples")
     if converged_tol is not None:
         _check_real(converged_tol, "converged_tol", "nonnegative")
-    x_limit = _limit_point(traj.xs[-1].copy() if x_limit is None else x_limit, traj.xs.shape[-1])
+    if x_limit is not None:
+        x_limit = _limit_point(x_limit, traj.xs.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         speed = _speed(traj)
-        d = _rownorm(traj.xs - x_limit)
-    finite = np.isfinite(speed) & np.isfinite(d)
+        series = speed if x_limit is None else _rownorm(traj.xs - x_limit)
+    finite = np.isfinite(speed) & np.isfinite(series) & np.isfinite(traj.xs).all(axis=-1)
     if not finite.all():
+        what = "speed" if x_limit is None else "speed or its distance to x_limit"
         raise ValueError(
-            "trajectory is not finite at t=%.6g: a sample or its distance to the limit "
-            "overflows, so no rate can be classified" % times[np.argmin(finite)]
+            "trajectory is not finite at t=%.6g: a sample or its %s overflows, so no rate "
+            "can be classified" % (times[np.argmin(finite)], what)
         )
     if converged_tol is not None and speed[-1] > converged_tol:
         raise NotConvergedError(
             "final speed %.3g is above the convergence tolerance %.3g"
             % (speed[-1], converged_tol)
         )
-    window_end = 0.9 * float(times[-1])
-    report = RateReport(regime="undetermined", window_end=window_end, x_limit=x_limit)
-
-    below = d <= _FINITE_TIME_FACTOR * float(d.max(initial=0.0))
-    settled = np.logical_and.accumulate(below[::-1])[::-1]
-    settled_idx = np.nonzero(settled)[0]
-    if settled_idx.size and settled_idx[0] < len(times) - 1:
-        return replace(report, regime="finite_time", t0=float(times[settled_idx[0]]))
-
     if t0 is None:  # the first sample whose speed is at most 1e-2 of the first one's, else the first
         dropped = np.nonzero(speed <= 1e-2 * speed[0])[0] if speed[0] > 0.0 else ()
         t0 = times[dropped[0] if len(dropped) else 0]
-    t0 = report.t0 = float(t0)
+    report = RateReport(regime="undetermined", t0=float(t0), x_limit=x_limit)
 
     fits = {}
     for regime in ("exponential", "polynomial"):
         try:
-            fits[regime] = _fit(times, d, t0, window_end, regime)
+            fits[regime] = _fit(times, series, report.t0, regime, integrate=x_limit is None)
             report.fit_quality[regime] = fits[regime][-1]
         except ValueError:
             fits[regime] = report.fit_quality[regime] = None
