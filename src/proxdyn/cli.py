@@ -485,12 +485,21 @@ def _sweep_runs(run_config, gammas, lambdas, parent_out):
 
     That function steps the points as one ensemble and returns the aborted
     runs.  Each point's run directory gets what ``run`` writes for the
-    template at that point's gamma and lambda, in grid order.
+    template at that point's gamma and lambda, in grid order.  A grid with
+    two points whose directory names agree is rejected.
     """
     inputs = _read_inputs(_INPUTS["run"], run_config, "run config template", supplied=("gamma", "lambda"))
     obj, u0, v0 = _run_setup(inputs)
     derived = params_mod.derive_params(gammas, lambdas, obj.g.beta)
     params_seq = [derived.at(i) for i in range(len(gammas))]
+    # a directory names its point to six digits, so two points that agree that far would share it
+    out_dirs = {}  # each run directory and the point it names
+    for params in params_seq:
+        out_dir = os.path.join(parent_out, "run_g%.6g_l%.6g" % (params.gamma, params.lam))
+        if out_dir in out_dirs:
+            raise ValueError("grid points (gamma=%r, lambda=%r) and (gamma=%r, lambda=%r) share the run "
+                             "directory %s" % (*out_dirs[out_dir], params.gamma, params.lam, out_dir))
+        out_dirs[out_dir] = (params.gamma, params.lam)
     # checks every point's arguments and guard now; the steps are taken as the entries are read
     outcomes = dynamics.integrate_ensemble(
         obj, params_seq, u0, v0, inputs["t_end"], inputs["h"], sample_every=inputs["sample_every"]
@@ -498,14 +507,13 @@ def _sweep_runs(run_config, gammas, lambdas, parent_out):
 
     def run():
         aborted = []
-        for params, outcome in zip(params_seq, outcomes):
+        for params, outcome, out_dir in zip(params_seq, outcomes, out_dirs):
             warning_list = _feasibility_warnings(params)
             if isinstance(outcome, dynamics.IntegrationAborted):
                 aborted.append({"gamma": params.gamma, "lambda": params.lam, "error": str(outcome)})
                 print("warning: run at gamma=%.6g, lambda=%.6g aborted: %s"
                       % (params.gamma, params.lam, outcome), file=sys.stderr)
                 continue
-            out_dir = os.path.join(parent_out, "run_g%.6g_l%.6g" % (params.gamma, params.lam))
             _finish_run(inputs, obj, params, outcome, warning_list, out_dir)
         return aborted
 

@@ -32,16 +32,17 @@ row has aborted or the run ends; :func:`integrate` raises its one set's
 abort.
 
 The loop keeps each RK4 stage in a preallocated *stage record* of shape
-(..., 3, dim) holding (x, x', x'').  Its [..., :2, :] block is the stage
-state (u, v) and its [..., 1:, :] block is the state's slope (v, x''), so a
-stage state is one multiply and one add on a (2, dim) block, the
-acceleration is written into its row in place, and the update
-X += h/6 (K1 + 2 K2 + 2 K3 + K4) takes seven numpy calls on the blocks.
-The first record holds the state itself.  Each quantity goes through the
-operations of the textbook formulas in their order, so the bits are those
-of a loop that allocates every stage.  Outside the oracles a step makes
-25 numpy calls instead of 38, and at small dim those calls are most of
-its cost.
+(3,) + u.shape holding (x, x', x''), stage-major: each of x, x' and x'' is
+one C-contiguous (dim,) or (B, dim) array, so no numpy call of a step gets
+a strided view.  A record's [:2] block is the stage state (u, v) and its
+[1:] block is the state's slope (v, x''), so a stage state is one multiply
+and one add on a (2,) + u.shape block, the acceleration is written into its
+slot in place, and the update X += h/6 (K1 + 2 K2 + 2 K3 + K4) takes seven
+numpy calls on the blocks.  The first record holds the state itself.  Each
+quantity goes through the operations of the textbook formulas in their
+order, so the bits are those of a loop that allocates every stage.  Outside
+the oracles a step makes 25 numpy calls instead of 38, and at small dim
+those calls are most of its cost.
 
 Samples are stored as (B, n_samples, dim) arrays for a block of B sets,
 so each row's x, x' and x'' are C-contiguous blocks.  An ensemble runs
@@ -174,12 +175,13 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
     for the aborted rows; a lone state is row 0.
     """
     aborted = {}
-    # records[k] is stage k+1's (x, x', x''); [..., :2, :] its state, [..., 1:, :] its slope
-    records = np.empty((4,) + u.shape[:-1] + (3, u.shape[-1]))
-    records[0, ..., 0, :] = u
-    records[0, ..., 1, :] = v
+    # records[k] is stage k+1's (x, x', x''), stage-major so that each is one
+    # contiguous u.shape array; records[k][:2] is its state, records[k][1:] its slope
+    records = np.empty((4, 3) + u.shape)
+    records[0, 0] = u
+    records[0, 1] = v
     x1, v1, a1, X, D1, x2, v2, a2, X2, D2, x3, v3, a3, X3, D3, x4, v4, a4, X4, D4 = (
-        r[..., k, :] for r in records for k in (0, 1, 2, slice(None, 2), slice(1, None))
+        r[k] for r in records for k in (0, 1, 2, slice(None, 2), slice(1, None))
     )
     d, e = np.empty_like(D1), np.empty_like(D1)
     xs, vs, accs = (np.moveaxis(a, -2, 0) for a in (xs, vs, accs))  # sample i is [i] of each
@@ -220,13 +222,13 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
         if step_i % sample_every == 0:
             finite = np.isfinite(X)
             if not finite.all():
-                ok = finite.all(axis=(-2, -1))
+                ok = finite.all(axis=(0, -1))
                 for row in set(np.flatnonzero(~ok).tolist()) - aborted.keys():
                     aborted[row] = IntegrationAborted(t=step_i * h, step_index=step_i)
                 if len(aborted) == ok.size:
                     break
                 # restarted from zero, an aborted row comes back here only if it overflows again
-                records[0][~ok] = 0.0
+                records[0][:, ~ok] = 0.0
             xs[idx] = x1
             vs[idx] = v1
             accs[idx] = a1

@@ -726,29 +726,38 @@ def test_sweep_runs_all_points_as_one_ensemble(tmp_path, capsys, monkeypatch):
 
     counted("integrate")
     counted("integrate_ensemble")
-    template_cfg = {"problem": ZERO_QUAD, "u0": [1.0], "v0": [0.0], "t_end": 1.0, "h": 0.01}
-    template = _write_json(tmp_path / "template.json", template_cfg)
-    rc = cli.main(["sweep", "--beta", "0", "--gamma-min", "0.5",
-                   "--gamma-max", "1.0", "--gamma-count", "2",
-                   "--lambda-min", "0.01", "--lambda-max", "0.02",
-                   "--lambda-count", "2", "--run-config", template,
-                   "--out-dir", str(tmp_path / "sweep")])
-    assert rc == 0
-    assert calls == {"integrate": 0, "integrate_ensemble": 1}
-    # each point's files are those of a separate run at that point, which is an ensemble of one
-    for gamma in (0.5, 1.0):
-        for lam in (0.01, 0.02):
-            sub = "run_g%.6g_l%.6g" % (gamma, lam)
-            cfg = _write_json(tmp_path / "point.json", dict(template_cfg, gamma=gamma, **{"lambda": lam}))
-            calls.update(integrate=0, integrate_ensemble=0)
-            assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "alone" / sub)]) == 0
-            assert calls == {"integrate": 1, "integrate_ensemble": 1}
-            names = sorted(os.listdir(tmp_path / "alone" / sub))
-            assert sorted(os.listdir(tmp_path / "sweep" / sub)) == names
-            assert names == ["energy.csv", "rates.json", "summary.json", "trajectory.csv"]
-            for name in names:
-                assert ((tmp_path / "sweep" / sub / name).read_bytes()
-                        == (tmp_path / "alone" / sub / name).read_bytes()), (sub, name)
+    # a dim-1 template, and the canonical dim-2 box_quad, whose (B, dim) stack has rows and
+    # coordinates that differ
+    box_quad = {"name": "box_quad", "Q": [[1.0, 0.0], [0.0, 1.0]], "b": [2.0, 0.5],
+                "lower": -1.0, "upper": 1.0}
+    templates = [(ZERO_QUAD, [1.0], [0.0]), (box_quad, [0.995, 0.5], [0.0, 0.0])]
+    for case, (problem, u0, v0) in enumerate(templates):
+        base = tmp_path / str(case)
+        base.mkdir()
+        template_cfg = {"problem": problem, "u0": u0, "v0": v0, "t_end": 1.0, "h": 0.01}
+        template = _write_json(base / "template.json", template_cfg)
+        calls.update(integrate=0, integrate_ensemble=0)
+        rc = cli.main(["sweep", "--beta", "0", "--gamma-min", "0.5",
+                       "--gamma-max", "1.0", "--gamma-count", "2",
+                       "--lambda-min", "0.01", "--lambda-max", "0.02",
+                       "--lambda-count", "2", "--run-config", template,
+                       "--out-dir", str(base / "sweep")])
+        assert rc == 0
+        assert calls == {"integrate": 0, "integrate_ensemble": 1}
+        # each point's files are those of a separate run at that point, which is an ensemble of one
+        for gamma in (0.5, 1.0):
+            for lam in (0.01, 0.02):
+                sub = "run_g%.6g_l%.6g" % (gamma, lam)
+                cfg = _write_json(base / "point.json", dict(template_cfg, gamma=gamma, **{"lambda": lam}))
+                calls.update(integrate=0, integrate_ensemble=0)
+                assert cli.main(["run", "--config", cfg, "--out-dir", str(base / "alone" / sub)]) == 0
+                assert calls == {"integrate": 1, "integrate_ensemble": 1}
+                names = sorted(os.listdir(base / "alone" / sub))
+                assert sorted(os.listdir(base / "sweep" / sub)) == names
+                assert names == ["energy.csv", "rates.json", "summary.json", "trajectory.csv"]
+                for name in names:
+                    assert ((base / "sweep" / sub / name).read_bytes()
+                            == (base / "alone" / sub / name).read_bytes()), (problem["name"], sub, name)
 
 
 def test_sweep_guard_failure_writes_no_run(tmp_path, capsys):
@@ -764,6 +773,23 @@ def test_sweep_guard_failure_writes_no_run(tmp_path, capsys):
     assert rc == 1
     assert "exceeds the stability guard" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_sweep_rejects_points_that_share_a_run_directory(tmp_path, capsys):
+    # gamma 1, 1.0000005 and 1.000001 all name their directory run_g1_l0.01, so
+    # the later runs would overwrite the first
+    template = _write_json(tmp_path / "template.json", {
+        "problem": LASSO, "u0": [1.5], "v0": [0.0], "t_end": 1.0, "h": 0.01,
+    })
+    out = tmp_path / "o"
+    rc = cli.main(["sweep", "--beta", "1", "--gamma-min", "1", "--gamma-max", "1.000001",
+                   "--gamma-count", "3", "--lambda-min", "0.01", "--lambda-max", "0.01",
+                   "--lambda-count", "1", "--run-config", template, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: grid points (gamma=1.0, lambda=0.01) and (gamma=1.0000005, lambda=0.01) share the run "
+        "directory %s\n" % (out / "run_g1_l0.01"))
+    assert not out.exists()
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):

@@ -204,28 +204,37 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# stiff zero_quads (Q, u0, v0): at dim 2 only the stiff coordinate can blow
+# up, and the row axis and the coordinate axis of a (B, dim) stack differ
+_STIFF = [
+    ([[2e6]], [1.0], [0.0]),
+    ([[2e6, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.0, 0.0]),
+]
+
+
 def test_ensemble_aborts_one_row_and_keeps_the_others():
     # as in test_integrate_aborts_on_blowup, beta = 0 lets h = 0.4 past the
     # guard; only the middle row's lambda makes the stiff quadratic blow up
-    obj = make_problem("zero_quad", Q=[[2e6]], b=[0.0])
-    params_seq = [
-        derive_params(1.0, 1e-9, 0.0),
-        derive_params(1.0, 0.01, 0.0),
-        derive_params(0.5, 1e-8, 0.0),
-    ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = list(integrate_ensemble(obj, params_seq, [1.0], [0.0], 40.0, 0.4, sample_every=1))
-        with pytest.raises(IntegrationAborted) as exc:
-            integrate(obj, params_seq[1], [1.0], [0.0], t_end=40.0, h=0.4, sample_every=1)
-    assert len(got) == 3
-    assert isinstance(got[1], IntegrationAborted)
-    assert (got[1].t, got[1].step_index, str(got[1])) == (
-        exc.value.t, exc.value.step_index, str(exc.value))
-    for row in (0, 2):
-        want = integrate(obj, params_seq[row], [1.0], [0.0], t_end=40.0, h=0.4, sample_every=1)
-        assert isinstance(got[row], Trajectory)
-        for field in ("times", "xs", "vs", "accs"):
-            assert _same_bits(getattr(got[row], field), getattr(want, field)), (row, field)
+    for Q, u0, v0 in _STIFF:
+        obj = make_problem("zero_quad", Q=Q, b=[0.0] * len(u0))
+        params_seq = [
+            derive_params(1.0, 1e-9, 0.0),
+            derive_params(1.0, 0.01, 0.0),
+            derive_params(0.5, 1e-8, 0.0),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = list(integrate_ensemble(obj, params_seq, u0, v0, 40.0, 0.4, sample_every=1))
+            with pytest.raises(IntegrationAborted) as exc:
+                integrate(obj, params_seq[1], u0, v0, t_end=40.0, h=0.4, sample_every=1)
+        assert len(got) == 3
+        assert isinstance(got[1], IntegrationAborted)
+        assert (got[1].t, got[1].step_index, str(got[1])) == (
+            exc.value.t, exc.value.step_index, str(exc.value))
+        for row in (0, 2):
+            want = integrate(obj, params_seq[row], u0, v0, t_end=40.0, h=0.4, sample_every=1)
+            assert isinstance(got[row], Trajectory)
+            for field in ("times", "xs", "vs", "accs"):
+                assert _same_bits(getattr(got[row], field), getattr(want, field)), (Q, row, field)
 
 
 def test_ensemble_stops_once_every_row_aborted(count_grad):
@@ -249,17 +258,18 @@ def test_ensemble_stops_once_every_row_aborted(count_grad):
 def test_an_aborted_row_that_overflows_again_keeps_its_first_abort():
     # b != 0 moves the critical point off zero, so the aborted row, restarted
     # from zero, overflows again and again while the other row runs on
-    obj = make_problem("zero_quad", Q=[[2e6]], b=[1.0])
-    params_seq = [derive_params(1.0, 1e-9, 0.0), derive_params(1.0, 0.01, 0.0)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = list(integrate_ensemble(obj, params_seq, [1.0], [0.0], 400.0, 0.4, sample_every=1))
-        with pytest.raises(IntegrationAborted) as serial:
-            integrate(obj, params_seq[1], [1.0], [0.0], t_end=400.0, h=0.4, sample_every=1)
-    assert isinstance(got[1], IntegrationAborted)
-    assert (got[1].t, got[1].step_index) == (serial.value.t, serial.value.step_index)
-    want = integrate(obj, params_seq[0], [1.0], [0.0], t_end=400.0, h=0.4, sample_every=1)
-    for field in ("times", "xs", "vs", "accs"):
-        assert _same_bits(getattr(got[0], field), getattr(want, field)), field
+    for Q, u0, v0 in _STIFF:
+        obj = make_problem("zero_quad", Q=Q, b=[1.0] * len(u0))
+        params_seq = [derive_params(1.0, 1e-9, 0.0), derive_params(1.0, 0.01, 0.0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = list(integrate_ensemble(obj, params_seq, u0, v0, 400.0, 0.4, sample_every=1))
+            with pytest.raises(IntegrationAborted) as serial:
+                integrate(obj, params_seq[1], u0, v0, t_end=400.0, h=0.4, sample_every=1)
+        assert isinstance(got[1], IntegrationAborted)
+        assert (got[1].t, got[1].step_index) == (serial.value.t, serial.value.step_index)
+        want = integrate(obj, params_seq[0], u0, v0, t_end=400.0, h=0.4, sample_every=1)
+        for field in ("times", "xs", "vs", "accs"):
+            assert _same_bits(getattr(got[0], field), getattr(want, field)), (Q, field)
 
 
 def test_ensemble_guard_reports_the_first_failing_row():
