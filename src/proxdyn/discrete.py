@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import _as_int, _check_real, _map_residual, _rownorm, prox_grad_map
+from .problems import _as_int, _check_real, _map_residual, _prox_grad, _rownorm, prox_grad_map
 
 __all__ = [
     "IterateHistory",
@@ -90,12 +90,13 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     x_cur = np.array(_check_real(x1, "each entry of x1", "finite"))
     if x_prev.shape != (obj.dim,) or x_cur.shape != (obj.dim,):
         raise ValueError("x0 and x1 must have shape (%d,)" % obj.dim)
+    T = _prox_grad(obj, lam)
     xs = [x_prev, x_cur]
     residuals = []
     converged = False
     k = 1
     while True:
-        z_cur = prox_grad_map(obj, lam, x_cur)
+        z_cur = T(x_cur)
         r = float(_map_residual(x_cur, z_cur, lam))
         residuals.append(r)
         if r <= tol:

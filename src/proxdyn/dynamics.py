@@ -41,8 +41,12 @@ slot in place, and the update X += h/6 (K1 + 2 K2 + 2 K3 + K4) takes seven
 numpy calls on the blocks.  The first record holds the state itself.  Each
 quantity goes through the operations of the textbook formulas in their
 order, so the bits are those of a loop that allocates every stage.  Outside
-the oracles a step makes 25 numpy calls instead of 38, and at small dim
-those calls are most of its cost.
+T a step makes 25 numpy calls instead of 38, and each of its four T
+evaluations two more around the oracles; at small dim those calls are most
+of its cost.  So T is bound to the oracles once per run
+(``problems._prox_grad``), and every constant the calls take (h/2, h/6, h,
+2, gamma and the gradient step's lam) is an array, which no call has to
+convert from a Python float.
 
 Samples are stored as (B, n_samples, dim) arrays for a block of B sets,
 so each row's x, x' and x'' are C-contiguous blocks.  An ensemble runs
@@ -64,7 +68,7 @@ from typing import Optional
 import numpy as np
 
 from .params import SystemParams
-from .problems import _as_int, _check_real, _rownorm, _rowwise_sqnorm, prox_grad_map
+from .problems import _as_int, _check_real, _prox_grad, _rownorm, _rowwise_sqnorm
 
 __all__ = [
     "Trajectory",
@@ -185,39 +189,43 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
     )
     d, e = np.empty_like(D1), np.empty_like(D1)
     xs, vs, accs = (np.moveaxis(a, -2, 0) for a in (xs, vs, accs))  # sample i is [i] of each
+    # the steps' constants are arrays and their ufuncs locals, so that no
+    # stage converts a Python float or looks a name up in a module
+    T = _prox_grad(obj, lam)
+    gamma = np.asarray(gamma, dtype=float)
+    half, sixth, full, two = (np.array(c) for c in (0.5 * h, h / 6.0, h, 2.0))
+    subtract, multiply, add = np.subtract, np.multiply, np.add
 
     def field(x, v, acc):
         """Write the acceleration T(x) - gamma*v - x into ``acc``."""
         # out= only on the last call: one whose output is also an input costs
         # twice an allocating call when the arrays hold a single element
-        np.subtract(prox_grad_map(obj, lam, x) - gamma * v, x, out=acc)
+        subtract(T(x) - gamma * v, x, out=acc)
 
     field(x1, v1, a1)
     xs[0] = x1
     vs[0] = v1
     accs[0] = a1
 
-    half = 0.5 * h
-    sixth = h / 6.0
     idx = 1
     for step_i in range(1, n_steps + 1):
         # a1, the field at the step's start, is the first RK4 stage's slope
-        np.multiply(half, D1, out=d)
-        np.add(X, d, out=X2)
+        multiply(half, D1, out=d)
+        add(X, d, out=X2)
         field(x2, v2, a2)
-        np.multiply(half, D2, out=d)
-        np.add(X, d, out=X3)
+        multiply(half, D2, out=d)
+        add(X, d, out=X3)
         field(x3, v3, a3)
-        np.multiply(h, D3, out=d)
-        np.add(X, d, out=X4)
+        multiply(full, D3, out=d)
+        add(X, d, out=X4)
         field(x4, v4, a4)
-        np.multiply(2.0, D2, out=d)
-        np.add(D1, d, out=d)
-        np.multiply(2.0, D3, out=e)
-        np.add(d, e, out=d)
-        np.add(d, D4, out=d)
-        np.multiply(sixth, d, out=d)
-        np.add(X, d, out=X)
+        multiply(two, D2, out=d)
+        add(D1, d, out=d)
+        multiply(two, D3, out=e)
+        add(d, e, out=d)
+        add(d, D4, out=d)
+        multiply(sixth, d, out=d)
+        add(X, d, out=X)
         field(x1, v1, a1)
         if step_i % sample_every == 0:
             finite = np.isfinite(X)

@@ -452,7 +452,24 @@ def prox_grad_map(obj, lam, x):
     The flow and the discrete iteration are both driven by T.  Batched over
     the leading axes of x, which must be a float array.
     """
-    return obj.f.prox(lam, x - lam * obj.g.grad(x))
+    return _prox_grad(obj, lam)(x)
+
+
+def _prox_grad(obj, lam):
+    """T of :func:`prox_grad_map` as a function of x alone, for a run's many calls.
+
+    ``obj.g.grad`` and ``obj.f.prox`` are looked up once, here.  The
+    gradient step takes ``lam`` as a float array (0-d for a number), which
+    its multiply need not convert; the prox takes ``lam`` as given, so the
+    l1 prox's ``lam * mu`` of two numbers stays a Python product.
+    """
+    grad, prox = obj.g.grad, obj.f.prox
+    step = np.asarray(lam, dtype=float)
+
+    def T(x):
+        return prox(lam, x - step * grad(x))
+
+    return T
 
 
 def prox_grad_residual(obj, lam, x):

@@ -5,7 +5,7 @@ so each canonical run starts either on the fast decay manifold of its
 linearization, at an exact equilibrium coordinate, or inside a prox-saturated
 region; t_end = 100 at h = 1e-3 then reaches machine-level residuals for
 everything except the cosine problem, whose slow mode gets a long run of its
-own.  Building all runs takes 19-24 s on a shared 2-core machine (Python
+own.  Building all runs takes 14-19 s on a shared 2-core machine (Python
 3.11, numpy 2.4.6), most of the suite's time, so they are computed once per
 session and treated as read-only.
 
@@ -138,19 +138,25 @@ def spectral_run():
 
 @pytest.fixture()
 def count_grad():
-    """Wrap an objective so that every call of its gradient is counted.
+    """Wrap an objective so that every call of its gradient and its prox is counted.
 
     ``count_grad(obj)`` returns the wrapped objective and the list that
-    gets one entry per call.
+    gets one entry per call, ``"grad"`` or ``"prox"``.
     """
 
     def wrap(obj):
         calls = []
 
         def grad(x):
-            calls.append(1)
+            calls.append("grad")
             return obj.g.grad(x)
 
-        return dataclasses.replace(obj, g=dataclasses.replace(obj.g, grad=grad)), calls
+        def prox(lam, x):
+            calls.append("prox")
+            return obj.f.prox(lam, x)
+
+        return dataclasses.replace(
+            obj, g=dataclasses.replace(obj.g, grad=grad), f=dataclasses.replace(obj.f, prox=prox)
+        ), calls
 
     return wrap

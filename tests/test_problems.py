@@ -40,6 +40,21 @@ def test_soft_threshold_optimality_condition():
         assert np.all(np.abs(x[~nz]) <= tau + 1e-12)
 
 
+@pytest.mark.parametrize("lam", [np.array(0.5), 0.5])
+def test_l1_prox_keeps_the_bits_of_the_sign_formula(lam):
+    # the prox is held to the bits of sign(x) * max(|x| - t, 0), signed zeros,
+    # subnormals, infinities and nan included, whether lam is 0-d or a float
+    mu = 0.8
+    t = 0.5 * mu
+    prox = make_problem("lasso", M=[[1.0]], y=[0.0], mu=mu).f.prox
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, t, -t, 1.0, -1.0, np.inf, -np.inf, np.nan])
+    want = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    assert prox(lam, x).tobytes() == want.tobytes()
+    for i in range(len(x)):
+        assert prox(lam, x[i : i + 1]).tobytes() == want[i : i + 1].tobytes(), x[i]
+    assert not np.signbit(prox(lam, np.array([-0.0]))[0])  # -0.0 maps to +0.0
+
+
 def test_box_project_componentwise():
     lower = np.array([-1.0, 0.0])
     upper = np.array([1.0, 2.0])
