@@ -68,15 +68,13 @@ from typing import Optional
 import numpy as np
 
 from .params import SystemParams
-from .problems import _as_int, _check_real, _prox_grad, _rownorm, _rowwise_sqnorm
+from .problems import _as_int, _check_real, _prox_grad
 
 __all__ = [
     "Trajectory",
     "IntegrationAborted",
     "integrate",
     "integrate_ensemble",
-    "third_derivative_check",
-    "ThirdDerivativeReport",
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
@@ -323,54 +321,6 @@ def integrate_ensemble(obj, params_seq, u0, v0, t_end, h, sample_every=None):
                 )
 
     return entries()
-
-
-@dataclass
-class ThirdDerivativeReport:
-    """Central-difference check of the third-derivative bound.
-
-    The flow satisfies ||x'''||^2 <= L^2 ||x'||^2 + (L^2 - 1) ||x''||^2 for
-    both Lipschitz constants L1 and L2.  ``lhs`` holds the squared norm of
-    the differenced third derivative at interior samples; ``tol`` is the
-    truncation allowance 10 * dt^2 * max||x''|| added to each rhs.
-    """
-
-    times: np.ndarray
-    lhs: np.ndarray
-    rhs_l1: np.ndarray
-    rhs_l2: np.ndarray
-    ok_l1: np.ndarray
-    ok_l2: np.ndarray
-    tol: float
-
-    @property
-    def all_ok(self):
-        return bool(np.all(self.ok_l1) and np.all(self.ok_l2))
-
-
-def third_derivative_check(traj, params):
-    """Check the third-derivative inequality at every interior sample."""
-    if len(traj.times) < 3:
-        raise ValueError("need at least 3 samples for a central difference")
-    dt = traj.times[1] - traj.times[0]
-    x3 = (traj.accs[2:] - traj.accs[:-2]) / (2.0 * dt)
-    lhs = _rowwise_sqnorm(x3)
-    v_sq = _rowwise_sqnorm(traj.vs[1:-1])
-    a_sq = _rowwise_sqnorm(traj.accs[1:-1])
-    l1_sq = params.L1 * params.L1
-    l2_sq = params.L2 * params.L2
-    rhs_l1 = l1_sq * v_sq + (l1_sq - 1.0) * a_sq
-    rhs_l2 = l2_sq * v_sq + (l2_sq - 1.0) * a_sq
-    tol = 10.0 * dt * dt * float(_rownorm(traj.accs).max(initial=0.0))
-    return ThirdDerivativeReport(
-        times=traj.times[1:-1],
-        lhs=lhs,
-        rhs_l1=rhs_l1,
-        rhs_l2=rhs_l2,
-        ok_l1=lhs <= rhs_l1 + tol,
-        ok_l2=lhs <= rhs_l2 + tol,
-        tol=tol,
-    )
 
 
 # _write_csv formats the fewest rows that hold this many values at a time.

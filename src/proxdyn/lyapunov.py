@@ -13,6 +13,10 @@ x'' + c*gamma*x'.  The two routes share (f+g) and ||x'||^2 but form their
 other quadratic term each its own way, and are compared in tests; neither
 assumes feasibility (for infeasible parameters the formulas are evaluated
 verbatim and the checks simply report what they find).
+
+Every check of a bound that the paper proves along a trajectory returns a
+:class:`BoundCheck`: the third-derivative check here, and the decay-ODE
+and dominance checks of the tail integral sigma in ``rates``.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from .problems import _check_real, _map_residual, _rownorm, _rowwise_sqnorm, pro
 
 __all__ = [
     "EnergyTrace",
+    "BoundCheck",
     "Violation",
     "h_value",
     "w_bound",
     "subgradient_witness",
+    "third_derivative_check",
     "monitor",
     "check_monotone",
     "write_energy_csv",
@@ -53,6 +59,37 @@ class EnergyTrace:
     w_bound: np.ndarray
     residual: np.ndarray
     dissipation: np.ndarray
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    """A bound lhs <= rhs + tol, sampled at ``times``.
+
+    ``tol`` is the allowance for the error of the sampled route, in the
+    units of lhs and rhs.  ``ok`` is the verdict per sample, so a nan on
+    either side fails; ``holds`` says whether every sample passes, and
+    ``max_excess`` is the largest lhs - rhs: -inf with no sample, nan when
+    a side is nan.
+    """
+
+    times: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    tol: float
+
+    @property
+    @np.errstate(invalid="ignore")
+    def ok(self):
+        return self.lhs <= self.rhs + self.tol
+
+    @property
+    def holds(self):
+        return bool(self.ok.all())
+
+    @property
+    @np.errstate(invalid="ignore")
+    def max_excess(self):
+        return float(np.max(self.lhs - self.rhs, initial=-np.inf))
 
 
 def _energy(params, fg, v, acc, vv):
@@ -120,6 +157,26 @@ def subgradient_witness(obj, params, traj, a):
     g2 = -(acc + (1.0 - a) * gamma * v) / lam
     g3 = -(params.C / lam) * v
     return _rownorm(np.concatenate((g1, g2, g3), axis=-1))
+
+
+def third_derivative_check(traj, params):
+    """The third-derivative bound at every interior sample, at L = min(L1, L2).
+
+    Along the flow, (x'', x''') is the derivative of the L-Lipschitz field
+    at (x', x''), so ||x'''|| <= sqrt(L^2 ||x'||^2 + (L^2 - 1) ||x''||^2).
+    lhs is the norm of the central difference of x'', rhs that root, and
+    tol the truncation allowance 10 * dt^2 * max||x''||.  The rhs grows
+    with L, so the check at L = min(L1, L2) is the check at L1 and at L2.
+    """
+    if len(traj.times) < 3:
+        raise ValueError("need at least 3 samples for a central difference")
+    dt = traj.times[1] - traj.times[0]
+    x3 = (traj.accs[2:] - traj.accs[:-2]) / (2.0 * dt)
+    l_sq = params.L * params.L
+    v_sq, a_sq = _rowwise_sqnorm(traj.vs[1:-1]), _rowwise_sqnorm(traj.accs[1:-1])
+    rhs = np.sqrt(l_sq * v_sq + (l_sq - 1.0) * a_sq)
+    tol = 10.0 * dt * dt * float(_rownorm(traj.accs).max(initial=0.0))
+    return BoundCheck(times=traj.times[1:-1], lhs=_rownorm(x3), rhs=rhs, tol=tol)
 
 
 def monitor(obj, params, traj):

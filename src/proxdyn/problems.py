@@ -54,7 +54,11 @@ Mx - y is small against y.  For an M with fewer than n/2 rows the one n x n
 product costs more than the two m x n ones.  Timed on one point (numpy
 2.4.6, OpenBLAS 0.3.31 on one thread of an Intel Xeon with Haswell kernels,
 noisy), it took 27 us against 15 us at 100 x 400 and 340 us against 100 us
-at 250 x 1000, but 28 us against 36 us at 400 x 400.
+at 250 x 1000, but 28 us against 36 us at 400 x 400.  Those figures were
+taken wherever numpy's allocator put G, and the product is slower when G
+does not start on a 64-byte boundary: on the same machine, a 400 x 400 G
+at 16 bytes past one took 26-33 us per gradient, and an aligned copy of it
+15-22 us, with the same bits.
 """
 
 from __future__ import annotations

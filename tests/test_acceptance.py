@@ -152,8 +152,7 @@ def test_criterion_07_bound_suite(canonical_runs):
         params = run.params
         traj = run.traj
 
-        report = third_derivative_check(traj, params)
-        assert report.all_ok, "%s third-derivative bound" % name
+        assert third_derivative_check(traj, params).holds, "%s third-derivative bound" % name
 
         a = 1.0 - params.c
         wit = subgradient_witness(run.obj, params, traj, a)
@@ -175,9 +174,9 @@ def test_criterion_07_bound_suite(canonical_runs):
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            dom = check_sigma_dominance(traj)
-        assert dom.distance_ok, "%s sigma vs distance" % name
-        assert dom.velocity_ok, "%s sigma vs velocity" % name
+            distance, velocity = check_sigma_dominance(traj)
+        assert distance.holds, "%s sigma vs distance" % name
+        assert velocity.holds, "%s sigma vs velocity" % name
     print(
         "PASS criterion 7: third-derivative, subgradient, envelope and sigma "
         "dominance bounds hold with zero violations on all five runs"

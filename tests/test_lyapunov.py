@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from proxdyn import (
+    BoundCheck,
     EnergyTrace,
     check_monotone,
     derive_params,
@@ -22,6 +23,7 @@ from proxdyn import (
     monitor,
     prox_grad_map,
     subgradient_witness,
+    third_derivative_check,
     w_bound,
     write_energy_csv,
 )
@@ -231,6 +233,29 @@ def test_canonical_runs_monotone(canonical_runs):
         trace = monitor(run.obj, run.params, run.traj)
         tol = 1e-6 * (1.0 + abs(trace.energy[0]))
         assert check_monotone(trace, tol) == [], name
+
+
+def test_bound_check_fails_a_nan_and_reports_its_excess():
+    check = BoundCheck(times=np.arange(4.0), lhs=np.array([1.0, 2.0, math.nan, 0.5]),
+                       rhs=np.array([1.0, 1.5, 0.0, math.inf]), tol=0.5)
+    assert check.ok.tolist() == [True, True, False, True]
+    assert not check.holds and math.isnan(check.max_excess)
+    finite = dataclasses.replace(check, lhs=np.array([1.0, 2.0, 0.0, 0.5]))
+    assert finite.holds and finite.max_excess == 0.5
+    empty = BoundCheck(times=np.empty(0), lhs=np.empty(0), rhs=np.empty(0), tol=0.0)
+    assert empty.holds and empty.max_excess == -math.inf
+
+
+@pytest.mark.parametrize("name, index, factor", [("box_quad", 20000, 1.5), ("lasso", 5000, 1.01)])
+def test_third_derivative_check_fails_at_a_scaled_acceleration(canonical_runs, name, index, factor):
+    # the central differences on either side of the scaled sample are the interior samples it moves
+    run = canonical_runs[name]
+    assert third_derivative_check(run.traj, run.params).holds
+    accs = run.traj.accs.copy()  # the session's runs are read-only
+    accs[index] *= factor
+    check = third_derivative_check(dataclasses.replace(run.traj, accs=accs), run.params)
+    assert np.flatnonzero(~check.ok).tolist() == [index - 2, index]
+    assert not check.holds and check.max_excess > check.tol
 
 
 def test_energy_csv_round_trip(tmp_path):

@@ -440,7 +440,7 @@ def test_sigma_ode_exponential_satisfies_half_envelope():
     t = np.arange(0.0, 10.0, 0.01)
     trace = SigmaTrace(times=t, sigma=np.exp(-t))
     report = sigma_ode_check(trace, theta=0.5, alpha=1.0)
-    assert report.violations.size == 0
+    assert report.holds
     assert report.tol > 0.0
     assert len(report.times) == len(t) - 2
 
@@ -449,9 +449,9 @@ def test_sigma_ode_inverse_t_against_two_thirds_envelope():
     t = np.arange(0.0, 50.0, 0.01)
     trace = SigmaTrace(times=t, sigma=1.0 / (1.0 + t))
     ok = sigma_ode_check(trace, theta=2.0 / 3.0, alpha=1.0)
-    assert ok.violations.size == 0
+    assert ok.holds
     tight = sigma_ode_check(trace, theta=2.0 / 3.0, alpha=1.3)
-    assert tight.violations.size > 0
+    assert not tight.holds
 
 
 def test_sigma_ode_flags_wrong_regime():
@@ -460,7 +460,7 @@ def test_sigma_ode_flags_wrong_regime():
     t = np.arange(0.0, 50.0, 0.01)
     trace = SigmaTrace(times=t, sigma=1.0 / (1.0 + t))
     report = sigma_ode_check(trace, theta=0.5, alpha=1.0)
-    assert report.violations.size > 0.5 * len(report.times)
+    assert np.count_nonzero(~report.ok) > 0.5 * len(report.times)
 
 
 def test_sigma_ode_validation():
@@ -482,7 +482,15 @@ def test_sigma_ode_on_three_samples_allows_only_rounding():
     t = np.array([0.0, 1.0, 2.0])
     report = sigma_ode_check(SigmaTrace(times=t, sigma=4.0 * np.exp(-t)), theta=0.5, alpha=1.0)
     assert report.tol == 4e-12
-    assert report.violations.size == 0
+    assert report.holds
+
+
+def test_sigma_ode_envelope_is_inf_where_sigma_is_zero():
+    t = np.arange(6.0)
+    report = sigma_ode_check(SigmaTrace(times=t, sigma=np.array([4.0, 2.0, 1.0, 0.0, 0.0, 0.0])),
+                             theta=0.5, alpha=1.0)
+    assert report.rhs.tolist() == [-2.0, -1.0, math.inf, math.inf]
+    assert report.ok.tolist() == [False, True, True, True]  # -1.5 > -2 + tol, tol = 1/6 + 4e-15
 
 
 def test_sigma_ode_rejects_a_nan_alpha():
@@ -500,11 +508,11 @@ def test_sigma_dominates_distance_and_velocity_on_consistent_run():
     v = -0.25 * t * np.exp(-0.5 * t)
     acc = (0.125 * t - 0.25) * np.exp(-0.5 * t)
     traj = _traj(t, x, v, acc)
-    report = check_sigma_dominance(traj)
-    assert report.distance_ok
-    assert report.velocity_ok
-    assert report.max_excess_distance <= report.tol_distance
-    assert report.max_excess_velocity <= report.tol_velocity
+    distance, velocity = check_sigma_dominance(traj)
+    assert distance.holds
+    assert velocity.holds
+    assert distance.max_excess <= distance.tol
+    assert velocity.max_excess <= velocity.tol
 
 
 def test_sigma_dominance_reports_on_a_trajectory_whose_last_sample_is_inf():
@@ -514,9 +522,9 @@ def test_sigma_dominance_reports_on_a_trajectory_whose_last_sample_is_inf():
     traj = _traj(t, x, -np.ones(10), np.zeros(10))
     with pytest.warns(RuntimeWarning, match="tail has not decayed"):  # the speed stays 1: by design
         trace = sigma_estimate(traj)
-    report = check_sigma_dominance(traj, trace)  # and no numpy warning from the inf sample
-    assert not report.distance_ok and math.isnan(report.max_excess_distance)
-    assert report.velocity_ok and report.max_excess_velocity == 1.0
+    distance, velocity = check_sigma_dominance(traj, trace)  # and no numpy warning from the inf sample
+    assert not distance.holds and math.isnan(distance.max_excess)
+    assert velocity.holds and velocity.max_excess == 1.0
 
 
 def test_sigma_dominance_detects_inconsistent_jump():
@@ -525,7 +533,7 @@ def test_sigma_dominance_detects_inconsistent_jump():
     x = np.where(t < 0.5, 1.0, 0.0)
     traj = _traj(t, x, np.zeros(100), np.zeros(100))
     trace = sigma_estimate(traj)
-    report = check_sigma_dominance(traj, trace)
-    assert not report.distance_ok
-    assert report.velocity_ok
-    assert report.max_excess_distance == pytest.approx(1.0)
+    distance, velocity = check_sigma_dominance(traj, trace)
+    assert not distance.holds
+    assert velocity.holds
+    assert distance.max_excess == pytest.approx(1.0)
