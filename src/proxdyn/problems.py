@@ -4,7 +4,9 @@ Every entry pairs a convex nonsmooth part f with a closed-form proximal map
 and a smooth part g with an exact gradient and a certified Lipschitz constant
 for that gradient.  Oracles accept a single point of shape (dim,) or a stack
 of points with coordinates on the last axis, and are immutable after
-construction, so they are safe to evaluate concurrently.
+construction, so they are safe to evaluate concurrently.  The one value set
+later is ``SmoothFn.beta``, computed on its first read and then kept, so a
+concurrent first read may compute the same value twice.
 
 Every row of a batched result equals, bitwise, the call on that row alone:
 a point's value does not depend on whether it was evaluated by itself or as
@@ -22,11 +24,14 @@ the row alone.
 
 ``beta`` of the quadratic entries bounds the top eigenvalue of the Hessian
 H (Q for zero_quad and box_quad, M^T M for lasso) from above, from one
-``np.linalg.eigvalsh`` call.  LAPACK's symmetric eigensolvers are backward
-stable: the computed eigenvalues are the exact ones of H + E, where the
-classical analysis of Householder tridiagonalization bounds ||E||_2 by a
-modest multiple of n^2 u ||H||_2 (n the dimension, u = 2**-53 the unit
-roundoff) without fixing the constant.  By Weyl's inequality each computed
+``np.linalg.eigvalsh`` call.  A quadratic makes that call when it is built,
+as its check that Q is positive semidefinite; lasso makes it on the first
+read of ``beta``, which ``discrete`` never makes.  LAPACK's symmetric
+eigensolvers are backward stable: the computed eigenvalues are the exact
+ones of H + E, where the classical analysis of Householder
+tridiagonalization bounds ||E||_2 by a modest multiple of n^2 u ||H||_2
+(n the dimension, u = 2**-53 the unit roundoff) without fixing the
+constant.  By Weyl's inequality each computed
 eigenvalue is then within ||E||_2 of the exact one.  Taking
 ||E||_2 <= k ||H||_2 with k = n^2 eps (eps = 2u), and
 ||H||_2 <= max|computed eigenvalue| + ||E||_2, gives
@@ -45,25 +50,34 @@ that to the allowance.  beta exceeds lambda_max by at most about
 n^2 eps lambda_max, plus m min(m, n) u lambda_max for lasso.
 
 Lasso's gradient M^T (Mx - y) is taken as Gx - M^T y, from the Gram matrix
-G = M^T M formed for beta and the vector M^T y formed once, so it costs one
-n x n product per point where the factored form costs two m x n ones: the
+G = M^T M and the vector M^T y, both formed once, so it costs one n x n
+product per point where the factored form costs two m x n ones: the
 "covariance update" of Friedman, Hastie and Tibshirani's coordinate-descent
 lasso.  Its value stays ||Mx - y||^2 / 2, since the terms of the expanded
 quadratic x^T G x / 2 - (M^T y)^T x + ||y||^2 / 2 cancel when the residual
-Mx - y is small against y.  For an M with fewer than n/2 rows the one n x n
-product costs more than the two m x n ones.  Timed on one point (numpy
-2.4.6, OpenBLAS 0.3.31 on one thread of an Intel Xeon with Haswell kernels,
-noisy), it took 27 us against 15 us at 100 x 400 and 340 us against 100 us
-at 250 x 1000, but 28 us against 36 us at 400 x 400.  Those figures were
-taken wherever numpy's allocator put G, and the product is slower when G
-does not start on a 64-byte boundary: on the same machine, a 400 x 400 G
-at 16 bytes past one took 26-33 us per gradient, and an aligned copy of it
-15-22 us, with the same bits.
+Mx - y is small against y.
+
+M and G are held on 64-byte boundaries, where numpy's allocator gives 16
+bytes, because OpenBLAS's vector-matrix kernel is slower on a matrix that
+does not start on a cache line.  On one thread of an Intel Xeon (numpy
+2.4.6, OpenBLAS 0.3.31, Haswell kernels, best of 7 repeats), a 400 x 400
+gradient product took 12.5-12.9 us with G aligned and 23.2-23.7 us with G
+16, 32 or 48 bytes past a boundary; the value of a 501-point stack at
+400 x 400 took 9.0-9.1 ms with M aligned and up to 13.0-16.0 ms off it.
+The bits do not depend on the alignment.  A quadratic's Q is left where the
+allocator puts it: no benchmarked problem has a large one.
+
+For an M with fewer than n/2 rows the one n x n product costs more than the
+two m x n ones.  Timed as above with M and G aligned, a point took 14 us
+against 9 us at 100 x 400 and 310 us against 90 us at 250 x 1000, but 12 us
+against 27 us at 400 x 400.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,14 +169,36 @@ def _top_eigenvalue_bound(eigenvalues, extra=0.0):
     return float(eigenvalues.max() + k / (1.0 - k) * np.abs(eigenvalues).max() + extra)
 
 
+def _aligned_empty(shape, order="C"):
+    """An uninitialised float array of ``shape`` whose data starts on a 64-byte boundary.
+
+    numpy places data on a 16-byte boundary, and OpenBLAS's vector-matrix
+    kernel is slower on a matrix off a 64-byte one (see the module
+    docstring).  The array is laid over an oversized buffer through
+    ``np.ndarray``'s offset, not a slice: an empty slice ``buf[k:k]`` keeps
+    ``buf``'s pointer.
+    """
+    buf = np.empty(math.prod(shape) + 7)
+    return np.ndarray(shape, buffer=buf, offset=-buf.ctypes.data % 64, order=order)
+
+
 @dataclass(frozen=True)
 class SmoothFn:
-    """Smooth part g: value, gradient, and gradient Lipschitz constant."""
+    """Smooth part g: value, gradient, and gradient Lipschitz constant.
+
+    ``lipschitz()`` returns the Lipschitz constant ``beta``.  It is called on
+    the first read of ``beta`` and its result kept, so a run that never reads
+    ``beta`` never pays for it.
+    """
 
     eval: Callable
     grad: Callable
-    beta: float
+    lipschitz: Callable
     dim: int
+
+    @functools.cached_property
+    def beta(self):
+        return self.lipschitz()
 
 
 @dataclass(frozen=True)
@@ -244,6 +280,8 @@ def _quadratic_smooth(Q, b):
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be a square matrix")
     n = Q.shape[0]
+    if n == 0:
+        raise ValueError("Q must have at least one row, got shape %s" % (Q.shape,))
     if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
         raise ValueError("Q must be symmetric")
     if b is None:
@@ -260,7 +298,8 @@ def _quadratic_smooth(Q, b):
         x = np.asarray(x)
         return _rowwise_sum(x * (0.5 * _rowwise_matmul(x, Q) - b))
 
-    return SmoothFn(eval=value, grad=_quadratic_grad(Q, b), beta=beta, dim=n)
+    # eigvalsh is also the PSD check above, so a quadratic's beta is found when it is built
+    return SmoothFn(eval=value, grad=_quadratic_grad(Q, b), lipschitz=lambda: beta, dim=n)
 
 
 def _make_zero_quad(Q, b=None):
@@ -272,21 +311,29 @@ def _make_lasso(M, y, mu):
     M = _check_real(M, "each entry of M", "finite")
     if M.ndim != 2:
         raise ValueError("M must be a matrix")
+    if M.shape[1] == 0:
+        raise ValueError("M must have at least one column, got shape %s" % (M.shape,))
     y = _check_real(y, "each entry of y", "finite")
     if y.shape != (M.shape[0],):
         raise ValueError("y has shape %s, expected (%d,)" % (y.shape, M.shape[0]))
     _check_real(mu, "mu", "nonnegative")
     n = M.shape[1]
-    Mt = M.T
-    gram = Mt @ M
-    m_u = M.shape[0] * _EPS / 2.0
-    gram_error = m_u / (1.0 - m_u) * np.linalg.norm(M) ** 2  # gamma_m ||M||_F^2
-    beta = _top_eigenvalue_bound(np.linalg.eigvalsh(gram), gram_error)
+    # M and G on 64-byte boundaries; M keeps its memory order, on which the bits of x @ M.T
+    # depend, and out= forms G in place
+    aligned = _aligned_empty(M.shape, "F" if np.isfortran(M) else "C")
+    aligned[...] = M
+    M, Mt = aligned, aligned.T
+    gram = np.matmul(Mt, M, out=_aligned_empty((n, n)))
+
+    def lipschitz():
+        m_u = M.shape[0] * _EPS / 2.0
+        gram_error = m_u / (1.0 - m_u) * np.linalg.norm(M) ** 2  # gamma_m ||M||_F^2
+        return _top_eigenvalue_bound(np.linalg.eigvalsh(gram), gram_error)
 
     def value(x):  # not the expanded quadratic, whose terms cancel when the residual is small
         return 0.5 * _rowwise_sqnorm(_rowwise_matmul(x, Mt) - y)
 
-    g = SmoothFn(eval=value, grad=_quadratic_grad(gram, y @ M), beta=beta, dim=n)
+    g = SmoothFn(eval=value, grad=_quadratic_grad(gram, y @ M), lipschitz=lipschitz, dim=n)
     return Objective(f=_l1_prox_fn(mu, n), g=g, dim=n, name="lasso")
 
 
@@ -313,7 +360,7 @@ def _make_cos_quad(dim, mu=0.0):
         return x - 2.0 * np.sin(x)
 
     # second derivative per coordinate is 1 - 2*cos(x_i), contained in [-1, 3]
-    g = SmoothFn(eval=value, grad=grad, beta=3.0, dim=dim)
+    g = SmoothFn(eval=value, grad=grad, lipschitz=lambda: 3.0, dim=dim)
     f = _zero_prox_fn(dim) if mu == 0.0 else _l1_prox_fn(mu, dim)
     return Objective(f=f, g=g, dim=dim, name="cos_quad")
 

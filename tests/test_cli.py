@@ -425,6 +425,38 @@ def test_discrete_missing_problem(capsys):
     assert "missing required argument --problem" in capsys.readouterr().err
 
 
+_LASSO_3X2 = {"name": "lasso", "M": [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0]], "y": [1.0, 0.0, 1.0], "mu": 0.1}
+
+
+@pytest.mark.parametrize("command, solves", [("discrete", 0), ("run", 1), ("sweep", 1)])
+def test_lasso_beta_is_solved_for_only_where_it_is_read(tmp_path, capsys, monkeypatch, command, solves):
+    # discrete never reads beta, so its load skips the eigensolver; run and a sweep's template read it once
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    run = {"problem": _LASSO_3X2, "u0": [1.0, -1.0], "v0": [0.0, 0.0], "t_end": 0.1, "h": 0.01}
+    argv = {
+        "discrete": ["discrete", "--problem", json.dumps(_LASSO_3X2), "--lambda", "0.1", "--gamma", "2",
+                     "--x0", "0", "0"],
+        "run": ["run", "--config", _write_json(tmp_path / "run.json", {**run, "gamma": 1.0, "lambda": 0.01})],
+        "sweep": ["sweep", "--beta", "0", "--gamma-count", "2", "--lambda-min", "0.01", "--lambda-max", "0.01",
+                  "--lambda-count", "1", "--run-config", _write_json(tmp_path / "template.json", run)],
+    }[command]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 0, capsys.readouterr().err
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_discrete_rejects_a_lasso_without_columns(tmp_path, capsys, rows):
+    problem = {"name": "lasso", "M": [[]] * rows, "y": [0] * rows, "mu": 0.1}
+    out = tmp_path / "out"
+    rc = cli.main(["discrete", "--problem", json.dumps(problem), "--lambda", "0.5", "--gamma", "2",
+                   "--x0", "0", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: M must have at least one column, got shape (%d, 0)\n" % rows)
+    assert not out.exists()
+
+
 def test_discrete_zero_max_iter_is_rejected(tmp_path, capsys):
     rc = cli.main(["discrete", "--problem", json.dumps(LASSO), "--lambda", "0.5",
                    "--gamma", "2", "--x0", "0", "--max-iter", "0",

@@ -5,6 +5,7 @@ properties (optimality conditions, finite differences, dense eigensolvers)
 rather than against reimplementations of the same formulas.
 """
 
+import inspect
 import itertools
 import json
 import math
@@ -276,6 +277,73 @@ def test_single_point_gradient_is_plain_matmul():
         x = rng.standard_normal(dim)
         assert np.array_equal(quad.g.grad(x), x @ q - b)
         assert np.array_equal(lasso.g.grad(x), x @ (m.T @ m) - y @ m)
+
+
+def _past_a_cache_line(a, offset):
+    """A C-ordered copy of ``a`` whose data starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(a.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[start : start + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def _lasso_matrices(obj):
+    """The lasso's M and Gram matrix G, as its value and gradient hold them."""
+    value, grad = inspect.getclosurevars(obj.g.eval), inspect.getclosurevars(obj.g.grad)
+    return value.nonlocals["Mt"].T, grad.nonlocals["Q"]
+
+
+_M_SOURCES = {
+    "json list": lambda m: json.loads(json.dumps(m.tolist())),
+    "C array": np.ascontiguousarray,
+    "Fortran array": np.asfortranarray,
+    "view 8 bytes in": lambda m: _past_a_cache_line(m, 8),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_M_SOURCES))
+def test_lasso_matrices_start_on_a_cache_line(source):
+    # OpenBLAS's vector-matrix kernel is slower on a matrix off a 64-byte boundary
+    m = np.random.default_rng(63).standard_normal((9, 7))
+    M, G = _lasso_matrices(make_problem("lasso", M=_M_SOURCES[source](m), y=np.zeros(9), mu=0.1))
+    assert M.ctypes.data % 64 == 0 and G.ctypes.data % 64 == 0
+    assert np.array_equal(M, m)
+    assert np.array_equal(G, m.T @ m)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lasso_value_keeps_the_bits_of_an_unaligned_m(order):
+    # x @ M.T rounds differently for a C- and a Fortran-ordered M; the aligned copy keeps M's order
+    rng = np.random.default_rng(64)
+    m = rng.standard_normal((11, 6))
+    m = _past_a_cache_line(m, 8) if order == "C" else _past_a_cache_line(m.T, 8).T
+    y = rng.standard_normal(11)
+    g = make_problem("lasso", M=m, y=y, mu=0.1).g
+    pts = rng.standard_normal((20, 6))  # enough that some value tells the two orders apart
+    for x in pts:
+        assert g.eval(x).tobytes() == (0.5 * np.sum((x @ m.T - y) ** 2)).tobytes()
+    want = [0.5 * np.sum((x @ m.T - y) ** 2) for x in pts]
+    assert g.eval(pts).tobytes() == np.array(want).tobytes()
+
+
+def test_lasso_beta_is_solved_for_once_on_its_first_read(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    g = make_problem("lasso", M=[[1.0, 2.0], [3.0, 4.0]], y=[1.0, 1.0], mu=0.1).g
+    assert calls == []
+    assert g.beta == g.beta
+    assert len(calls) == 1
+
+
+def test_lasso_and_quadratic_without_columns_are_rejected():
+    with pytest.raises(ValueError) as info:
+        problem_from_json({"name": "lasso", "M": [[], []], "y": [0, 0], "mu": 0.1})
+    assert str(info.value) == "M must have at least one column, got shape (2, 0)"
+    with pytest.raises(ValueError) as info:
+        make_problem("zero_quad", Q=np.zeros((0, 0)))
+    assert str(info.value) == "Q must have at least one row, got shape (0, 0)"
 
 
 def test_problem_from_json_dict_text_and_file(tmp_path):
