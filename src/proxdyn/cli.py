@@ -457,8 +457,8 @@ def cmd_sweep(args):
         run_config, params.gamma[feasible], params.lam[feasible], args.out_dir or ".")
     report = params_mod.params_report(params)
     csv_path = _out_path(args.out_dir, "sweep.csv")
-    table = np.column_stack(list(report.values()))  # the two flags become 1.0 and 0.0, written 1 and 0
-    dynamics._write_csv(csv_path, list(report), table)
+    # the two flags become 1.0 and 0.0, written 1 and 0
+    dynamics._write_csv(csv_path, list(report), *report.values())
 
     points = feasible.size
     n_feasible = int(np.count_nonzero(feasible))

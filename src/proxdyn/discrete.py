@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import _as_int, _check_real, _map_residual, _prox_grad, _rownorm, prox_grad_map
+from .problems import (_as_int, _check_real, _map_residual, _per_row, _prox_grad, _rownorm,
+                       prox_grad_map)
 
 __all__ = [
     "IterateHistory",
@@ -115,7 +116,7 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     return IterateHistory(
         xs=xs,
         residuals=np.array(residuals),
-        objective_values=obj.value(xs),  # one call for the whole history
+        objective_values=_per_row(obj.value, xs),
         converged=converged,
         iterations=len(xs) - 1,
     )
@@ -126,5 +127,4 @@ def write_history_csv(history, path):
     n_rows, n = history.xs.shape
     header = ["k"] + ["x_%d" % i for i in range(n)] + ["residual", "objective"]
     residuals = np.concatenate(([np.nan], history.residuals))
-    table = np.column_stack((np.arange(n_rows), history.xs, residuals, history.objective_values))
-    _write_csv(path, header, table)
+    _write_csv(path, header, np.arange(n_rows), history.xs, residuals, history.objective_values)

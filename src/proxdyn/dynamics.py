@@ -56,7 +56,9 @@ entries have been taken; a sweep of many long runs thus holds one or two
 blocks of samples, not all of them.
 
 ``_write_csv`` is the one CSV writer of the package: trajectories here,
-energy traces, iterate histories and the sweep map elsewhere.
+energy traces, iterate histories and the sweep map elsewhere.  It takes a
+table as blocks of columns and stacks them into float64 one chunk of rows
+at a time, so no writer builds the whole table.
 """
 
 from __future__ import annotations
@@ -547,15 +549,21 @@ def _csv_text(chunk):
     return text.tobytes() % tuple(slot_values.tolist()) if len(slot_values) else text
 
 
-def _write_csv(path, header, table):
-    """Write a header line and the rows of ``table``, comma-separated.
+def _write_csv(path, header, *columns):
+    """Write a header line and the rows of the table of ``columns``, comma-separated.
 
-    Floats get 17 significant digits (``%.17g``) so that they read back
-    exactly.  The file is byte for byte the one ``np.savetxt`` writes with
-    that conversion.
+    ``columns`` are blocks of the table's columns, left to right, all with
+    the same number of rows: a 1-D array is one column and a 2-D array as
+    many as it has, as ``np.column_stack`` takes them.  Each value is written
+    as a float64, whatever its block's dtype.  Floats get 17 significant
+    digits (``%.17g``) so that they read back exactly.  The file is byte for
+    byte the one ``np.savetxt`` writes of the stacked table with that
+    conversion.  Blocks whose row counts differ raise ValueError before the
+    file is opened.
 
-    The rows, of a float64 ``table``, go out in chunks of at least
-    ``_CSV_CHUNK_VALUES`` values and as few rows as that takes, each value
+    The rows go out in chunks of at least ``_CSV_CHUNK_VALUES`` values and as
+    few rows as that takes, each chunk stacked from the blocks' rows into one
+    float64 array, so the table is never stacked whole.  Each value
     in a fixed-width cell whose NUL bytes are dropped on writing.  A
     normal double's decimal exponent X, in [-308, 308], comes from its
     binary exponent and one comparison with the smallest double >=
@@ -568,11 +576,17 @@ def _write_csv(path, header, table):
     conversion in its cell instead, and the chunk's text is formatted with
     one ``%`` on those values.
     """
-    chunk_rows = -(-_CSV_CHUNK_VALUES // table.shape[1])
+    blocks = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    n_rows = {len(block) for block in blocks}
+    if len(n_rows) > 1:
+        raise ValueError("the column blocks of a CSV table must have the same number of rows, "
+                         "got %s" % ", ".join(str(len(block)) for block in blocks))
+    chunk_rows = -(-_CSV_CHUNK_VALUES // sum(block.shape[1] for block in blocks))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(table), chunk_rows):
-            fh.write(_csv_text(table[start : start + chunk_rows]))
+        for start in range(0, n_rows.pop(), chunk_rows):
+            rows = slice(start, start + chunk_rows)
+            fh.write(_csv_text(np.concatenate([block[rows] for block in blocks], axis=1, dtype=float)))
 
 
 def _trajectory_header(n):
@@ -582,7 +596,7 @@ def _trajectory_header(n):
 def write_trajectory_csv(traj, path):
     """Write `t,x_0..x_{n-1},v_0..v_{n-1},a_0..a_{n-1}` with 17 significant digits."""
     header = _trajectory_header(traj.xs.shape[1])
-    _write_csv(path, header, np.column_stack((traj.times, traj.xs, traj.vs, traj.accs)))
+    _write_csv(path, header, traj.times, traj.xs, traj.vs, traj.accs)
 
 
 def read_trajectory_csv(path):

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import _check_real, _map_residual, _rownorm, _rowwise_sqnorm, prox_grad_map
+from .problems import (_check_real, _map_residual, _prox_grad, _row_blocks, _rownorm,
+                       _rowwise_sqnorm, prox_grad_map)
 
 __all__ = [
     "EnergyTrace",
@@ -187,24 +188,29 @@ def monitor(obj, params, traj):
     acceleration, so (f+g)(z) is always evaluated inside dom f.  (f+g)(z),
     ||x'||^2 and ||x''||^2 are evaluated once, for E, H at a = 1-c, the
     dissipation and the subgradient bound, which takes (s, p) from params.
+
+    The samples are swept one row block of ``problems._row_blocks`` at a
+    time into the six (n_samples,) arrays, so the sweep's temporaries have
+    the size of a block, not of the trajectory.  Every value is computed
+    per row, so a sample's values do not depend on its block.
     """
     x, v, acc = traj.xs, traj.vs, traj.accs
-    z = prox_grad_map(obj, params.lam, x)
-    fg_z = obj.value(z)
-    vv, aa = _rowwise_sqnorm(v), _rowwise_sqnorm(acc)
-    energy = _energy(params, fg_z, v, acc, vv)
-    h_vals = _h(params, fg_z, z, (1.0 - params.c) * params.gamma * v + x, vv)
-    residual = _map_residual(x, z, params.lam)
-    dissipation = params.A * vv + params.B * aa
-    return EnergyTrace(
-        times=traj.times,
-        energy=np.asarray(energy, dtype=float),
-        fg_shifted=np.asarray(fg_z, dtype=float),
-        h_value=np.asarray(h_vals, dtype=float),
-        w_bound=params.s * _rownorm(acc, aa) + params.p * _rownorm(v, vv),
-        residual=residual,
-        dissipation=dissipation,
-    )
+    T = _prox_grad(obj, params.lam)
+    energy, fg_shifted, h_vals, w_bound, residual, dissipation = (
+        np.empty(len(traj.times)) for _ in range(6))
+    for rows in _row_blocks(x):
+        xb, vb, ab = x[rows], v[rows], acc[rows]
+        z = T(xb)
+        fg_z = obj.value(z)
+        vv, aa = _rowwise_sqnorm(vb), _rowwise_sqnorm(ab)
+        fg_shifted[rows] = fg_z
+        energy[rows] = _energy(params, fg_z, vb, ab, vv)
+        h_vals[rows] = _h(params, fg_z, z, (1.0 - params.c) * params.gamma * vb + xb, vv)
+        w_bound[rows] = params.s * _rownorm(ab, aa) + params.p * _rownorm(vb, vv)
+        residual[rows] = _map_residual(xb, z, params.lam)
+        dissipation[rows] = params.A * vv + params.B * aa
+    return EnergyTrace(times=traj.times, energy=energy, fg_shifted=fg_shifted, h_value=h_vals,
+                       w_bound=w_bound, residual=residual, dissipation=dissipation)
 
 
 @dataclass(frozen=True)
@@ -266,6 +272,5 @@ def check_monotone(trace, tol):
 def write_energy_csv(trace, path):
     """Write `t,energy,fg_shifted,h_value,w_bound,residual,dissipation` rows."""
     header = ["t", "energy", "fg_shifted", "h_value", "w_bound", "residual", "dissipation"]
-    table = np.column_stack((trace.times, trace.energy, trace.fg_shifted, trace.h_value,
-                             trace.w_bound, trace.residual, trace.dissipation))
-    _write_csv(path, header, table)
+    _write_csv(path, header, trace.times, trace.energy, trace.fg_shifted, trace.h_value,
+               trace.w_bound, trace.residual, trace.dissipation)

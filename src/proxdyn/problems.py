@@ -22,6 +22,21 @@ the energy, bound, rate, third-derivative, summary and iteration code, goes
 through them, so those too give a row of a stack in any layout the bits of
 the row alone.
 
+The promise covers row blocks too.  A sweep over the samples of a run
+(``lyapunov.monitor``, the row norms, the rate fit's distances, the
+iterate history's objective values) cuts the stack with ``_row_blocks``
+into blocks of as many rows as fit ``_SWEEP_BYTES`` per temporary, one row
+at least, and evaluates one block at a time into preallocated outputs.
+Every row has the bits of that row alone, so the cut changes no bit, and a
+run holds its samples, its problem and this fixed budget, whatever the
+number of samples times dim.  The budget, 256 KB or 32 768 float64 values,
+is about a core's L2 cache, and large enough that a block's few dozen numpy
+calls cost little beside its rows.  On one thread of a shared 2-core Intel
+Xeon (numpy 2.4.6, OpenBLAS 0.3.31, best of 7 repeats in each of three
+processes), ``monitor`` on a 501-sample trajectory of a 400 x 400 lasso
+took 16.0-17.0 ms as one block, 17.0-18.9 ms in the 7 blocks of 256 KB,
+19.8-20.3 ms at 64 KB and 30-41 ms at 16 KB.
+
 ``beta`` of the quadratic entries bounds the top eigenvalue of the Hessian
 H (Q for zero_quad and box_quad, M^T M for lasso) from above, from one
 ``np.linalg.eigvalsh`` call.  A quadratic makes that call when it is built,
@@ -57,9 +72,12 @@ lasso.  Its value stays ||Mx - y||^2 / 2, since the terms of the expanded
 quadratic x^T G x / 2 - (M^T y)^T x + ||y||^2 / 2 cancel when the residual
 Mx - y is small against y.
 
-M and G are held on 64-byte boundaries, where numpy's allocator gives 16
-bytes, because OpenBLAS's vector-matrix kernel is slower on a matrix that
-does not start on a cache line.  On one thread of an Intel Xeon (numpy
+M and G are held C-ordered on 64-byte boundaries, where numpy's allocator
+gives 16 bytes.  The order is always C, since the bits of ``x @ M.T`` and
+``y @ M`` depend on it, so a Fortran-ordered M gives the gradients and
+values of the same M in C order.  The boundary matters because OpenBLAS's
+vector-matrix kernel is slower on a matrix that does not start on a cache
+line.  On one thread of an Intel Xeon (numpy
 2.4.6, OpenBLAS 0.3.31, Haswell kernels, best of 7 repeats), a 400 x 400
 gradient product took 12.5-12.9 us with G aligned and 23.2-23.7 us with G
 16, 32 or 48 bytes past a boundary; the value of a 501-point stack at
@@ -99,6 +117,9 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# A sweep over a stack of samples makes temporaries of at most this many
+# bytes each, 32 768 float64 values: see _row_blocks and the module docstring.
+_SWEEP_BYTES = 256 * 2**10
 
 
 def soft_threshold(x, thresh):
@@ -121,19 +142,52 @@ def _rowwise_matmul(x, mat):
     return (np.ascontiguousarray(x)[..., None, :] @ mat)[..., 0, :]
 
 
-def _rowwise_sum(a):
+def _rowwise_sum(a, out=None):
     """Sum over the last axis, rounded the same per row for any layout.
 
     numpy sums a C-ordered row pairwise but accumulates a Fortran-ordered
     stack one column at a time, and the two orders round differently.
+    ``out``, when given, receives the sums.
     """
-    return np.sum(np.ascontiguousarray(a), axis=-1)
+    return np.sum(np.ascontiguousarray(a), axis=-1, out=out)
+
+
+def _row_blocks(stack):
+    """Slices of the first axis of ``stack`` whose blocks hold at most ``_SWEEP_BYTES`` of float64.
+
+    A block holds one row at least.  A sweep over samples takes its rows a
+    block at a time, so that each temporary it makes has the size of one
+    block, not of the stack; see the module docstring.
+    """
+    width = math.prod(stack.shape[1:])
+    step = max(1, _SWEEP_BYTES // (8 * max(width, 1)))
+    return (slice(start, start + step) for start in range(0, len(stack), step))
+
+
+def _per_row(fn, stack, dtype=float):
+    """``fn(stack)`` as a ``dtype`` array, for an ``fn`` that reduces the last axis.
+
+    ``fn`` is called on one row block at a time.
+    """
+    out = np.empty(stack.shape[:-1], dtype)
+    for rows in _row_blocks(stack):
+        out[rows] = fn(stack[rows])
+    return out
 
 
 def _rowwise_sqnorm(x):
-    """Squared Euclidean norm over the last axis, through :func:`_rowwise_sum`."""
+    """Squared Euclidean norm over the last axis, through :func:`_rowwise_sum`.
+
+    A stack's sums go straight into the result, one row block at a time.
+    """
     x = np.asarray(x, dtype=float)
-    return _rowwise_sum(x * x)
+    if x.ndim < 2:  # a lone point has no rows to cut
+        return _rowwise_sum(x * x)
+    out = np.empty(x.shape[:-1])
+    for rows in _row_blocks(x):
+        block = x[rows]
+        _rowwise_sum(block * block, out=out[rows])
+    return out
 
 
 @np.errstate(over="ignore")  # a row whose squares overflow is rescaled, not warned about
@@ -151,11 +205,22 @@ def _rownorm(x, sq=None):
     norm = np.sqrt(sq)
     redo = ~((sq >= _TINY) & (sq < np.inf))  # nan fails both
     if redo.any():
-        norm, rows = np.array(norm), x[redo]  # a lone point's 0-d redo adds a row axis
-        scale = np.max(np.abs(rows), axis=-1, initial=0.0)
-        scale[~(scale > 0.0) | (scale == np.inf)] = 1.0  # a zero, inf or nan row is already right
-        norm[redo] = scale * np.sqrt(_rowwise_sqnorm(rows / scale[:, None]))
+        norm = np.array(norm)
+        if x.ndim < 2:
+            norm[redo] = _rescaled_norm(x[redo])  # a lone point's 0-d redo adds a row axis
+        else:
+            for rows in _row_blocks(x):
+                mask = redo[rows]
+                if mask.any():  # norm[rows] is a view, so this writes into norm
+                    norm[rows][mask] = _rescaled_norm(x[rows][mask])
     return norm[()]
+
+
+def _rescaled_norm(rows):
+    """The norms of a (k, n) stack of rows, each divided by its largest magnitude before squaring."""
+    scale = np.max(np.abs(rows), axis=-1, initial=0.0)
+    scale[~(scale > 0.0) | (scale == np.inf)] = 1.0  # a zero, inf or nan row is already right
+    return scale * np.sqrt(_rowwise_sqnorm(rows / scale[:, None]))
 
 
 def _top_eigenvalue_bound(eigenvalues, extra=0.0):
@@ -169,8 +234,8 @@ def _top_eigenvalue_bound(eigenvalues, extra=0.0):
     return float(eigenvalues.max() + k / (1.0 - k) * np.abs(eigenvalues).max() + extra)
 
 
-def _aligned_empty(shape, order="C"):
-    """An uninitialised float array of ``shape`` whose data starts on a 64-byte boundary.
+def _aligned_empty(shape):
+    """An uninitialised C-ordered float array of ``shape`` whose data starts on a 64-byte boundary.
 
     numpy places data on a 16-byte boundary, and OpenBLAS's vector-matrix
     kernel is slower on a matrix off a 64-byte one (see the module
@@ -179,7 +244,7 @@ def _aligned_empty(shape, order="C"):
     ``buf``'s pointer.
     """
     buf = np.empty(math.prod(shape) + 7)
-    return np.ndarray(shape, buffer=buf, offset=-buf.ctypes.data % 64, order=order)
+    return np.ndarray(shape, buffer=buf, offset=-buf.ctypes.data % 64)
 
 
 @dataclass(frozen=True)
@@ -318,9 +383,9 @@ def _make_lasso(M, y, mu):
         raise ValueError("y has shape %s, expected (%d,)" % (y.shape, M.shape[0]))
     _check_real(mu, "mu", "nonnegative")
     n = M.shape[1]
-    # M and G on 64-byte boundaries; M keeps its memory order, on which the bits of x @ M.T
-    # depend, and out= forms G in place
-    aligned = _aligned_empty(M.shape, "F" if np.isfortran(M) else "C")
+    # M and G on 64-byte boundaries, M always C-ordered, since the bits of x @ M.T and y @ M
+    # depend on its memory order; out= forms G in place
+    aligned = _aligned_empty(M.shape)
     aligned[...] = M
     M, Mt = aligned, aligned.T
     gram = np.matmul(Mt, M, out=_aligned_empty((n, n)))

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .lyapunov import BoundCheck
-from .problems import _check_real, _rownorm
+from .problems import _check_real, _per_row, _rownorm
 
 __all__ = [
     "SigmaTrace",
@@ -136,7 +136,9 @@ def _limit_point(x_limit, dim):
 
 
 def _distance(traj, x_limit):
-    return _rownorm(traj.xs - _limit_point(x_limit, traj.xs.shape[-1]))
+    """||x - x_limit|| at each sample, one row block at a time."""
+    x_limit = _limit_point(x_limit, traj.xs.shape[-1])
+    return _per_row(lambda rows: _rownorm(rows - x_limit), traj.xs)
 
 
 def _linear_fit(xv, yv):
@@ -254,8 +256,9 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
         x_limit = _limit_point(x_limit, traj.xs.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         speed = _speed(traj)
-        series = speed if x_limit is None else _rownorm(traj.xs - x_limit)
-    finite = np.isfinite(speed) & np.isfinite(series) & np.isfinite(traj.xs).all(axis=-1)
+        series = speed if x_limit is None else _distance(traj, x_limit)
+    finite = np.isfinite(speed) & np.isfinite(series)
+    finite &= _per_row(lambda rows: np.isfinite(rows).all(axis=-1), traj.xs, bool)
     if not finite.all():
         what = "speed" if x_limit is None else "speed or its distance to x_limit"
         raise ValueError(
@@ -331,7 +334,8 @@ def check_sigma_dominance(traj, sigma_trace=None):
     if sigma_trace is None:
         sigma_trace = sigma_estimate(traj)
     sigma = sigma_trace.sigma
-    d = _rownorm(traj.xs - traj.xs[-1])
+    last = traj.xs[-1]
+    d = _per_row(lambda rows: _rownorm(rows - last), traj.xs)
     v_norm = _rownorm(traj.vs)
     tol_d = 1e-12 * float(d.max(initial=0.0))
     tol_v = float(v_norm[-1]) + 1e-12 * float(v_norm.max(initial=0.0))

@@ -168,6 +168,25 @@ def test_rates_round_trip_matches_run(tmp_path, capsys):
     assert from_csv == stored
 
 
+def test_rates_round_trip_matches_run_with_a_limit_on_a_wide_lasso(tmp_path, capsys):
+    # 4001 samples at dim 64 span several row blocks of every sweep and CSV chunk
+    rng = np.random.default_rng(64)
+    m = rng.standard_normal((64, 64))
+    problem = {"name": "lasso", "M": (m / np.linalg.norm(m, 2)).tolist(),
+               "y": rng.standard_normal(64).tolist(), "mu": 0.1}
+    cfg = _run_config(tmp_path, problem=problem, u0=rng.standard_normal(64).tolist(), v0=[0.0] * 64,
+                      t_end=4.0, x_limit=[0.0] * 64)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["rates", "--traj", str(out_dir / "trajectory.csv"), "--x-limit", *["0"] * 64,
+                   "--json"])
+    assert rc == 0
+    from_csv = json.loads(capsys.readouterr().out)
+    assert len(from_csv["x_limit"]) == 64
+    assert from_csv == json.loads((out_dir / "summary.json").read_text())["rate_report"]
+
+
 def test_run_requires_config(capsys):
     rc = cli.main(["run"])
     assert rc == 1

@@ -314,16 +314,17 @@ def test_lasso_matrices_start_on_a_cache_line(source):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_lasso_value_keeps_the_bits_of_an_unaligned_m(order):
-    # x @ M.T rounds differently for a C- and a Fortran-ordered M; the aligned copy keeps M's order
+    # x @ M.T rounds differently for a C- and a Fortran-ordered M; the aligned copy is always
+    # C-ordered, so both orders give the bits of the C-ordered M
     rng = np.random.default_rng(64)
-    m = rng.standard_normal((11, 6))
-    m = _past_a_cache_line(m, 8) if order == "C" else _past_a_cache_line(m.T, 8).T
+    c = rng.standard_normal((11, 6))
+    m = _past_a_cache_line(c, 8) if order == "C" else _past_a_cache_line(c.T, 8).T
     y = rng.standard_normal(11)
     g = make_problem("lasso", M=m, y=y, mu=0.1).g
     pts = rng.standard_normal((20, 6))  # enough that some value tells the two orders apart
     for x in pts:
-        assert g.eval(x).tobytes() == (0.5 * np.sum((x @ m.T - y) ** 2)).tobytes()
-    want = [0.5 * np.sum((x @ m.T - y) ** 2) for x in pts]
+        assert g.eval(x).tobytes() == (0.5 * np.sum((x @ c.T - y) ** 2)).tobytes()
+    want = [0.5 * np.sum((x @ c.T - y) ** 2) for x in pts]
     assert g.eval(pts).tobytes() == np.array(want).tobytes()
 
 
