@@ -60,14 +60,14 @@ class IterateHistory:
 def inertial_step_unit(obj, lam, gk, xk, xkm1):
     """One step at hk = 1, in the relaxed proximal-gradient arrangement."""
     _check_real(lam, "lambda")
+    _check_real(gk, "gamma_k")
     xk = np.asarray(xk, dtype=float)
     xkm1 = np.asarray(xkm1, dtype=float)
     return _relaxed_step(gk, xk, xkm1, prox_grad_map(obj, lam, xk))
 
 
 def _relaxed_step(gk, xk, xkm1, zk):
-    """x_{k+1} at hk = 1, given zk = T(xk)."""
-    _check_real(gk, "gamma_k")
+    """x_{k+1} at hk = 1, given zk = T(xk) and a checked gk."""
     w = 1.0 / (1.0 + gk)
     return (1.0 - w) * xk + w * zk + w * (xk - xkm1)
 
@@ -76,15 +76,17 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     """Iterate the unit-step recursion until the residual drops below tol.
 
     gamma_schedule may be a callable k -> gamma_k (k starting at 1) or a
-    plain positive number for a constant schedule.  The residual is checked
-    at x1 first, so identical critical starting points converge at
+    plain positive number for a constant schedule.  A number is checked
+    once, and each gamma_k of a callable as it is drawn.  The residual is
+    checked at x1 first, so identical critical starting points converge at
     iteration 1.  The residual and x_{k+1} come from one evaluation of T(x_k).
     Aborts with DivergenceError when an iterate norm exceeds 1e12.
     """
     _check_real(lam, "lambda")
     max_iter = _as_int(max_iter, "max_iter", least=1)
     _check_real(tol, "tol", "nonnegative")
-    if not callable(gamma_schedule):
+    check_each = callable(gamma_schedule)
+    if not check_each:
         gamma = float(_check_real(gamma_schedule, "gamma"))
         gamma_schedule = lambda k: gamma
     x_prev = np.array(_check_real(x0, "each entry of x0", "finite"))
@@ -108,7 +110,10 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
         norm = float(_rownorm(x_cur))
         if norm > _DIVERGENCE_LIMIT:
             raise DivergenceError(index=k, norm=norm)
-        x_next = _relaxed_step(gamma_schedule(k), x_cur, x_prev, z_cur)
+        gk = gamma_schedule(k)
+        if check_each:
+            _check_real(gk, "gamma_k")
+        x_next = _relaxed_step(gk, x_cur, x_prev, z_cur)
         x_prev, x_cur = x_cur, x_next
         xs.append(x_cur)
         k += 1

@@ -362,8 +362,8 @@ def _decade_tables():
     bound = np.ldexp(five_hi[x + 308], x)
     bound = np.append(np.where(five_lo[x + 308] > 0, np.nextafter(bound, math.inf), bound), math.inf)
     binade_x = np.searchsorted(bound, np.ldexp(1.0, np.arange(-1022, 1024)), "right") - 1
-    row = np.concatenate(([0], binade_x + _CSV_X_ROW, [_CSV_SLOT])).astype(np.int64)
-    next_bound = np.concatenate(([5e-324], bound[binade_x + 1], [math.nan]))
+    row = np.concatenate(([0], binade_x + _CSV_X_ROW, [_CSV_NAN])).astype(np.int64)
+    next_bound = np.concatenate(([5e-324], bound[binade_x + 1], [math.inf]))
     e = np.minimum(1 - x - np.frexp(five_hi[x + 308])[1], 1023)
     s = 16 - x
     hi, lo = np.ldexp(five_hi[s + 308], s - e), np.ldexp(five_lo[s + 308], s - e)
@@ -376,11 +376,12 @@ def _decade_tables():
 # default integer.
 _CSV_X = np.arange(-308, 309, dtype=np.int64)
 # A value's row: 0 for zero, _CSV_SLOT for a value that % formats (a
-# subnormal, inf or nan), and X + _CSV_X_ROW + 308 for a normal double.
-# _CSV_ROW[b] is the row of the least double of binary exponent field b, and
-# the row of |x| is one more from _CSV_NEXT[b] on: a binade holds at most one
-# power of ten.
-_CSV_SLOT, _CSV_X_ROW = 1, 2
+# subnormal, or a value _digits leaves to %), _CSV_NAN for nan, _CSV_NAN + 1
+# for inf and X + _CSV_X_ROW + 308 for a normal double.  _CSV_ROW[b] is the
+# row of the least double of binary exponent field b, and the row of |x| is
+# one more from _CSV_NEXT[b] on: a binade holds at most one power of ten, and
+# the field 2047 holds nan below inf, the one value >= inf.
+_CSV_SLOT, _CSV_NAN, _CSV_X_ROW = 1, 2, 4
 _CSV_ROW, _CSV_NEXT, _CSV_POW2, _CSV_HI, _CSV_LO = _decade_tables()
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
 _CSV_HI_HEAD = _CSV_HI * _SPLIT - (_CSV_HI * _SPLIT - _CSV_HI)
@@ -395,28 +396,34 @@ _CSV_LEAD_ROW = (-4 <= _CSV_X) & (_CSV_X < 0)  # the rows of a "0.000" lead
 _CSV_POINT = np.where(_CSV_LEAD_ROW, 16, np.where((0 <= _CSV_X) & (_CSV_X <= 16), _CSV_X, 0))
 _CSV_UNIT = np.array([10 ** (16 - p) for p in range(17)], np.int64)[_CSV_POINT]
 _CSV_MARK = np.where(_CSV_LEAD_ROW, 0, _CSV_UNIT)
+# The point's byte in a _digit_bytes row of five 4-byte words, two NULs first
+_CSV_POINT_BYTE = 3 + _CSV_POINT
 # A cell: sign, a 5-byte "0.000" lead, 18 digit-and-point bytes, an exponent
 # suffix of up to 5 bytes ("e-05", "e+308") and the separator; _write_csv
-# drops its NUL bytes.  _CSV_TEMPLATE holds the cell of each row above.  A
-# value that % formats has its conversion in its cell.
+# drops its NUL bytes.  _CSV_TEMPLATE holds the cell of each row above: "0",
+# the %.17g conversion of a value that % formats, "nan", "inf", and the
+# lead and suffix of each decade.  Its sign byte is "-" where a negative
+# value's cell takes one, and NUL in the cells of % (whose conversion writes
+# the sign) and of nan (which %.17g writes "nan" whatever its sign bit).
 _CELL = 30
 
 
 def _cell_template(x):
     lead = b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b""
     suffix = b"" if -4 <= x <= 16 else b"e%+03d" % x
-    return lead.rjust(6, b"\0") + b"\0" * 18 + suffix
+    return b"-" + lead.rjust(5, b"\0") + b"\0" * 18 + suffix
 
 
 _CSV_TEMPLATE = np.frombuffer(
     b"".join(
         cell.ljust(_CELL - 1, b"\0") + b","
-        for cell in [b"\0" * 6 + b"0", b"\0%.17g"] + [_cell_template(x) for x in _CSV_X.tolist()]
+        for cell in [b"-" + b"\0" * 5 + b"0", b"\0%.17g", b"\0" * 6 + b"nan", b"-" + b"\0" * 5 + b"inf"]
+        + [_cell_template(x) for x in _CSV_X.tolist()]
     ),
     np.uint8,
 ).reshape(-1, _CELL)
-# uint8 bytes, so that a 0/1 byte times one of them is a uint8, not an int64
-_POINT, _MINUS = np.uint8(ord(".")), np.uint8(ord("-"))
+# a uint8 byte, so that a 0/1 byte times it is a uint8, not an int64
+_POINT = np.uint8(ord("."))
 
 
 def _digit_words():
@@ -509,9 +516,10 @@ def _digit_bytes(q, x):
         strip[z != 0] = 0
         z = high
     words[:, 0] = _DIGITS4[z + strip]  # z < 100, so this word begins "00"
-    digits = words.view(np.uint8)[:, 2:]
-    digits[np.arange(len(q)), 1 + _CSV_POINT[x]] = (frac != 0).view(np.uint8) * _POINT
-    return digits
+    point_at = np.arange(0, 20 * len(q), 20)
+    point_at += _CSV_POINT_BYTE[x]
+    words.view(np.uint8).ravel()[point_at] = (frac != 0).view(np.uint8) * _POINT
+    return words.view(np.uint8)[:, 2:]
 
 
 def _csv_rows(mag):
@@ -523,30 +531,39 @@ def _csv_rows(mag):
 
 
 def _csv_text(chunk):
-    """The text of the rows ``chunk``, as bytes or a uint8 array."""
+    """The text of the rows ``chunk``, as bytes; see :func:`_write_csv`.
+
+    The cells are gathered from ``_CSV_TEMPLATE`` with one ``np.take``.
+    When every value is a normal double whose digits :func:`_digits` can
+    round, the digit bytes go into the cells through a slice; otherwise
+    through the indices of the values that get digits.  The NUL bytes are
+    dropped with ``bytes.translate``.
+    """
     # each temporary is deleted once used, to keep the chunk's peak memory low
     flat = chunk.ravel()
     mag = np.abs(flat)
     row = _csv_rows(mag)
-    fast_at = np.flatnonzero(row >= _CSV_X_ROW)
+    # a slice while every value is a normal double, else their indices
+    fast_at = slice(None) if row.min() >= _CSV_X_ROW else np.flatnonzero(row >= _CSV_X_ROW)
     x = row[fast_at] - _CSV_X_ROW
     q, to_format = _digits(mag[fast_at], x)
     del mag
     if to_format.any():
+        fast_at = np.arange(len(row))[fast_at]  # indices, where it was the slice too
         row[fast_at[to_format]] = _CSV_SLOT
         keep = ~to_format
         fast_at, q, x = fast_at[keep], q[keep], x[keep]
-    cells = _CSV_TEMPLATE[row]
+    cells = np.take(_CSV_TEMPLATE, row, axis=0)
     cells[fast_at, 6:24] = _digit_bytes(q, x)
-    del q, x, fast_at
-    slot = row == _CSV_SLOT
-    del row
-    cells[:, 0] = (np.signbit(flat) & ~slot).view(np.uint8) * _MINUS
+    del q, x
+    cells[:, 0] *= np.signbit(flat).view(np.uint8)  # a template's "-" stays where the sign bit is set
     cells.reshape(chunk.shape + (_CELL,))[:, -1, -1] = ord("\n")
-    slot_values = flat[slot]
-    text = cells[cells != 0]
+    text = cells.tobytes().translate(None, b"\0")
     del cells
-    return text.tobytes() % tuple(slot_values.tolist()) if len(slot_values) else text
+    if isinstance(fast_at, slice):  # no value for %
+        return text
+    slot_values = flat[row == _CSV_SLOT]
+    return text % tuple(slot_values.tolist()) if len(slot_values) else text
 
 
 def _write_csv(path, header, *columns):
@@ -563,15 +580,20 @@ def _write_csv(path, header, *columns):
 
     The rows go out in chunks of at least ``_CSV_CHUNK_VALUES`` values and as
     few rows as that takes, each chunk stacked from the blocks' rows into one
-    float64 array, so the table is never stacked whole.  Each value
-    in a fixed-width cell whose NUL bytes are dropped on writing.  A
+    float64 array, so the table is never stacked whole.  Each value is
+    written in a fixed-width cell, gathered from ``_CSV_TEMPLATE`` with one
+    ``np.take`` per chunk, whose NUL bytes ``bytes.translate`` drops.  A
     normal double's decimal exponent X, in [-308, 308], comes from its
     binary exponent and one comparison with the smallest double >=
     10**(X + 1), and its digits from :func:`_digits`.  The digits, the
     point, the "0.000" lead of X in [-4, -1] and the exponent suffix of
     X < -4 and X > 16 then go into the cell as table lookups, with trailing
-    zeros of the fraction as NUL bytes.  Zeros are "0" and "-0".  The rest
-    (nan, +-inf, subnormals, whose decade the binary exponent does not
+    zeros of the fraction as NUL bytes; in a chunk of normal doubles only,
+    whose digits all come from :func:`_digits`, they go in through a
+    slice.  Zeros ("0", "-0"), nan ("nan", whatever its sign bit) and the
+    infinities ("inf", "-inf") are constant cells: the comparison that
+    tells a binade's decades apart tells inf, the one value >= inf, from
+    nan.  The rest (subnormals, whose decade the binary exponent does not
     tell, and the values :func:`_digits` sends to ``%``) gets a ``%.17g``
     conversion in its cell instead, and the chunk's text is formatted with
     one ``%`` on those values.

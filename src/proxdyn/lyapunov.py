@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import (_check_real, _map_residual, _prox_grad, _row_blocks, _rownorm,
-                       _rowwise_sqnorm, prox_grad_map)
+from .problems import _check_real, _map_residual, _prox_grad, _row_blocks, _rownorm, _rowwise_sqnorm
 
 __all__ = [
     "EnergyTrace",
@@ -93,20 +92,20 @@ class BoundCheck:
         return float(np.max(self.lhs - self.rhs, initial=-np.inf))
 
 
-def _energy(params, fg, v, acc, vv):
-    """E from (f+g)(acc + gamma*v + x), x', x'' and ||x'||^2; see the module docstring."""
+def _energy(params, fg, v, acc, vv, out=None):
+    """E from (f+g)(acc + gamma*v + x), x', x'' and ||x'||^2; see the module docstring.
+
+    ``out``, when given, receives E.
+    """
     inv2lam = 1.0 / (2.0 * params.lam)
-    return (
-        fg
-        + inv2lam * _rowwise_sqnorm(acc + (params.c * params.gamma) * v)
-        - (params.C * inv2lam) * vv
-    )
+    return np.subtract(fg + inv2lam * _rowwise_sqnorm(acc + (params.c * params.gamma) * v),
+                       (params.C * inv2lam) * vv, out=out)
 
 
-def _h(params, fg, u, v, ww):
-    """H from (f+g)(u), u, v and ||w||^2; see :func:`h_value`."""
+def _h(params, fg, u, v, ww, out=None):
+    """H from (f+g)(u), u, v and ||w||^2; see :func:`h_value`.  ``out``, when given, receives H."""
     inv2lam = 1.0 / (2.0 * params.lam)
-    return fg + inv2lam * _rowwise_sqnorm(u - v) - (params.C * inv2lam) * ww
+    return np.subtract(fg + inv2lam * _rowwise_sqnorm(u - v), (params.C * inv2lam) * ww, out=out)
 
 
 def h_value(obj, params, u, v, w):
@@ -147,17 +146,27 @@ def subgradient_witness(obj, params, traj, a):
 
     with z = prox_{lam*f}(x - lam*grad g(x)) belongs to the subdifferential
     of H at (z, a*gamma*v + x, v); its product-space norm must stay below
-    :func:`w_bound` with the same a.
+    :func:`w_bound` with the same a.  The samples are swept one row block
+    of ``problems._row_blocks`` at a time, as in :func:`monitor`.
     """
     _check_real(a, "a", "nonnegative")
     lam = params.lam
     gamma = params.gamma
-    x, v, acc = traj.xs, traj.vs, traj.accs
-    z = prox_grad_map(obj, lam, x)
-    g1 = obj.g.grad(z) - obj.g.grad(x) - (a * gamma / lam) * v
-    g2 = -(acc + (1.0 - a) * gamma * v) / lam
-    g3 = -(params.C / lam) * v
-    return _rownorm(np.concatenate((g1, g2, g3), axis=-1))
+    T = _prox_grad(obj, lam)
+
+    def norms(rows):
+        x, v, acc = traj.xs[rows], traj.vs[rows], traj.accs[rows]
+        g1 = obj.g.grad(T(x)) - obj.g.grad(x) - (a * gamma / lam) * v
+        g2 = -(acc + (1.0 - a) * gamma * v) / lam
+        g3 = -(params.C / lam) * v
+        return _rownorm(np.concatenate((g1, g2, g3), axis=-1))
+
+    if traj.xs.ndim < 2:  # a lone point has no rows to cut
+        return norms(Ellipsis)
+    out = np.empty(traj.xs.shape[:-1])
+    for rows in _row_blocks(traj.xs):
+        out[rows] = norms(rows)
+    return out
 
 
 def third_derivative_check(traj, params):
@@ -168,16 +177,21 @@ def third_derivative_check(traj, params):
     lhs is the norm of the central difference of x'', rhs that root, and
     tol the truncation allowance 10 * dt^2 * max||x''||.  The rhs grows
     with L, so the check at L = min(L1, L2) is the check at L1 and at L2.
+    The central differences are formed one row block of
+    ``problems._row_blocks`` at a time, each from the block's neighbours.
     """
     if len(traj.times) < 3:
         raise ValueError("need at least 3 samples for a central difference")
     dt = traj.times[1] - traj.times[0]
-    x3 = (traj.accs[2:] - traj.accs[:-2]) / (2.0 * dt)
+    after, before = traj.accs[2:], traj.accs[:-2]
+    lhs = np.empty(len(after))
+    for rows in _row_blocks(after):
+        lhs[rows] = _rownorm((after[rows] - before[rows]) / (2.0 * dt))
     l_sq = params.L * params.L
     v_sq, a_sq = _rowwise_sqnorm(traj.vs[1:-1]), _rowwise_sqnorm(traj.accs[1:-1])
     rhs = np.sqrt(l_sq * v_sq + (l_sq - 1.0) * a_sq)
     tol = 10.0 * dt * dt * float(_rownorm(traj.accs).max(initial=0.0))
-    return BoundCheck(times=traj.times[1:-1], lhs=_rownorm(x3), rhs=rhs, tol=tol)
+    return BoundCheck(times=traj.times[1:-1], lhs=lhs, rhs=rhs, tol=tol)
 
 
 def monitor(obj, params, traj):
@@ -191,8 +205,10 @@ def monitor(obj, params, traj):
 
     The samples are swept one row block of ``problems._row_blocks`` at a
     time into the six (n_samples,) arrays, so the sweep's temporaries have
-    the size of a block, not of the trajectory.  Every value is computed
-    per row, so a sample's values do not depend on its block.
+    the size of a block, not of the trajectory.  The last operation of each
+    output but (f+g)(z) writes into the block's slice of its array, so no
+    block allocates a temporary only to copy it there.  Every value is
+    computed per row, so a sample's values do not depend on its block.
     """
     x, v, acc = traj.xs, traj.vs, traj.accs
     T = _prox_grad(obj, params.lam)
@@ -201,14 +217,15 @@ def monitor(obj, params, traj):
     for rows in _row_blocks(x):
         xb, vb, ab = x[rows], v[rows], acc[rows]
         z = T(xb)
-        fg_z = obj.value(z)
-        vv, aa = _rowwise_sqnorm(vb), _rowwise_sqnorm(ab)
-        fg_shifted[rows] = fg_z
-        energy[rows] = _energy(params, fg_z, vb, ab, vv)
-        h_vals[rows] = _h(params, fg_z, z, (1.0 - params.c) * params.gamma * vb + xb, vv)
-        w_bound[rows] = params.s * _rownorm(ab, aa) + params.p * _rownorm(vb, vv)
-        residual[rows] = _map_residual(xb, z, params.lam)
-        dissipation[rows] = params.A * vv + params.B * aa
+        fg_shifted[rows] = obj.value(z)
+        fg_z, vv = fg_shifted[rows], _rowwise_sqnorm(vb)
+        _h(params, fg_z, z, (1.0 - params.c) * params.gamma * vb + xb, vv, out=h_vals[rows])
+        _map_residual(xb, z, params.lam, out=residual[rows])
+        del z
+        aa = _rowwise_sqnorm(ab)
+        _energy(params, fg_z, vb, ab, vv, out=energy[rows])
+        np.add(params.s * _rownorm(ab, aa), params.p * _rownorm(vb, vv), out=w_bound[rows])
+        np.add(params.A * vv, params.B * aa, out=dissipation[rows])
     return EnergyTrace(times=traj.times, energy=energy, fg_shifted=fg_shifted, h_value=h_vals,
                        w_bound=w_bound, residual=residual, dissipation=dissipation)
 

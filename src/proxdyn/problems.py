@@ -599,6 +599,7 @@ def prox_grad_residual(obj, lam, x):
     return _map_residual(x, prox_grad_map(obj, lam, x), lam)
 
 
-def _map_residual(x, mapped, lam):
-    """||x - mapped|| / lam over the last axis, given mapped = T(x)."""
-    return _rownorm(x - mapped) / lam
+def _map_residual(x, mapped, lam, out=None):
+    """||x - mapped|| / lam over the last axis, given mapped = T(x).  ``out``, when given, receives it."""
+    norm = _rownorm(x - mapped)
+    return norm / lam if out is None else np.divide(norm, lam, out=out)

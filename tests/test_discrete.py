@@ -8,6 +8,7 @@ import pytest
 
 from proxdyn import (
     DivergenceError,
+    discrete,
     inertial_step_unit,
     make_problem,
     run_inertial,
@@ -199,6 +200,24 @@ def test_discrete_rejects_non_finite_reals(call, message):
     with pytest.raises(ValueError) as info:
         call(obj)
     assert str(info.value) == message
+
+
+def test_a_number_schedule_is_checked_once_and_a_callable_at_every_value(monkeypatch):
+    obj = make_problem("lasso", M=[[1.0]], y=[1.0], mu=0.5)
+    checked = []
+    real_check = discrete._check_real
+
+    def counting_check(value, what, *kind):
+        checked.append(what)
+        return real_check(value, what, *kind)
+
+    monkeypatch.setattr(discrete, "_check_real", counting_check)
+    number = run_inertial(obj, 0.5, 2.0, np.zeros(1), np.array([0.1]), max_iter=20, tol=0.0)
+    assert number.iterations == 20 and checked.count("gamma") == 1 and "gamma_k" not in checked
+    checked.clear()
+    drawn = run_inertial(obj, 0.5, lambda k: 2.0, np.zeros(1), np.array([0.1]), max_iter=20, tol=0.0)
+    assert checked.count("gamma_k") == 19 and "gamma" not in checked
+    assert drawn.xs.tobytes() == number.xs.tobytes()
 
 
 def test_history_csv_round_trip(tmp_path):

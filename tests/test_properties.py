@@ -31,6 +31,7 @@
   tie of a decade where it is exact.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import fields, replace
@@ -65,8 +66,9 @@ from proxdyn import (
     write_history_csv,
     write_trajectory_csv,
 )
-from proxdyn.dynamics import (_CSV_CHUNK_VALUES, _CSV_LO, _CSV_MARK, _CSV_POINT, _CSV_UNIT, _CSV_X_ROW,
-                              _check_run, _csv_rows, _digits, _write_csv)
+from proxdyn.dynamics import (_CSV_CHUNK_VALUES, _CSV_LO, _CSV_MARK, _CSV_NAN, _CSV_POINT, _CSV_SLOT,
+                              _CSV_UNIT, _CSV_X_ROW, _check_run, _csv_rows, _csv_text, _digits,
+                              _write_csv)
 from proxdyn.problems import _CATALOG
 from oracles import derive_params_scalar, rk4_reference, savetxt_csv
 
@@ -778,3 +780,68 @@ def test_write_csv_matches_savetxt_on_any_doubles(tmp_path_factory, table):
     _write_csv(path / "written.csv", header, table)
     savetxt_csv(path / "savetxt.csv", header, table)
     assert (path / "written.csv").read_bytes() == (path / "savetxt.csv").read_bytes()
+
+
+# A chunk whose values are all normal doubles that _digits rounds writes its
+# digits through a slice; any other value (zero, a subnormal, nan, +-inf, a
+# tie left to %) sends the chunk through the indices of its digit values.
+_NEGATIVE_NAN = np.copysign(math.nan, -1.0)
+
+
+def _normal_values(rng, n):
+    """n normal doubles of either sign across the decades, none of which _digits leaves to %."""
+    values = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(math.log(1e-300), math.log(1e300), n))
+    rows = _csv_rows(np.abs(values))
+    assert (rows >= _CSV_X_ROW).all() and not _digits(np.abs(values), rows - _CSV_X_ROW)[1].any()
+    return values
+
+
+def _odd_values(rng):
+    """A zero, a subnormal, a nan with its sign bit set, +-inf, a tie that goes to % and -0."""
+    ties = np.abs(_tie_values(rng, 200))
+    tie = ties[_CSV_LO[_csv_rows(ties) - _CSV_X_ROW] != 0][0]
+    return np.array([0.0, -5e-324, _NEGATIVE_NAN, math.inf, -math.inf, -tie, -0.0])
+
+
+def _same_as_savetxt(path, table):
+    header = ["c%d" % i for i in range(table.shape[1])]
+    _write_csv(path / "written.csv", header, table)
+    savetxt_csv(path / "savetxt.csv", header, table)
+    return (path / "written.csv").read_bytes() == (path / "savetxt.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_columns", [1, 7, 1201])
+@pytest.mark.parametrize("odd", [False, True], ids=["slice", "index"])
+def test_write_csv_routes_are_byte_for_byte_savetxt(tmp_path, n_columns, odd):
+    rng = np.random.default_rng(27 + n_columns)
+    rows = 3 * -(-_CSV_CHUNK_VALUES // n_columns) + 1  # three chunks and a row
+    table = _normal_values(rng, rows * n_columns).reshape(rows, n_columns)
+    if odd:  # the odd values every 300 values, so in every chunk
+        flat = table.ravel()
+        for at, value in zip(range(0, flat.size, 300), itertools.cycle(_odd_values(rng))):
+            flat[at] = value
+    assert _same_as_savetxt(tmp_path, table)
+
+
+def test_write_csv_switches_route_at_chunk_boundaries(tmp_path):
+    # chunks of 293 seven-value rows: slice, index (odd values), slice,
+    # index (only a tie left to %), slice
+    rng = np.random.default_rng(31)
+    chunk_rows = -(-_CSV_CHUNK_VALUES // 7)
+    table = _normal_values(rng, 5 * chunk_rows * 7).reshape(-1, 7)
+    table[chunk_rows, :] = _odd_values(rng)
+    table[2 * chunk_rows - 1, 3] = math.nan  # the last row of the chunk
+    table[4 * chunk_rows - 1, 6] = _odd_values(rng)[5]
+    assert _same_as_savetxt(tmp_path, table)
+
+
+def test_csv_text_returns_bytes_and_writes_nan_and_infinities_without_percent():
+    rng = np.random.default_rng(32)
+    normal = _normal_values(rng, 8).reshape(2, 4)
+    odd = np.array([[math.nan, _NEGATIVE_NAN, math.inf, -math.inf]])
+    for chunk in (normal, odd, np.array([[5e-324, -5e-324]])):
+        assert type(_csv_text(chunk)) is bytes
+    assert _csv_text(odd) == b"nan,nan,inf,-inf\n"
+    rows = _csv_rows(np.abs(odd[0]))
+    assert rows.tolist() == [_CSV_NAN, _CSV_NAN, _CSV_NAN + 1, _CSV_NAN + 1]
+    assert _CSV_SLOT not in rows.tolist()

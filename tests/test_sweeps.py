@@ -1,7 +1,8 @@
 """Sweeps over the samples of a run go in row blocks of a fixed budget.
 
-``monitor``, the row norms, the rate fit's distances and the CSV writer take
-a stack of samples a block of rows at a time (``problems._row_blocks``,
+``monitor``, the row norms, the rate fit's distances, the subgradient
+witness, the third-derivative check and the CSV writer take a stack of
+samples a block of rows at a time (``problems._row_blocks``,
 ``dynamics._CSV_CHUNK_VALUES``), so their temporaries have the size of a
 block, not of the trajectory.  Every value is computed per row, so the
 bits do not depend on where the blocks are cut: the tests below shrink the
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from proxdyn import (Trajectory, classify_rate, derive_params, dynamics, integrate, make_problem,
-                     monitor, problems)
+                     monitor, problems, subgradient_witness, third_derivative_check)
 from proxdyn.dynamics import _write_csv, write_trajectory_csv
 from proxdyn.lyapunov import write_energy_csv
 from proxdyn.problems import _row_blocks, _rownorm, _rowwise_sqnorm
@@ -53,6 +54,8 @@ def test_sweeps_stay_below_one_sample_array_of_memory(tmp_path):
         "write_trajectory_csv": lambda: write_trajectory_csv(traj, tmp_path / "trajectory.csv"),
         "write_energy_csv": lambda: write_energy_csv(trace, tmp_path / "energy.csv"),
         "_rownorm": lambda: _rownorm(traj.vs),
+        "subgradient_witness": lambda: subgradient_witness(obj, params, traj, 1.0 - params.c),
+        "third_derivative_check": lambda: third_derivative_check(traj, params),
     }
     peaks = {}
     tracemalloc.start()
@@ -78,6 +81,19 @@ def test_monitor_keeps_its_bits_across_row_blocks(monkeypatch):
     blocked = monitor(obj, params, traj)
     for field in _TRACE_FIELDS:
         assert getattr(blocked, field).tobytes() == getattr(whole, field).tobytes(), field
+
+
+def test_witness_and_third_derivative_check_keep_their_bits_across_row_blocks(monkeypatch):
+    obj = _wide_lasso(5, 30)
+    params = derive_params(1.0, 0.01, obj.g.beta)
+    traj = integrate(obj, params, np.linspace(-2.0, 2.0, 5), np.zeros(5), 2.0, 0.01)
+    a = 1.0 - params.c
+    whole_witness, whole_check = subgradient_witness(obj, params, traj, a), third_derivative_check(traj, params)
+    _rows_per_block(monkeypatch, 3, 5)  # central differences at every block edge need its neighbours
+    assert subgradient_witness(obj, params, traj, a).tobytes() == whole_witness.tobytes()
+    check = third_derivative_check(traj, params)
+    assert check.lhs.tobytes() == whole_check.lhs.tobytes() and check.rhs.tobytes() == whole_check.rhs.tobytes()
+    assert check.tol == whole_check.tol
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
