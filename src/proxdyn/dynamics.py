@@ -46,7 +46,11 @@ evaluations two more around the oracles; at small dim those calls are most
 of its cost.  So T is bound to the oracles once per run
 (``problems._prox_grad``), and every constant the calls take (h/2, h/6, h,
 2, gamma and the gradient step's lam) is an array, which no call has to
-convert from a Python float.
+convert from a Python float.  The finiteness test of a sample is one call
+too, with no Python wrapper: the dot of a flat view of the state with a
+zero vector, which is nan when an entry is inf or nan (0*inf and 0*nan are
+nan) and +-0 otherwise.  Only when it is not 0 does the per-row
+``np.isfinite`` code run.
 
 Samples are stored as (B, n_samples, dim) arrays for a block of B sets,
 so each row's x, x' and x'' are C-contiguous blocks.  An ensemble runs
@@ -188,6 +192,8 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
         r[k] for r in records for k in (0, 1, 2, slice(None, 2), slice(1, None))
     )
     d, e = np.empty_like(D1), np.empty_like(D1)
+    # the state as one flat view: its dot with zeros is nan if an entry is inf or nan, else ±0
+    probe, zeros = X.reshape(-1), np.zeros(X.size)
     xs, vs, accs = (np.moveaxis(a, -2, 0) for a in (xs, vs, accs))  # sample i is [i] of each
     # the steps' constants are arrays and their ufuncs locals, so that no
     # stage converts a Python float or looks a name up in a module
@@ -228,9 +234,8 @@ def _rk4(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
         add(X, d, out=X)
         field(x1, v1, a1)
         if step_i % sample_every == 0:
-            finite = np.isfinite(X)
-            if not finite.all():
-                ok = finite.all(axis=(0, -1))
+            if probe.dot(zeros):  # nan, not ±0: some entry is not finite
+                ok = np.isfinite(X).all(axis=(0, -1))
                 for row in set(np.flatnonzero(~ok).tolist()) - aborted.keys():
                     aborted[row] = IntegrationAborted(t=step_i * h, step_index=step_i)
                 if len(aborted) == ok.size:

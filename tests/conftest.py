@@ -5,7 +5,7 @@ so each canonical run starts either on the fast decay manifold of its
 linearization, at an exact equilibrium coordinate, or inside a prox-saturated
 region; t_end = 100 at h = 1e-3 then reaches machine-level residuals for
 everything except the cosine problem, whose slow mode gets a long run of its
-own.  Building all runs takes 14-19 s on a shared 2-core machine (Python
+own.  Building all runs takes 10-12 s on a shared 2-core machine (Python
 3.11, numpy 2.4.6), most of the suite's time, so they are computed once per
 session and treated as read-only.
 

@@ -89,6 +89,27 @@ def _acceleration(obj, gamma, lam, u, v):
     return prox_grad_map(obj, lam, u) - gamma * v - u
 
 
+def rk4_step(obj, gamma, lam, u, v, acc, h):
+    """One textbook RK4 step of (u, v) with step h, given the field ``acc`` at (u, v).
+
+    Returns the new (u, v) and the field there.
+    """
+    half = 0.5 * h
+    sixth = h / 6.0
+    u2 = u + half * v
+    v2 = v + half * acc
+    k2v = _acceleration(obj, gamma, lam, u2, v2)
+    u3 = u + half * v2
+    v3 = v + half * k2v
+    k3v = _acceleration(obj, gamma, lam, u3, v3)
+    u4 = u + h * v3
+    v4 = v + h * k3v
+    k4v = _acceleration(obj, gamma, lam, u4, v4)
+    u = u + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+    v = v + sixth * (acc + 2.0 * k2v + 2.0 * k3v + k4v)
+    return u, v, _acceleration(obj, gamma, lam, u, v)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a diverging state is reported once, as an abort
 def rk4_reference(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs):
     """The RK4 loop of :mod:`proxdyn.dynamics`, one fresh array per stage quantity.
@@ -114,23 +135,10 @@ def rk4_reference(obj, gamma, lam, u, v, h, n_steps, sample_every, xs, vs, accs)
     vs[rows, 0] = v
     accs[rows, 0] = acc
 
-    half = 0.5 * h
-    sixth = h / 6.0
     idx = 1
     for step_i in range(1, n_steps + 1):
         # acc, the field at the step's start, is the first RK4 stage
-        u2 = u + half * v
-        v2 = v + half * acc
-        k2v = _acceleration(obj, gamma, lam, u2, v2)
-        u3 = u + half * v2
-        v3 = v + half * k2v
-        k3v = _acceleration(obj, gamma, lam, u3, v3)
-        u4 = u + h * v3
-        v4 = v + h * k3v
-        k4v = _acceleration(obj, gamma, lam, u4, v4)
-        u = u + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + sixth * (acc + 2.0 * k2v + 2.0 * k3v + k4v)
-        acc = _acceleration(obj, gamma, lam, u, v)
+        u, v, acc = rk4_step(obj, gamma, lam, u, v, acc, h)
         if step_i % sample_every == 0:
             if not (np.isfinite(u).all() and np.isfinite(v).all()):
                 if u.ndim == 1:

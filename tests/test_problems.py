@@ -66,6 +66,26 @@ def test_box_project_componentwise():
     assert np.array_equal(box_project(inside, lower, upper), inside)
 
 
+def test_box_project_has_the_bytes_of_np_clip():
+    # every value against every box lower <= upper of the bounds: signed zeros, the least
+    # subnormal, the infinities and a nan of either sign bit
+    values = [0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, math.inf, -math.inf,
+              math.nan, -math.nan]
+    assert math.copysign(1.0, values[-1]) == -1.0
+    bounds = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf]
+    boxes = [(lo, hi) for lo, hi in itertools.product(bounds, bounds) if lo <= hi]
+    x, lower, upper = (np.array(c) for c in zip(*((v, lo, hi) for v in values for lo, hi in boxes)))
+    assert box_project(x, lower, upper).tobytes() == np.clip(x, lower, upper).tobytes()
+    # and the box prox gives a row of a stack, its bounds broadcast along the rows, the bytes of
+    # the row alone, where np.clip keeps +0 against a lower bound of -0 on that route only
+    pts = np.array(values)[:, None]
+    for lo, hi in boxes:
+        prox = make_problem("box_quad", Q=[[1.0]], b=[0.0], lower=lo, upper=hi).f.prox
+        stack = prox(0.5, pts)
+        for i, row in enumerate(pts):
+            assert prox(0.5, row).tobytes() == stack[i].tobytes(), (row, lo, hi)
+
+
 def test_zero_matrix_has_beta_zero():
     assert make_problem("zero_quad", Q=np.zeros((4, 4))).g.beta == 0.0
     assert make_problem("lasso", M=np.zeros((3, 4)), y=np.zeros(3), mu=0.1).g.beta == 0.0
@@ -259,6 +279,37 @@ def test_batched_oracles_match_per_row_wide_stacks(dim):
         res = prox_grad_residual(obj, 0.3, pts)
         for i in range(rows):
             assert res[i] == prox_grad_residual(obj, 0.3, pts[i]), (obj.name, i)
+
+
+def _layouts(a):
+    """``a`` C-ordered, Fortran-ordered, strided, and as the transpose of a C-ordered array."""
+    strided = np.zeros((2 * a.shape[0], 2 * a.shape[1]))
+    strided[::2, ::2] = a
+    return {"C": np.ascontiguousarray(a), "Fortran": np.asfortranarray(a),
+            "strided": strided[::2, ::2], "transposed": np.ascontiguousarray(a.T).T}
+
+
+@pytest.mark.parametrize("layout", ["C", "Fortran", "strided", "transposed"])
+@pytest.mark.parametrize("dim", [1, 2, 7, 64])
+def test_lone_gradient_has_the_bytes_of_its_row_in_a_stack(dim, layout):
+    # a lone point's x.dot(Q) and a stack's (1, n) @ Q per row are one gemv each, and round
+    # alike only on a C-ordered Q: the quadratics hold Q so, as the lasso holds its Gram matrix
+    rng = np.random.default_rng(65 + dim)
+    a = rng.standard_normal((dim, dim))
+    q = a @ a.T
+    q = (q + q.T) / 2.0  # exactly symmetric, so that its transpose is the same matrix
+    q, m = _layouts(q)[layout], _layouts(rng.standard_normal((dim + 3, dim)))[layout]
+    b = rng.standard_normal(dim)
+    cases = [
+        make_problem("zero_quad", Q=q, b=b),
+        make_problem("box_quad", Q=q, b=b, lower=-0.7, upper=0.7),
+        make_problem("lasso", M=m, y=rng.standard_normal(dim + 3), mu=0.2),
+    ]
+    pts = rng.standard_normal((9, dim)) * 2.0
+    for obj in cases:
+        stack = obj.g.grad(pts)
+        for i, x in enumerate(pts):
+            assert obj.g.grad(x).tobytes() == stack[i].tobytes(), (obj.name, i)
 
 
 def test_single_point_gradient_is_plain_matmul():

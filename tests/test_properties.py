@@ -3,6 +3,8 @@
 - ``integrate`` and ``integrate_ensemble`` give the bits of the reference
   RK4 loop in ``tests/oracles.py``, which allocates every stage, on every
   catalog problem, also when an ensemble row overflows and is dropped.
+  Runs abort where the reference loop does, on states that reach +inf,
+  -inf or nan, and never on finite states near 1e308 or subnormal.
 - Stacked evaluation gives each row what a lone call gives.  The ensemble
   integrator steps many trajectories as one stack, with gamma and lambda as
   per-row columns, and promises each row the bits of a separate run.  That
@@ -70,7 +72,7 @@ from proxdyn.dynamics import (_CSV_CHUNK_VALUES, _CSV_LO, _CSV_MARK, _CSV_NAN, _
                               _CSV_UNIT, _CSV_X_ROW, _check_run, _csv_rows, _csv_text, _digits,
                               _write_csv)
 from proxdyn.problems import _CATALOG
-from oracles import derive_params_scalar, rk4_reference, savetxt_csv
+from oracles import derive_params_scalar, rk4_reference, rk4_step, savetxt_csv
 
 _SETTINGS = dict(deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -194,6 +196,67 @@ def test_overflowing_ensemble_row_equals_the_reference_loop(sample_every):
     for entries in (single, ensemble):
         for got, want in zip(entries, reference):
             _assert_reference_bits(got, want)
+
+
+# zero_quads (Q, u0, v0, beta, lambdas, h) stepped at three lambdas for 300 steps.  In the stiff
+# ones beta = 0 lets h = 0.4 past the guard, and the first set's state first fails holding the
+# keyed non-finite values; the others stay finite, near the largest double or subnormal.
+_EDGE_RUNS = {
+    "+inf": ([[2e6]], [1.0], [0.0], 0.0, (0.01, 1e-3, 1e-4), 0.4),
+    "-inf": ([[2e6]], [-1.0], [0.0], 0.0, (0.01, 1e-3, 1e-4), 0.4),
+    "-inf nan": ([[2e6]], [1.0], [0.0], 0.0, (1e-3, 0.01, 1e-4), 0.4),
+    "near 1e308": ([[1.0]], [1.7e308], [0.0], 1.0, (0.01, 0.02, 0.05), 0.01),
+    "subnormal": ([[1.0]], [5e-324], [-5e-324], 1.0, (0.01, 0.02, 0.05), 0.01),
+}
+
+
+def _non_finite(a):
+    """The kinds of non-finite value in ``a``, as a space-separated sorted string."""
+    kinds = {"+inf": np.isposinf(a).any(), "-inf": np.isneginf(a).any(), "nan": np.isnan(a).any()}
+    return " ".join(sorted(kind for kind, found in kinds.items() if found))
+
+
+def _state_at_abort(obj, params, u0, v0, t_end, h, sample_every):
+    """The state (u, v), stacked, at which the reference loop's lone run of ``params`` aborts.
+
+    The loop records its samples up to the abort, and the state is the
+    last of them stepped on to the abort's step.
+    """
+    u, v, n_steps, sample_every, n_samples = _check_run(obj, [params], u0, v0, t_end, h, sample_every)
+    xs, vs, accs = (np.empty((1, n_samples, obj.dim)) for _ in range(3))
+    with pytest.raises(IntegrationAborted) as abort:
+        rk4_reference(obj, params.gamma, params.lam, u, v, h, n_steps, sample_every, xs, vs, accs)
+    last = abort.value.step_index // sample_every - 1
+    u, v, acc = xs[0, last], vs[0, last], accs[0, last]
+    for _ in range(sample_every):
+        u, v, acc = rk4_step(obj, params.gamma, params.lam, u, v, acc, h)
+    return np.concatenate([u, v])
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+@pytest.mark.parametrize("case", sorted(_EDGE_RUNS))
+def test_runs_abort_where_the_reference_loop_does(case, sample_every):
+    # the state's finiteness test must tell +inf, -inf and nan from every finite value, however
+    # large or small, in a lone state and in every row of a stack
+    Q, u0, v0, beta, lams, h = _EDGE_RUNS[case]
+    obj = make_problem("zero_quad", Q=Q, b=[0.0])
+    params_seq = [derive_params(1.0, lam, beta) for lam in lams]
+    with np.errstate(over="ignore", invalid="ignore"):
+        single, ensemble = _run_both(obj, params_seq, u0, v0, 300 * h, h, sample_every)
+        for stack, entries in ((False, single), (True, ensemble)):
+            reference = _reference_runs(obj, params_seq, u0, v0, 300 * h, h, sample_every, stack)
+            for got, want in zip(entries, reference):
+                _assert_reference_bits(got, want)
+        if isinstance(single[0], IntegrationAborted):
+            state = _state_at_abort(obj, params_seq[0], u0, v0, 300 * h, h, sample_every)
+            assert _non_finite(state) == case
+            return
+    assert all(isinstance(entry, Trajectory) for entry in single + ensemble)
+    xs = np.array([entry.xs for entry in single])
+    if case == "near 1e308":
+        assert (np.abs(xs) > 1e308).all()
+    else:
+        assert ((xs != 0.0) & (np.abs(xs) < np.finfo(float).tiny)).all()
 
 
 def _build(name, rng, dim):
