@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import (_as_int, _check_real, _map_residual, _per_row, _prox_grad, _rownorm,
-                       prox_grad_map)
+from .problems import _as_int, _check_real, _map_residual, _per_row, _prox_grad, _rownorm
 
 __all__ = [
     "IterateHistory",
@@ -63,7 +62,7 @@ def inertial_step_unit(obj, lam, gk, xk, xkm1):
     _check_real(gk, "gamma_k")
     xk = np.asarray(xk, dtype=float)
     xkm1 = np.asarray(xkm1, dtype=float)
-    return _relaxed_step(gk, xk, xkm1, prox_grad_map(obj, lam, xk))
+    return _relaxed_step(gk, xk, xkm1, _prox_grad(obj, lam)(xk))
 
 
 def _relaxed_step(gk, xk, xkm1, zk):

@@ -42,15 +42,16 @@ numpy calls on the blocks.  The first record holds the state itself.  Each
 quantity goes through the operations of the textbook formulas in their
 order, so the bits are those of a loop that allocates every stage.  Outside
 T a step makes 25 numpy calls instead of 38, and each of its four T
-evaluations two more around the oracles; at small dim those calls are most
-of its cost.  So T is bound to the oracles once per run
-(``problems._prox_grad``), and every constant the calls take (h/2, h/6, h,
-2, gamma and the gradient step's lam) is an array, which no call has to
-convert from a Python float.  The finiteness test of a sample is one call
-too, with no Python wrapper: the dot of a flat view of the state with a
-zero vector, which is nan when an entry is inf or nan (0*inf and 0*nan are
-nan) and +-0 otherwise.  Only when it is not 0 does the per-row
-``np.isfinite`` code run.
+evaluations two more around the oracles, whose own calls on the lasso are
+the gradient's dot and subtract and soft thresholding's five ufuncs; at
+small dim those calls are most of its cost.  So T is bound to the oracles
+once per run (``problems._prox_grad``), and every constant the calls take
+(h/2, h/6, h, 2, gamma, the gradient step's lam, and the l1 prox's zero and
+threshold) is an array, which no call has to convert from a Python float.
+The finiteness test of a sample is one call too, with no Python wrapper:
+the dot of a flat view of the state with a zero vector, which is nan when
+an entry is inf or nan (0*inf and 0*nan are nan) and +-0 otherwise.  Only
+when it is not 0 does the per-row ``np.isfinite`` code run.
 
 Samples are stored as (B, n_samples, dim) arrays for a block of B sets,
 so each row's x, x' and x'' are C-contiguous blocks.  An ensemble runs

@@ -96,14 +96,28 @@ def test_recorded_acceleration_is_algebraic():
 @pytest.mark.parametrize("sample_every", [1, 3])
 def test_integrate_evaluates_the_field_four_times_per_step(sample_every, count_grad):
     # RK4 needs four stages; the first is the acceleration at the step's
-    # start, which the previous step already computed
-    obj, params = _critically_damped()
-    counted, calls = count_grad(obj)
-    traj = integrate(counted, params, [1.0], [0.0], t_end=1.0, h=0.1,
-                     sample_every=sample_every)
-    n_steps = int(round(traj.times[-1] / traj.step))
-    assert n_steps == (10 if sample_every == 1 else 12)
-    assert calls.count("grad") == calls.count("prox") == 4 * n_steps + 1
+    # start, which the previous step already computed.  The oracles are
+    # counted through the objective's fields, so a route around obj.f.prox or
+    # obj.g.grad fails here: a lone zero_quad, the README lasso alone, and a
+    # 3-row lasso ensemble, whose one block makes one call per evaluation
+    zero_quad, critical = _critically_damped()
+    lasso = make_problem("lasso", M=[[1.0]], y=[1.0], mu=0.5)
+    readme = derive_params(1.0, 0.02, lasso.g.beta)
+    sets = [derive_params(1.0, lam, lasso.g.beta) for lam in (0.02, 0.05, 0.1)]
+    for obj, params_seq, u0 in ((zero_quad, [critical], [1.0]), (lasso, [readme], [1.5]),
+                                (lasso, sets, [1.5])):
+        counted, calls = count_grad(obj)
+        if len(params_seq) == 1:
+            entries = [integrate(counted, params_seq[0], u0, [0.0], t_end=1.0, h=0.1,
+                                 sample_every=sample_every)]
+        else:
+            entries = list(integrate_ensemble(counted, params_seq, u0, [0.0], 1.0, 0.1,
+                                              sample_every=sample_every))
+        assert len(entries) == len(params_seq)
+        for traj in entries:
+            n_steps = int(round(traj.times[-1] / traj.step))
+            assert n_steps == (10 if sample_every == 1 else 12)
+        assert calls.count("grad") == calls.count("prox") == 4 * n_steps + 1, (obj.name, len(entries))
 
 
 def test_sampling_grid_rounds_up_to_stride():

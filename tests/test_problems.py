@@ -9,6 +9,8 @@ import inspect
 import itertools
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from proxdyn import (
     box_project,
     make_problem,
     problem_from_json,
+    prox_grad_map,
     prox_grad_residual,
     soft_threshold,
 )
@@ -41,6 +44,10 @@ def test_soft_threshold_optimality_condition():
         assert np.all(np.abs(x[~nz]) <= tau + 1e-12)
 
 
+def _sign_formula(x, t):
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
 @pytest.mark.parametrize("lam", [np.array(0.5), 0.5])
 def test_l1_prox_keeps_the_bits_of_the_sign_formula(lam):
     # the prox is held to the bits of sign(x) * max(|x| - t, 0), signed zeros,
@@ -48,12 +55,71 @@ def test_l1_prox_keeps_the_bits_of_the_sign_formula(lam):
     mu = 0.8
     t = 0.5 * mu
     prox = make_problem("lasso", M=[[1.0]], y=[0.0], mu=mu).f.prox
-    x = np.array([0.0, -0.0, 5e-324, -5e-324, t, -t, 1.0, -1.0, np.inf, -np.inf, np.nan])
-    want = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, t, -t, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan])
+    assert np.signbit(x[-1])
+    want = _sign_formula(x, t)
     assert prox(lam, x).tobytes() == want.tobytes()
     for i in range(len(x)):
-        assert prox(lam, x[i : i + 1]).tobytes() == want[i : i + 1].tobytes(), x[i]
+        # numpy's multiply takes the sign of -nan * +nan from either operand, by the loop the
+        # entry falls in, so a lone -nan is held to the formula on it alone
+        lone = want[i : i + 1] if i < len(x) - 1 else _sign_formula(x[i:], t)
+        assert prox(lam, x[i : i + 1]).tobytes() == lone.tobytes(), x[i]
     assert not np.signbit(prox(lam, np.array([-0.0]))[0])  # -0.0 maps to +0.0
+
+
+def test_l1_prox_forms_the_threshold_of_each_lam():
+    # a prox that kept one lam's threshold too long gives another lam's bits
+    mu = 0.8
+    prox = make_problem("lasso", M=[[1.0]], y=[0.0], mu=mu).f.prox
+    x = np.array([[-1.0, -0.3, -0.0, 0.2, 0.45, 2.0]] * 3)
+    col = np.array([[0.5], [0.25], [1.0]])
+    lams = [0.5, 0.25, np.array(0.25), col]
+    for lam in lams:
+        assert prox(lam, x).tobytes() == _sign_formula(x, lam * mu).tobytes(), lam
+    col *= 2.0  # the same array, changed in place
+    assert prox(col, x).tobytes() == _sign_formula(x, col * mu).tobytes()
+    assert prox(0.5, x[0]).tobytes() == _sign_formula(x[0], 0.5 * mu).tobytes()
+
+
+def test_l1_prox_gives_each_thread_its_own_lam():
+    # the threads take turns replacing the prox's kept (lam, threshold) pair; a call that
+    # read one thread's lam with the other's threshold would give other bytes
+    prox = make_problem("lasso", M=[[1.0]], y=[0.0], mu=0.8).f.prox
+    x = np.array([-1.0, -0.3, 0.2, 0.45, 2.0])
+    lams = (0.5, 0.25)
+    want = {lam: prox(lam, x).tobytes() for lam in lams}
+    bad = {lam: 0 for lam in lams}
+
+    def work(lam):
+        for _ in range(10**4):
+            if prox(lam, x).tobytes() != want[lam]:
+                bad[lam] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(lam,)) for lam in lams]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == {lam: 0 for lam in lams}
+
+
+def test_soft_threshold_keeps_float32():
+    x = np.array([1.0, -0.25, -2.0], dtype=np.float32)
+    out = soft_threshold(x, 0.5)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, np.array([0.5, -0.0, -1.5], dtype=np.float32))
+
+
+@pytest.mark.parametrize("thresh", [-1.0, -5e-324, math.nan, math.inf, [0.5, -1.0]])
+def test_soft_threshold_rejects_a_bad_threshold(thresh):
+    with pytest.raises(ValueError, match="^thresh must be a nonnegative finite real"):
+        soft_threshold([1.0, -0.5], thresh)
 
 
 def test_box_project_componentwise():
@@ -530,6 +596,14 @@ def test_prox_grad_residual_rejects_bad_step():
     for lam in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             prox_grad_residual(obj, lam, np.array([1.0]))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, np.array([[0.5], [-0.5]])])
+def test_prox_grad_map_rejects_bad_step(lam):
+    # a negative threshold widens instead of shrinking: at lam -1 the lasso's T(1) would be 1.5
+    lasso = make_problem("lasso", M=[[1.0]], y=[1.0], mu=0.5)
+    with pytest.raises(ValueError, match="^lambda must be a positive finite real"):
+        prox_grad_map(lasso, lam, [1.0])
 
 
 def test_package_exports_each_module_all_once():
