@@ -120,7 +120,7 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     return IterateHistory(
         xs=xs,
         residuals=np.array(residuals),
-        objective_values=_per_row(obj.value, xs),
+        objective_values=_per_row(lambda rows: obj.value(xs[rows]), xs),
         converged=converged,
         iterations=len(xs) - 1,
     )

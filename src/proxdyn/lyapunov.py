@@ -9,14 +9,19 @@ is nonincreasing along the flow whenever the parameters are feasible, with
 dissipation rate bounded by A||x'||^2 + B||x''||^2.  The same value arises as
 H(u, v, w) = (f+g)(u) + (1/(2 lam))||u - v||^2 - (C/(2 lam))||w||^2 evaluated
 at u = x''+gamma*x'+x, v = (1-c)*gamma*x'+x, w = x', since u - v =
-x'' + c*gamma*x'.  The two routes share (f+g) and ||x'||^2 but form their
-other quadratic term each its own way, and are compared in tests; neither
-assumes feasibility (for infeasible parameters the formulas are evaluated
-verbatim and the checks simply report what they find).
+x'' + c*gamma*x'.  The two routes share (f+g), ||x'||^2 and one formula,
+but form the vector d of its term ||d||^2 each their own way, and are
+compared in tests; neither assumes feasibility (for infeasible parameters
+the formulas are evaluated verbatim and the checks simply report what they
+find).
 
 Every check of a bound that the paper proves along a trajectory returns a
-:class:`BoundCheck`: the third-derivative check here, and the decay-ODE
-and dominance checks of the tail integral sigma in ``rates``.
+:class:`BoundCheck`: the energy decrease (a pair, adjacent and integrated)
+and the third-derivative check here, and the decay-ODE and dominance checks
+of the tail integral sigma in ``rates``.  :func:`check_monotone` compares
+the energies it is given, and whether they are finite is the caller's test:
+a rise from inf is -inf or nan, and an inf tolerance passes every finite
+rise.
 """
 
 from __future__ import annotations
@@ -26,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _write_csv
-from .problems import _check_real, _map_residual, _prox_grad, _row_blocks, _rownorm, _rowwise_sqnorm
+from .problems import _check_real, _map_residual, _per_row, _prox_grad, _row_blocks, _rownorm, _rowwise_sqnorm
 
 __all__ = [
     "EnergyTrace",
     "BoundCheck",
-    "Violation",
     "h_value",
     "w_bound",
     "subgradient_witness",
@@ -92,20 +96,14 @@ class BoundCheck:
         return float(np.max(self.lhs - self.rhs, initial=-np.inf))
 
 
-def _energy(params, fg, v, acc, vv, out=None):
-    """E from (f+g)(acc + gamma*v + x), x', x'' and ||x'||^2; see the module docstring.
+def _h(params, fg, d, ww, out=None):
+    """(f+g) + (1/(2 lam))||d||^2 - (C/(2 lam))||w||^2 from (f+g), d and ||w||^2.
 
-    ``out``, when given, receives E.
+    This is H with d = u - v, and E with d = x'' + c*gamma*x' and w = x'; see
+    the module docstring.  ``out``, when given, receives the value.
     """
     inv2lam = 1.0 / (2.0 * params.lam)
-    return np.subtract(fg + inv2lam * _rowwise_sqnorm(acc + (params.c * params.gamma) * v),
-                       (params.C * inv2lam) * vv, out=out)
-
-
-def _h(params, fg, u, v, ww, out=None):
-    """H from (f+g)(u), u, v and ||w||^2; see :func:`h_value`.  ``out``, when given, receives H."""
-    inv2lam = 1.0 / (2.0 * params.lam)
-    return np.subtract(fg + inv2lam * _rowwise_sqnorm(u - v), (params.C * inv2lam) * ww, out=out)
+    return np.subtract(fg + inv2lam * _rowwise_sqnorm(d), (params.C * inv2lam) * ww, out=out)
 
 
 def h_value(obj, params, u, v, w):
@@ -114,7 +112,7 @@ def h_value(obj, params, u, v, w):
     Returns +inf when u lies outside dom f.  H(u, u, 0) = (f+g)(u).
     """
     u = np.asarray(u, dtype=float)
-    return _h(params, obj.value(u), u, np.asarray(v, dtype=float), _rowwise_sqnorm(w))
+    return _h(params, obj.value(u), u - np.asarray(v, dtype=float), _rowwise_sqnorm(w))
 
 
 def w_bound(params, v, acc, a):
@@ -147,7 +145,7 @@ def subgradient_witness(obj, params, traj, a):
     with z = prox_{lam*f}(x - lam*grad g(x)) belongs to the subdifferential
     of H at (z, a*gamma*v + x, v); its product-space norm must stay below
     :func:`w_bound` with the same a.  The samples are swept one row block
-    of ``problems._row_blocks`` at a time, as in :func:`monitor`.
+    at a time, by ``problems._per_row``.
     """
     _check_real(a, "a", "nonnegative")
     lam = params.lam
@@ -163,10 +161,7 @@ def subgradient_witness(obj, params, traj, a):
 
     if traj.xs.ndim < 2:  # a lone point has no rows to cut
         return norms(Ellipsis)
-    out = np.empty(traj.xs.shape[:-1])
-    for rows in _row_blocks(traj.xs):
-        out[rows] = norms(rows)
-    return out
+    return _per_row(norms, traj.xs)
 
 
 def third_derivative_check(traj, params):
@@ -177,16 +172,14 @@ def third_derivative_check(traj, params):
     lhs is the norm of the central difference of x'', rhs that root, and
     tol the truncation allowance 10 * dt^2 * max||x''||.  The rhs grows
     with L, so the check at L = min(L1, L2) is the check at L1 and at L2.
-    The central differences are formed one row block of
-    ``problems._row_blocks`` at a time, each from the block's neighbours.
+    The central differences are formed one row block at a time, by
+    ``problems._per_row``, each from the block's neighbours.
     """
     if len(traj.times) < 3:
         raise ValueError("need at least 3 samples for a central difference")
     dt = traj.times[1] - traj.times[0]
     after, before = traj.accs[2:], traj.accs[:-2]
-    lhs = np.empty(len(after))
-    for rows in _row_blocks(after):
-        lhs[rows] = _rownorm((after[rows] - before[rows]) / (2.0 * dt))
+    lhs = _per_row(lambda rows: _rownorm((after[rows] - before[rows]) / (2.0 * dt)), after)
     l_sq = params.L * params.L
     v_sq, a_sq = _rowwise_sqnorm(traj.vs[1:-1]), _rowwise_sqnorm(traj.accs[1:-1])
     rhs = np.sqrt(l_sq * v_sq + (l_sq - 1.0) * a_sq)
@@ -219,71 +212,42 @@ def monitor(obj, params, traj):
         z = T(xb)
         fg_shifted[rows] = obj.value(z)
         fg_z, vv = fg_shifted[rows], _rowwise_sqnorm(vb)
-        _h(params, fg_z, z, (1.0 - params.c) * params.gamma * vb + xb, vv, out=h_vals[rows])
+        _h(params, fg_z, z - ((1.0 - params.c) * params.gamma * vb + xb), vv, out=h_vals[rows])
         _map_residual(xb, z, params.lam, out=residual[rows])
         del z
         aa = _rowwise_sqnorm(ab)
-        _energy(params, fg_z, vb, ab, vv, out=energy[rows])
+        _h(params, fg_z, ab + (params.c * params.gamma) * vb, vv, out=energy[rows])
         np.add(params.s * _rownorm(ab, aa), params.p * _rownorm(vb, vv), out=w_bound[rows])
         np.add(params.A * vv, params.B * aa, out=dissipation[rows])
     return EnergyTrace(times=traj.times, energy=energy, fg_shifted=fg_shifted, h_value=h_vals,
                        w_bound=w_bound, residual=residual, dissipation=dissipation)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One monotonicity failure at sample ``index``.
-
-    ``kind`` is "adjacent" for energy[i] > energy[i-1] + tol, or
-    "integrated" when the rise between some earlier sample and ``index``
-    exceeds the trapezoid integral of the dissipation bound plus tol; in
-    both ``delta`` is the rise.  "non_finite" marks an energy sample that is
-    inf or nan, with that value as ``delta``.  "non_finite_tol", at index 0,
-    marks a tolerance that is inf or nan, against which no rise can count.
-    """
-
-    index: int
-    delta: float
-    kind: str
-
-
-@np.errstate(over="ignore", invalid="ignore")  # non-finite energies are reported, not warned about
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite energy is the caller's test, not a warning
 def check_monotone(trace, tol):
-    """All indices where the energy fails to decrease within tolerance.
+    """The energy decrease as the pair ``(adjacent, integrated)`` of :class:`BoundCheck`.
 
-    Checks adjacent differences and the integrated bound
-    E(t_j) - E(t_i) <= integral of (A||x'||^2 + B||x''||^2) + tol for every
-    i < j (via a running minimum, so the scan is linear).  A non-finite
-    energy sample or tolerance is a violation of its own kind, because a
-    difference involving it is nan and compares as no rise.
+    Both are sampled at ``times[1:]`` with rhs 0 and allowance ``tol``.
+    ``adjacent``'s lhs is the rise E(t_j) - E(t_{j-1}).  ``integrated``'s
+    lhs is the largest rise of E - (trapezoid integral of
+    A||x'||^2 + B||x''||^2) from any earlier sample to t_j, so it holds
+    where E(t_j) - E(t_i) <= integral + tol for every i < j (via a running
+    minimum, so the scan is linear).  Finiteness is the caller's test: a
+    difference involving inf or nan can be -inf or nan, and an inf ``tol``
+    passes every finite rise.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     e = np.asarray(trace.energy, dtype=float)
     if e.size == 0:
         raise ValueError("empty trace")
-    violations = []
-    if not np.isfinite(tol):
-        violations.append(Violation(index=0, delta=float(tol), kind="non_finite_tol"))
-    for i in np.flatnonzero(~np.isfinite(e)):
-        violations.append(Violation(index=int(i), delta=float(e[i]), kind="non_finite"))
-    de = np.diff(e)
-    for i in np.nonzero(de > tol)[0]:
-        violations.append(Violation(index=int(i) + 1, delta=float(de[i]), kind="adjacent"))
-    if e.size >= 2:
-        dt = np.diff(trace.times)
-        d = np.asarray(trace.dissipation, dtype=float)
-        seg = 0.5 * (d[1:] + d[:-1]) * dt
-        integral = np.concatenate(([0.0], np.cumsum(seg)))
-        gap = e - integral
-        run_min = np.minimum.accumulate(gap)
-        excess = gap[1:] - run_min[:-1]
-        for j in np.nonzero(excess > tol)[0]:
-            violations.append(
-                Violation(index=int(j) + 1, delta=float(excess[j]), kind="integrated")
-            )
-    violations.sort(key=lambda rec: (rec.index, rec.kind))
-    return violations
+    d = np.asarray(trace.dissipation, dtype=float)
+    integral = np.concatenate(([0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * np.diff(trace.times))))
+    gap = e - integral
+    rise = gap[1:] - np.minimum.accumulate(gap)[:-1]
+    times, zero = trace.times[1:], np.zeros(e.size - 1)
+    return (BoundCheck(times=times, lhs=np.diff(e), rhs=zero, tol=tol),
+            BoundCheck(times=times, lhs=rise, rhs=zero, tol=tol))
 
 
 def write_energy_csv(trace, path):

@@ -212,13 +212,14 @@ def _row_blocks(stack):
 
 
 def _per_row(fn, stack, dtype=float):
-    """``fn(stack)`` as a ``dtype`` array, for an ``fn`` that reduces the last axis.
+    """The values of ``fn`` on ``stack``'s rows, as a ``dtype`` array of ``stack.shape[:-1]``.
 
-    ``fn`` is called on one row block at a time.
+    ``fn`` takes a slice of the first axis, one block of :func:`_row_blocks`,
+    and returns the values of those rows: ``lambda rows: _rownorm(stack[rows])``, say.
     """
     out = np.empty(stack.shape[:-1], dtype)
     for rows in _row_blocks(stack):
-        out[rows] = fn(stack[rows])
+        out[rows] = fn(rows)
     return out
 
 

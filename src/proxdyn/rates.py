@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .lyapunov import BoundCheck
-from .problems import _check_real, _per_row, _rownorm
+from .problems import _check_real, _check_type, _per_row, _rownorm
 
 __all__ = [
     "SigmaTrace",
@@ -125,8 +125,11 @@ def sigma_estimate(traj):
 
 
 def _limit_point(x_limit, dim):
-    """``x_limit`` as a finite float array of 1 or ``dim`` entries, else ValueError."""
-    x_limit = np.atleast_1d(np.asarray(x_limit, dtype=float))
+    """``x_limit`` as a finite float array of 1 or ``dim`` entries, else ValueError.
+
+    An entry that is a bool, a string or not a real is rejected, not coerced.
+    """
+    x_limit = np.atleast_1d(_check_type(x_limit, "x_limit", "finite").astype(float, copy=False))
     if x_limit.shape not in ((1,), (dim,)):
         got = x_limit.size if x_limit.ndim == 1 else "shape %s" % (x_limit.shape,)
         raise ValueError("x_limit must have 1 or dim=%d entries, got %s" % (dim, got))
@@ -138,7 +141,7 @@ def _limit_point(x_limit, dim):
 def _distance(traj, x_limit):
     """||x - x_limit|| at each sample, one row block at a time."""
     x_limit = _limit_point(x_limit, traj.xs.shape[-1])
-    return _per_row(lambda rows: _rownorm(rows - x_limit), traj.xs)
+    return _per_row(lambda rows: _rownorm(traj.xs[rows] - x_limit), traj.xs)
 
 
 def _linear_fit(xv, yv):
@@ -258,7 +261,7 @@ def classify_rate(traj, x_limit=None, t0=None, converged_tol=None):
         speed = _speed(traj)
         series = speed if x_limit is None else _distance(traj, x_limit)
     finite = np.isfinite(speed) & np.isfinite(series)
-    finite &= _per_row(lambda rows: np.isfinite(rows).all(axis=-1), traj.xs, bool)
+    finite &= _per_row(lambda rows: np.isfinite(traj.xs[rows]).all(axis=-1), traj.xs, bool)
     if not finite.all():
         what = "speed" if x_limit is None else "speed or its distance to x_limit"
         raise ValueError(
@@ -335,7 +338,7 @@ def check_sigma_dominance(traj, sigma_trace=None):
         sigma_trace = sigma_estimate(traj)
     sigma = sigma_trace.sigma
     last = traj.xs[-1]
-    d = _per_row(lambda rows: _rownorm(rows - last), traj.xs)
+    d = _per_row(lambda rows: _rownorm(traj.xs[rows] - last), traj.xs)
     v_norm = _rownorm(traj.vs)
     tol_d = 1e-12 * float(d.max(initial=0.0))
     tol_v = float(v_norm[-1]) + 1e-12 * float(v_norm.max(initial=0.0))

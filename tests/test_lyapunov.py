@@ -8,6 +8,7 @@ H at (u, v, w) = (1.5, 2, 0).
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,26 +185,28 @@ def _flat_trace(times, energy, dissipation):
 
 def test_check_monotone_flags_adjacent_and_integrated_rise():
     trace = _flat_trace([0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 2.5, 1.0], np.zeros(4))
-    found = check_monotone(trace, tol=0.1)
-    assert [(rec.index, rec.kind) for rec in found] == [
-        (2, "adjacent"),
-        (2, "integrated"),
-    ]
-    assert all(abs(rec.delta - 0.5) <= 1e-12 for rec in found)
+    adjacent, integrated = check_monotone(trace, tol=0.1)
+    for check in (adjacent, integrated):
+        assert isinstance(check, BoundCheck) and check.tol == 0.1
+        assert check.times.tolist() == [1.0, 2.0, 3.0] and check.rhs.tolist() == [0.0] * 3
+        assert np.flatnonzero(~check.ok).tolist() == [1]  # the rise into sample 2
+        assert abs(check.lhs[1] - 0.5) <= 1e-12 and abs(check.max_excess - 0.5) <= 1e-12
+    assert adjacent.lhs.tolist() == [-1.0, 0.5, -1.5]
 
 
 def test_check_monotone_integrated_only():
     # Constant energy passes the adjacent check but not the integrated one
     # when the dissipation bound demands strict decrease.
     trace = _flat_trace([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [-1.0, -1.0, -1.0])
-    found = check_monotone(trace, tol=0.1)
-    assert [rec.kind for rec in found] == ["integrated", "integrated"]
-    assert [rec.index for rec in found] == [1, 2]
+    adjacent, integrated = check_monotone(trace, tol=0.1)
+    assert adjacent.holds
+    assert integrated.ok.tolist() == [False, False]  # at samples 1 and 2
+    assert integrated.lhs.tolist() == [1.0, 2.0]
 
 
 def test_check_monotone_clean_trace():
     trace = _flat_trace([0.0, 1.0, 2.0], [3.0, 2.0, 1.5], [-1.0, -1.0, -0.2])
-    assert check_monotone(trace, tol=0.6) == []
+    assert all(check.holds for check in check_monotone(trace, tol=0.6))
 
 
 def test_check_monotone_validation():
@@ -213,26 +216,33 @@ def test_check_monotone_validation():
     empty = _flat_trace([], [], [])
     with pytest.raises(ValueError, match="empty"):
         check_monotone(empty, 0.0)
+    for check in check_monotone(trace, 0.0):  # one sample: no pair, nothing fails
+        assert check.times.size == check.lhs.size == 0 and check.holds
 
 
-def test_check_monotone_flags_non_finite_energy_and_tolerance():
-    # inf - inf is nan and nan > tol is false, so only a kind of its own sees these
-    trace = _flat_trace([0.0, 1.0, 2.0], [math.inf, math.inf, math.nan], np.zeros(3))
-    found = check_monotone(trace, tol=math.inf)
-    assert [(rec.index, rec.kind) for rec in found] == [
-        (0, "non_finite"), (0, "non_finite_tol"), (1, "non_finite"), (2, "non_finite"),
-    ]
-    assert [rec.delta for rec in found[:2]] == [math.inf, math.inf]
-    assert math.isnan(found[3].delta)
-    clean = _flat_trace([0.0, 1.0], [2.0, 1.0], [-1.0, -1.0])
-    assert [rec.kind for rec in check_monotone(clean, math.nan)] == ["non_finite_tol"]
+def test_check_monotone_leaves_finiteness_to_the_caller():
+    # a rise from +inf is -inf, and inf - inf is nan: the first passes and the
+    # second fails, and no numpy warning is raised for either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        adjacent, integrated = check_monotone(_flat_trace([0.0, 1.0], [math.inf, 1.0], np.zeros(2)), 1e-6)
+        assert adjacent.lhs.tolist() == integrated.lhs.tolist() == [-math.inf]
+        assert adjacent.holds and integrated.holds
+        checks = check_monotone(_flat_trace([0.0, 1.0, 2.0], [math.inf, math.inf, math.nan], np.zeros(3)),
+                                math.inf)
+        assert all(np.isnan(check.lhs).all() and not check.ok.any() for check in checks)
+    # an infinite tolerance passes every finite rise
+    rising = _flat_trace([0.0, 1.0], [1.0, 2.0], np.zeros(2))
+    assert not any(check.holds for check in check_monotone(rising, 0.5))
+    assert all(check.holds for check in check_monotone(rising, math.inf))
 
 
 def test_canonical_runs_monotone(canonical_runs):
     for name, run in canonical_runs.items():
         trace = monitor(run.obj, run.params, run.traj)
         tol = 1e-6 * (1.0 + abs(trace.energy[0]))
-        assert check_monotone(trace, tol) == [], name
+        assert np.isfinite(trace.energy).all(), name
+        assert all(check.holds for check in check_monotone(trace, tol)), name
 
 
 def test_bound_check_fails_a_nan_and_reports_its_excess():

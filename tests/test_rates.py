@@ -1,6 +1,7 @@
 """Rate estimation tests on synthetic trajectories with known decay laws."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -301,6 +302,21 @@ def test_both_fits_reject_a_limit_point_that_is_not_finite(x_limit):
     traj = _traj(t, d, -d, d)
     for fit in (fit_exponential, fit_polynomial):
         with pytest.raises(ValueError, match="^the limit point is not finite"):
+            fit(traj, x_limit)
+
+
+@pytest.mark.parametrize("x_limit, entry", [([True], "True"), ("0.5", "'0.5'"), (np.array([False]), "False"),
+                                            ([0.0, "1"], "'1'")])
+def test_a_limit_point_is_not_coerced(x_limit, entry):
+    # np.asarray(dtype=float) would read True as 1.0 and "0.5" as 0.5
+    t = np.arange(0.0, 10.0, 0.01)
+    d = np.exp(-t)
+    traj = _traj(t, d, -d, d)
+    message = "^x_limit must be a finite real, got %s$" % re.escape(entry)
+    with pytest.raises(ValueError, match=message):
+        classify_rate(traj, x_limit)
+    for fit in (fit_exponential, fit_polynomial):
+        with pytest.raises(ValueError, match=message):
             fit(traj, x_limit)
 
 
