@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _DIVERGENCE_LIMIT = 1e12
+# The rows of iterates that run_inertial's history holds before it first grows.
+_FIRST_ROWS = 64
 
 
 class DivergenceError(RuntimeError):
@@ -93,7 +95,12 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
     if x_prev.shape != (obj.dim,) or x_cur.shape != (obj.dim,):
         raise ValueError("x0 and x1 must have shape (%d,)" % obj.dim)
     T = _prox_grad(obj, lam)
-    xs = [x_prev, x_cur]
+    # the iterates go into one array whose rows double, up to max_iter + 1, as
+    # the run needs them, and which is cut to the iterates at the end.  Both
+    # resize it in place (a realloc), so the history is held once; no view of
+    # it exists until then, which is what refcheck=False takes on trust
+    xs = np.empty((min(max_iter + 1, _FIRST_ROWS), obj.dim))
+    xs[0], xs[1] = x_prev, x_cur
     residuals = []
     converged = False
     k = 1
@@ -114,15 +121,17 @@ def run_inertial(obj, lam, gamma_schedule, x0, x1, max_iter, tol):
             _check_real(gk, "gamma_k")
         x_next = _relaxed_step(gk, x_cur, x_prev, z_cur)
         x_prev, x_cur = x_cur, x_next
-        xs.append(x_cur)
         k += 1
-    xs = np.array(xs)
+        if k == len(xs):
+            xs.resize((min(2 * k, max_iter + 1), obj.dim), refcheck=False)
+        xs[k] = x_cur
+    xs.resize((k + 1, obj.dim), refcheck=False)
     return IterateHistory(
         xs=xs,
         residuals=np.array(residuals),
         objective_values=_per_row(lambda rows: obj.value(xs[rows]), xs),
         converged=converged,
-        iterations=len(xs) - 1,
+        iterations=k,
     )
 
 

@@ -15,12 +15,17 @@ Soft thresholding, sign(x) * max(|x| - t, 0), is five ufunc calls, and a
 Python float operand costs the call that takes it a conversion.  So the l1
 prox hands them none: its zero is a read-only 0-d float64 array, and its
 threshold lam * mu a 0-d float64 array, formed once for a run's float lam.
-On one thread of an Intel Xeon (numpy 2.4.6, best of 9 repeats), a dim-1
-subtract took 0.53 us against a Python float and 0.35 us against a 0-d
-array, and the dim-1 prox 2.33 us with Python float operands and 1.96 us
-with 0-d ones.  The public ``soft_threshold`` calls the same formula with
-Python scalars, since a 0-d float64 operand would make numpy 2 promote a
-float32 x to float64.
+A field evaluation's path (the l1 prox, the gradient step of T and the
+quadratic gradient of a lone point) also calls its ufuncs directly, bound
+once as module names, rather than through operators or ``np.`` lookups,
+and converts a prox's input with a ``np.dtype`` object, which
+``np.asarray`` need not build from the Python type ``float``.  No call
+passes out= to ``np.maximum`` or ``np.minimum``, whose positional form
+numpy 2.4 deprecates.  On one thread of an Intel Xeon (numpy 2.4.6, best of
+9 repeats in each of three alternating processes), the dim-1 prox took
+1.94-2.11 us with operators and 1.73-1.79 us with bound ufuncs, and T
+3.64-3.74 us against 3.34-3.44 us; a dim-1 subtract took 0.53 us against a
+Python float and 0.35 us against a 0-d array.
 
 Every row of a batched result equals, bitwise, the call on that row alone:
 a point's value does not depend on whether it was evaluated by itself or as
@@ -132,7 +137,6 @@ __all__ = [
     "problem_from_json",
     "prox_grad_map",
     "prox_grad_residual",
-    "soft_threshold",
     "box_project",
 ]
 
@@ -147,25 +151,13 @@ _SWEEP_BYTES = 256 * 2**10
 # ufunc the conversion of a Python float on every call.
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
-
-
-def _shrink(x, thresh, zero):
-    """sign(x) * max(|x| - thresh, zero): soft thresholding, for the l1 prox and soft_threshold."""
-    return np.sign(x) * np.maximum(np.abs(x) - thresh, zero)
-
-
-def soft_threshold(x, thresh):
-    """Soft thresholding, the proximal map of thresh*|.|_1 at unit step.
-
-    Returns sign(x) * max(|x| - thresh, 0), with that formula's signed zeros:
-    x = -0 gives +0, and a negative x inside the threshold gives -0.  The
-    result has the dtype numpy gives ``x`` against a Python float, so a
-    float32 x stays float32 under a float ``thresh``.  A negative or nan
-    ``thresh``, the threshold of no convex f's prox, and an infinite one
-    are rejected with a ValueError that names ``thresh``.
-    """
-    _check_real(thresh, "thresh", "nonnegative")
-    return _shrink(x, thresh, 0.0)
+# The dtype a prox converts its input to, as an object: np.asarray converts a
+# Python type to one on every call.
+_FLOAT = np.dtype(float)
+# The ufuncs of a field evaluation's path, bound here so that a call looks up
+# one module name, not np and then its attribute (see the module docstring).
+_absolute, _maximum, _minimum = np.absolute, np.maximum, np.minimum
+_multiply, _sign, _subtract = np.multiply, np.sign, np.subtract
 
 
 def box_project(x, lower, upper):
@@ -176,7 +168,7 @@ def box_project(x, lower, upper):
     broadcast bound keeps +0 against a bound of -0, it gives a row of a
     stack the bits of the row alone at that tie too.
     """
-    return np.minimum(np.maximum(x, lower), upper)
+    return _minimum(_maximum(x, lower), upper)
 
 
 def _rowwise_matmul(x, mat):
@@ -349,7 +341,7 @@ def _zero_value(x):
 
 
 def _zero_prox_fn(dim):
-    return ProxFn(eval=_zero_value, prox=lambda lam, x: np.asarray(x, dtype=float), dim=dim)
+    return ProxFn(eval=_zero_value, prox=lambda lam, x: np.asarray(x, _FLOAT), dim=dim)
 
 
 def _l1_prox_fn(mu, dim):
@@ -368,7 +360,8 @@ def _l1_prox_fn(mu, dim):
             if isinstance(lam, float):  # immutable: a run's one lam forms its threshold once
                 thresh = np.array(thresh, dtype=float)
                 last = lam, thresh
-        return _shrink(np.asarray(x, dtype=float), thresh, _ZERO)
+        x = np.asarray(x, _FLOAT)
+        return _multiply(_sign(x), _maximum(_subtract(_absolute(x), thresh), _ZERO))  # soft thresholding
 
     return ProxFn(eval=value, prox=prox, dim=dim)
 
@@ -380,7 +373,7 @@ def _box_prox_fn(lower, upper, dim):
 
     def prox(lam, x):
         # projection onto a box does not depend on the prox step
-        return box_project(np.asarray(x, dtype=float), lower, upper)
+        return box_project(np.asarray(x, _FLOAT), lower, upper)
 
     return ProxFn(eval=value, prox=prox, dim=dim)
 
@@ -391,7 +384,7 @@ def _quadratic_grad(Q, b):
     def grad(x):
         x = np.ascontiguousarray(x)
         if x.ndim == 1:  # the integrator's per-step call: the helper's gemv, without its overhead
-            return x.dot(Q) - b
+            return _subtract(x.dot(Q), b)
         return _rowwise_matmul(x, Q) - b
 
     return grad
@@ -639,16 +632,17 @@ def _prox_grad(obj, lam):
     ``obj.g.grad`` and ``obj.f.prox`` are looked up once, here, and called
     once per evaluation, so a wrapper swapped into either field sees every
     call.  ``lam`` is not checked here, on a run's path: the public
-    functions that bind T check it.  The gradient step takes ``lam`` as a
-    float array (0-d for a number), which its multiply need not convert.
-    The prox takes ``lam`` as given, so that the l1 prox can keep a float
-    lam's threshold from call to call (see the module docstring).
+    functions that bind T check it.  The gradient step is a direct multiply
+    and subtract, with ``lam`` as a float array (0-d for a number), which
+    the multiply need not convert.  The prox takes ``lam`` as given, so that
+    the l1 prox can keep a float lam's threshold from call to call (see the
+    module docstring).
     """
     grad, prox = obj.g.grad, obj.f.prox
     step = np.asarray(lam, dtype=float)
 
     def T(x):
-        return prox(lam, x - step * grad(x))
+        return prox(lam, _subtract(x, _multiply(step, grad(x))))
 
     return T
 

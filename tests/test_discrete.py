@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from proxdyn import (
     discrete,
     inertial_step_unit,
     make_problem,
+    problems,
     run_inertial,
     write_history_csv,
 )
@@ -105,6 +107,46 @@ def test_max_iter_stop():
     assert hist.iterations == 7
     assert len(hist.xs) == 8
     assert len(hist.residuals) == 7
+
+
+def test_history_is_held_once():
+    # 2001 iterates at dim 200 make a 3.2 MB history.  Kept as a list of rows and
+    # then copied into an array, the run peaked at 6.8 MB above its inputs; grown
+    # in place, it holds the history once, plus the few row blocks of at most
+    # _SWEEP_BYTES each that the objective values' sweep makes (about 0.7 MB)
+    dim = 200
+    rng = np.random.default_rng(26)
+    m = rng.standard_normal((dim, dim))
+    obj = make_problem("lasso", M=m / np.linalg.norm(m, 2), y=rng.standard_normal(dim), mu=0.1)
+    x0 = np.zeros(dim)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        hist = run_inertial(obj, 0.5, 2.0, x0, x0, max_iter=2000, tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert hist.iterations == 2000 and hist.xs.shape == (2001, dim)
+    assert hist.xs.flags.owndata and hist.xs.flags.c_contiguous
+    bound = hist.xs.nbytes + 3 * problems._SWEEP_BYTES  # 3.99 MB
+    assert peak < bound, (peak, bound)
+
+
+def test_history_grows_past_its_first_rows():
+    # the iterates written across each growth of the history are those of the
+    # unit steps, and a history cut short by convergence keeps only its iterates
+    obj = make_problem("zero_quad", Q=[[1.0]], b=[0.0])
+    hist = run_inertial(obj, 0.5, 1.0, np.zeros(1), np.array([0.3]), max_iter=300, tol=0.0)
+    assert hist.xs.shape == (301, 1) and discrete._FIRST_ROWS < 300
+    for k in range(1, 300):
+        step = inertial_step_unit(obj, 0.5, 1.0, hist.xs[k], hist.xs[k - 1])
+        assert np.array_equal(hist.xs[k + 1], step), k
+    slow = make_problem("zero_quad", Q=[[0.1]], b=[0.0])  # 333 iterations: grown to 512 rows, cut to 334
+    converged = run_inertial(slow, 0.5, 1.0, np.zeros(1), np.array([0.3]), max_iter=10**6, tol=1e-9)
+    assert converged.converged and converged.iterations == 333
+    assert converged.xs.shape == (334, 1) and converged.xs.flags.owndata
+    assert converged.residuals[-1] <= 1e-9 < converged.residuals[-2]
 
 
 def test_divergence_guard_raises():

@@ -7,6 +7,7 @@ exp(-t/2).  That gives an oracle that shares no code with the integrator.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,33 @@ def test_integrate_evaluates_the_field_four_times_per_step(sample_every, count_g
             n_steps = int(round(traj.times[-1] / traj.step))
             assert n_steps == (10 if sample_every == 1 else 12)
         assert calls.count("grad") == calls.count("prox") == 4 * n_steps + 1, (obj.name, len(entries))
+
+
+def _catalog_runs(dim):
+    """A lasso (the README's at dim 1), a box_quad and a cos_quad of ``dim``, with a start for each."""
+    rng = np.random.default_rng(31 + dim)
+    a = rng.standard_normal((dim, dim))
+    lasso = (make_problem("lasso", M=[[1.0]], y=[1.0], mu=0.5) if dim == 1
+             else make_problem("lasso", M=np.eye(dim) + a / dim, y=rng.standard_normal(dim), mu=0.5))
+    box = make_problem("box_quad", Q=np.eye(dim) + a @ a.T / dim, b=rng.standard_normal(dim),
+                       lower=-0.5, upper=0.5)
+    cos = make_problem("cos_quad", dim=dim)
+    u0 = [1.5] if dim == 1 else np.linspace(-2.0, 2.0, dim)
+    return [(obj, u0) for obj in (lasso, box, cos)]
+
+
+@pytest.mark.parametrize("dim", [1, 7])
+def test_runs_raise_no_warning(dim):
+    # a lone run and a 3-row ensemble of each problem make every numpy call of a
+    # step; none may warn, a deprecation (positional out to np.maximum) included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for obj, u0 in _catalog_runs(dim):
+            lone = integrate(obj, derive_params(1.0, 0.02, obj.g.beta), u0, np.zeros(dim), 2.0, 0.01)
+            sets = [derive_params(1.0, lam, obj.g.beta) for lam in (0.02, 0.05, 0.1)]
+            entries = list(integrate_ensemble(obj, sets, u0, np.zeros(dim), 2.0, 0.01))
+            assert all(isinstance(traj, Trajectory) for traj in [lone] + entries), obj.name
+            assert entries[0].xs.tobytes() == lone.xs.tobytes(), obj.name
 
 
 def test_sampling_grid_rounds_up_to_stride():

@@ -22,23 +22,27 @@ from proxdyn import (
     problem_from_json,
     prox_grad_map,
     prox_grad_residual,
-    soft_threshold,
 )
 
 
-def test_soft_threshold_hand_values():
+def test_l1_prox_hand_values():
+    # the lasso's prox at step lam soft-thresholds by lam * mu, here 0.5 * 2 = 1
+    prox = make_problem("lasso", M=[[1.0]], y=[0.0], mu=2.0).f.prox
     x = np.array([3.0, -0.2, 0.5, -2.0, 0.0])
-    out = soft_threshold(x, 1.0)
+    out = prox(0.5, x)
     assert np.array_equal(out, np.array([2.0, 0.0, 0.0, -1.0, 0.0]))
 
 
-def test_soft_threshold_optimality_condition():
-    # y = prox of tau*|.|_1 iff  x - y = tau*sign(y) where y != 0, |x - y| <= tau at y = 0
+def test_l1_prox_optimality_condition():
+    # y = prox of tau*|.|_1 iff  x - y = tau*sign(y) where y != 0, |x - y| <= tau at y = 0,
+    # with tau = lam * mu for the lasso's prox at step lam
     rng = np.random.default_rng(101)
     for _ in range(50):
         x = rng.standard_normal(6) * 3.0
-        tau = float(rng.uniform(0.05, 2.0))
-        y = soft_threshold(x, tau)
+        mu = float(rng.uniform(0.1, 1.0))
+        lam = float(rng.uniform(0.5, 2.0))
+        tau = lam * mu
+        y = make_problem("lasso", M=np.eye(6), y=np.zeros(6), mu=mu).f.prox(lam, x)
         nz = y != 0.0
         assert np.all(np.abs((x - y)[nz] - tau * np.sign(y[nz])) <= 1e-12)
         assert np.all(np.abs(x[~nz]) <= tau + 1e-12)
@@ -109,17 +113,17 @@ def test_l1_prox_gives_each_thread_its_own_lam():
     assert bad == {lam: 0 for lam in lams}
 
 
-def test_soft_threshold_keeps_float32():
+def test_prox_maps_give_float64_for_a_float32_x():
+    # each prox converts its input to float64, as the integrator's states are
     x = np.array([1.0, -0.25, -2.0], dtype=np.float32)
-    out = soft_threshold(x, 0.5)
-    assert out.dtype == np.float32
-    assert np.array_equal(out, np.array([0.5, -0.0, -1.5], dtype=np.float32))
-
-
-@pytest.mark.parametrize("thresh", [-1.0, -5e-324, math.nan, math.inf, [0.5, -1.0]])
-def test_soft_threshold_rejects_a_bad_threshold(thresh):
-    with pytest.raises(ValueError, match="^thresh must be a nonnegative finite real"):
-        soft_threshold([1.0, -0.5], thresh)
+    lasso = make_problem("lasso", M=np.eye(3), y=np.zeros(3), mu=1.0)
+    out = lasso.f.prox(0.5, x)
+    assert out.dtype == np.float64
+    assert out.tobytes() == np.array([0.5, -0.0, -1.5]).tobytes()
+    box = make_problem("box_quad", Q=np.eye(3), b=np.zeros(3), lower=-1.0, upper=1.0)
+    assert box.f.prox(0.5, x).tobytes() == np.array([1.0, -0.25, -1.0]).tobytes()
+    zero = make_problem("zero_quad", Q=np.eye(3))
+    assert zero.f.prox(0.5, x).tobytes() == x.astype(np.float64).tobytes()
 
 
 def test_box_project_componentwise():
@@ -267,7 +271,7 @@ def test_prox_grad_residual_vanishes_at_minimizers():
     # unconstrained quadratic: solve Qx = b
     obj = make_problem("zero_quad", Q=[[2.0, 0.0], [0.0, 1.0]], b=[2.0, 1.0])
     assert prox_grad_residual(obj, 0.125, np.array([1.0, 1.0])) == 0.0
-    # lasso closed form: soft_threshold(y, mu) for M = I
+    # lasso closed form: y soft-thresholded by mu for M = I
     lasso = make_problem("lasso", M=[[1.0]], y=[1.0], mu=0.5)
     assert prox_grad_residual(lasso, 0.5, np.array([0.5])) == 0.0
     # box-constrained quadratic, active constraint at the upper bound
