@@ -43,13 +43,13 @@ quantity goes through the operations of the textbook formulas in their
 order, so the bits are those of a loop that allocates every stage.  Outside
 T a step makes 25 numpy calls instead of 38, and each of its four T
 evaluations two more around the oracles, whose own calls on the lasso are
-the gradient's dot and subtract and soft thresholding's five ufuncs; at
+the gradient's dot and subtract and soft thresholding's three ufuncs; at
 small dim those calls are most of its cost.  So the loop pays for little
 besides them: the acceleration is computed inline at each stage, with no
 Python function between the loop and T, every call is a direct ufunc call
 with its output passed positionally, T is bound to the oracles once per run
 (``problems._prox_grad``), and every constant the calls take (h/2, h/6, h,
-2, gamma, the gradient step's lam, and the l1 prox's zero and threshold) is
+2, gamma, the gradient step's lam, and the l1 prox's two bounds) is
 an array, which no call has to convert from a Python float.  On one core of
 a shared 2-core Intel Xeon (Python 3.11.7, numpy 2.4.6, best of 15 repeats
 in three processes), a dim-1 subtract took 18-46 ns less with a positional

@@ -7,25 +7,30 @@ of points with coordinates on the last axis, and are immutable after
 construction, so they are safe to evaluate concurrently.  Two values are
 set later.  ``SmoothFn.beta`` is computed on its first read and then kept,
 so a concurrent first read may compute the same value twice.  The l1 prox
-keeps the last float lam it was called with and that lam's threshold, as
-one tuple that a call reads once and replaces whole, so a concurrent call
-with another lam forms its own threshold again and never reads another's.
+keeps the last float lam it was called with and that lam's bounds, as one
+tuple that a call reads once and replaces whole, so a concurrent call with
+another lam forms its own bounds again and never reads another's.
 
-Soft thresholding, sign(x) * max(|x| - t, 0), is five ufunc calls, and a
-Python float operand costs the call that takes it a conversion.  So the l1
-prox hands them none: its zero is a read-only 0-d float64 array, and its
-threshold lam * mu a 0-d float64 array, formed once for a run's float lam.
+Soft thresholding, sign(x) * max(|x| - t, 0), goes by Moreau's identity
+(the conjugate of t|.|_1 is the indicator of [-t, t]) as x - clip(x, -t, t):
+three ufunc calls where the sign formula makes five.  The two differ only
+in the sign of a zero: Moreau's form gives +0 on the dead zone [-t, t],
+and at t = 0 x's own bits, -0 included.  Its last call subtracts a nan from
+the same nan, so a nan entry of a stack gets the bits it gets alone.  A
+Python float operand costs the call that takes it a conversion, so the l1
+prox hands them none: its bounds -lam * mu and lam * mu are 0-d float64
+arrays, formed once for a run's float lam.
 A field evaluation's path (the l1 prox, the gradient step of T and the
 quadratic gradient of a lone point) also calls its ufuncs directly, bound
 once as module names, rather than through operators or ``np.`` lookups,
 and converts a prox's input with a ``np.dtype`` object, which
 ``np.asarray`` need not build from the Python type ``float``.  No call
 passes out= to ``np.maximum`` or ``np.minimum``, whose positional form
-numpy 2.4 deprecates.  On one thread of an Intel Xeon (numpy 2.4.6, best of
-9 repeats in each of three alternating processes), the dim-1 prox took
-1.94-2.11 us with operators and 1.73-1.79 us with bound ufuncs, and T
-3.64-3.74 us against 3.34-3.44 us; a dim-1 subtract took 0.53 us against a
-Python float and 0.35 us against a 0-d array.
+numpy 2.4 deprecates.  On one thread of an Intel Xeon (numpy 2.4.6, medians
+of ten alternating processes' best of 9 repeats), the dim-1 prox took 2.00
+us by the sign formula and 1.39 us by Moreau's identity, and T 3.82 us
+against 3.10 us; a dim-1 subtract took 0.53 us against a Python float and
+0.35 us against a 0-d array.
 
 Every row of a batched result equals, bitwise, the call on that row alone:
 a point's value does not depend on whether it was evaluated by itself or as
@@ -147,17 +152,12 @@ _TINY = np.finfo(float).tiny
 _SWEEP_BYTES = 256 * 2**10
 
 
-# Soft thresholding's zero in the l1 prox: a 0-d float64 operand spares the
-# ufunc the conversion of a Python float on every call.
-_ZERO = np.zeros(())
-_ZERO.flags.writeable = False
 # The dtype a prox converts its input to, as an object: np.asarray converts a
 # Python type to one on every call.
 _FLOAT = np.dtype(float)
 # The ufuncs of a field evaluation's path, bound here so that a call looks up
 # one module name, not np and then its attribute (see the module docstring).
-_absolute, _maximum, _minimum = np.absolute, np.maximum, np.minimum
-_multiply, _sign, _subtract = np.multiply, np.sign, np.subtract
+_maximum, _minimum, _multiply, _subtract = np.maximum, np.minimum, np.multiply, np.subtract
 
 
 def box_project(x, lower, upper):
@@ -345,23 +345,23 @@ def _zero_prox_fn(dim):
 
 
 def _l1_prox_fn(mu, dim):
-    # the last float lam and its threshold lam * mu as a 0-d float64 array: one
-    # tuple, read once and replaced whole, so that threads never mix two pairs
-    last = (None, None)
+    # the last float lam and its two bounds: one tuple, read once and replaced whole (module docstring)
+    last = (None, None, None)
 
     def value(x):
         return mu * _rowwise_sum(np.abs(x))
 
     def prox(lam, x):
         nonlocal last
-        cached, thresh = last
+        cached, low, thresh = last
         if lam is not cached:
             thresh = lam * mu  # an array lam, which may change in place, is multiplied per call
-            if isinstance(lam, float):  # immutable: a run's one lam forms its threshold once
-                thresh = np.array(thresh, dtype=float)
-                last = lam, thresh
+            low = -thresh  # exact: the bits of (-lam) * mu
+            if isinstance(lam, float):  # immutable: a run's one lam forms its bounds once
+                low, thresh = np.array(low, dtype=float), np.array(thresh, dtype=float)
+                last = lam, low, thresh
         x = np.asarray(x, _FLOAT)
-        return _multiply(_sign(x), _maximum(_subtract(_absolute(x), thresh), _ZERO))  # soft thresholding
+        return _subtract(x, _minimum(_maximum(x, low), thresh))  # x - box_project(x, -t, t), inlined
 
     return ProxFn(eval=value, prox=prox, dim=dim)
 
@@ -635,7 +635,7 @@ def _prox_grad(obj, lam):
     functions that bind T check it.  The gradient step is a direct multiply
     and subtract, with ``lam`` as a float array (0-d for a number), which
     the multiply need not convert.  The prox takes ``lam`` as given, so that
-    the l1 prox can keep a float lam's threshold from call to call (see the
+    the l1 prox can keep a float lam's bounds from call to call (see the
     module docstring).
     """
     grad, prox = obj.g.grad, obj.f.prox

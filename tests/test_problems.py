@@ -48,26 +48,24 @@ def test_l1_prox_optimality_condition():
         assert np.all(np.abs(x[~nz]) <= tau + 1e-12)
 
 
-def _sign_formula(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+def _moreau_formula(x, t):
+    return x - np.clip(x, -t, t)
 
 
 @pytest.mark.parametrize("lam", [np.array(0.5), 0.5])
 def test_l1_prox_keeps_the_bits_of_the_sign_formula(lam):
-    # the prox is held to the bits of sign(x) * max(|x| - t, 0), signed zeros,
+    # the prox is the sign formula's map, sign(x) * max(|x| - t, 0), held to the bits of
+    # Moreau's form x - clip(x, -t, t), which gives +0 on the whole dead zone: signed zeros,
     # subnormals, infinities and nan included, whether lam is 0-d or a float
     mu = 0.8
     t = 0.5 * mu
     prox = make_problem("lasso", M=[[1.0]], y=[0.0], mu=mu).f.prox
     x = np.array([0.0, -0.0, 5e-324, -5e-324, t, -t, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan])
     assert np.signbit(x[-1])
-    want = _sign_formula(x, t)
+    want = _moreau_formula(x, t)
     assert prox(lam, x).tobytes() == want.tobytes()
     for i in range(len(x)):
-        # numpy's multiply takes the sign of -nan * +nan from either operand, by the loop the
-        # entry falls in, so a lone -nan is held to the formula on it alone
-        lone = want[i : i + 1] if i < len(x) - 1 else _sign_formula(x[i:], t)
-        assert prox(lam, x[i : i + 1]).tobytes() == lone.tobytes(), x[i]
+        assert prox(lam, x[i : i + 1]).tobytes() == want[i : i + 1].tobytes(), x[i]
     assert not np.signbit(prox(lam, np.array([-0.0]))[0])  # -0.0 maps to +0.0
 
 
@@ -79,10 +77,39 @@ def test_l1_prox_forms_the_threshold_of_each_lam():
     col = np.array([[0.5], [0.25], [1.0]])
     lams = [0.5, 0.25, np.array(0.25), col]
     for lam in lams:
-        assert prox(lam, x).tobytes() == _sign_formula(x, lam * mu).tobytes(), lam
+        assert prox(lam, x).tobytes() == _moreau_formula(x, lam * mu).tobytes(), lam
     col *= 2.0  # the same array, changed in place
-    assert prox(col, x).tobytes() == _sign_formula(x, col * mu).tobytes()
-    assert prox(0.5, x[0]).tobytes() == _sign_formula(x[0], 0.5 * mu).tobytes()
+    assert prox(col, x).tobytes() == _moreau_formula(x, col * mu).tobytes()
+    assert prox(0.5, x[0]).tobytes() == _moreau_formula(x[0], 0.5 * mu).tobytes()
+
+
+def test_l1_prox_gives_plus_zero_on_the_dead_zone_and_x_itself_at_mu_0():
+    # every x in [-t, t], signed zeros and subnormals included, maps to +0 for a float, a 0-d
+    # and a (B, 1) lam; at mu = 0 the prox is the identity, bit for bit, -0 included
+    mu = 0.8
+    prox = make_problem("lasso", M=[[1.0]], y=[0.0], mu=mu).f.prox
+    for lam in (0.5, np.array(0.5), np.array([[0.5], [0.25]])):
+        t = np.asarray(lam * mu)
+        span = np.linspace(-1.0, 1.0, 21) * t.reshape(-1, 1)  # -t, ..., t in each row
+        dead = np.hstack([span, np.tile([0.0, -0.0, 5e-324, -5e-324], (len(span), 1))])
+        dead = dead if t.ndim == 2 else dead[0]
+        assert prox(lam, dead).tobytes() == np.zeros(dead.shape).tobytes(), lam
+    identity = make_problem("lasso", M=[[1.0]], y=[0.0], mu=0.0).f.prox
+    x = np.array([0.0, -0.0, 0.3, -0.3, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan])
+    for lam in (0.5, np.array(0.5)):
+        assert identity(lam, x).tobytes() == x.tobytes(), lam
+
+
+def test_l1_prox_gives_a_row_of_a_stack_the_bits_of_the_row_alone_at_minus_nan():
+    # numpy's multiply gave -nan * +nan the sign of either operand by the loop an entry fell in,
+    # so the sign formula gave row 0 of this stack -nan where row 0 alone gave +nan
+    prox = make_problem("lasso", M=np.eye(9), y=np.zeros(9), mu=0.5).f.prox
+    x = np.zeros((2, 9))
+    x[:, :8] = np.linspace(-1.0, 1.0, 16).reshape(2, 8)
+    x[:, 8] = -np.nan
+    stack = prox(0.5, x)
+    for row, alone in zip(stack, x):
+        assert row.tobytes() == prox(0.5, alone).tobytes()
 
 
 def test_l1_prox_gives_each_thread_its_own_lam():
@@ -119,7 +146,7 @@ def test_prox_maps_give_float64_for_a_float32_x():
     lasso = make_problem("lasso", M=np.eye(3), y=np.zeros(3), mu=1.0)
     out = lasso.f.prox(0.5, x)
     assert out.dtype == np.float64
-    assert out.tobytes() == np.array([0.5, -0.0, -1.5]).tobytes()
+    assert out.tobytes() == np.array([0.5, 0.0, -1.5]).tobytes()
     box = make_problem("box_quad", Q=np.eye(3), b=np.zeros(3), lower=-1.0, upper=1.0)
     assert box.f.prox(0.5, x).tobytes() == np.array([1.0, -0.25, -1.0]).tobytes()
     zero = make_problem("zero_quad", Q=np.eye(3))
